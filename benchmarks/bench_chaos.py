@@ -27,7 +27,7 @@ import time
 
 from repro.faults.chaos import _synthetic_database, run_chaos_matrix
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import FaultGate, ResilientStoreWriter, database_ops
+from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
 from repro.measure.store import ReportStore, scan_store
 from repro.obs.metrics import MetricsRegistry
 
@@ -95,19 +95,15 @@ def _bench_recovery_overhead() -> dict:
     results: dict = {"ops": len(ops)}
     with tempfile.TemporaryDirectory(prefix="repro-bench-chaos-") as tmp:
         start = time.perf_counter()
-        store = ReportStore(f"{tmp}/clean", batch_rows=4096)
-        from repro.faults.recovery import apply_op
-
-        for op in ops:
-            apply_op(store, op)
-        store.close()
+        deliver(ops, ReportStore(f"{tmp}/clean", batch_rows=4096))
         clean_s = time.perf_counter() - start
 
         plan = FaultPlan.parse(recovery_plan(len(ops)), seed=BENCH_SEED)
         registry = MetricsRegistry()
-        writer = ResilientStoreWriter(f"{tmp}/chaos", plan, registry)
+        store = ResilientStore(f"{tmp}/chaos", plan, registry)
+        gate = FaultGate(plan, registry)
         start = time.perf_counter()
-        stats = writer.deliver(ops)
+        stats = deliver(ops, store, gate)
         chaos_s = time.perf_counter() - start
         signature_ok = (
             scan_store(f"{tmp}/chaos").aggregate_signature() == reference

@@ -302,7 +302,7 @@ def bench_frontend(workdir: str) -> dict:
         max_pending=16,
         auto_flush=False,
     )
-    server = ReportingServer(None, None, study=1, registry=registry, store=store)
+    server = ReportingServer(store, None, study=1, registry=registry)
     server.expect("collector.test", leaf.fingerprint(), "Authors'")
     network = Network()
     network.add_host("collector.test").listen(80, server.http.factory)

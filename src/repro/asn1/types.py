@@ -374,10 +374,6 @@ class Sequence(Asn1Value):
     def content(self) -> bytes:
         return b"".join(item.encode() for item in self.items)
 
-    @classmethod
-    def from_content(cls, content: bytes):
-        return cls(decode_all(content))
-
 
 class Set(Sequence):
     """ASN.1 SET (DER requires sorted encodings; enforced on encode)."""
@@ -412,8 +408,10 @@ class ContextExplicit(Asn1Value):
         return self.inner.encode()
 
     @classmethod
-    def from_tag_content(cls, tag: int, content: bytes) -> "ContextExplicit":
-        inner, rest = decode(content)
+    def from_tag_content(
+        cls, tag: int, content: bytes, depth: int = 0
+    ) -> "ContextExplicit":
+        inner, rest = decode(content, 0, depth)
         if rest:
             raise Asn1Error("trailing data inside explicit tag")
         return cls(tag & 0x1F, inner)
@@ -477,33 +475,46 @@ _UNIVERSAL_DECODERS = {
     der.TAG_IA5_STRING: IA5String.from_content,
     der.TAG_UTC_TIME: UtcTime.from_content,
     der.TAG_GENERALIZED_TIME: GeneralizedTime.from_content,
-    der.TAG_SEQUENCE: Sequence.from_content,
-    der.TAG_SET: Set.from_content,
 }
+_CONSTRUCTED_TYPES = {der.TAG_SEQUENCE: Sequence, der.TAG_SET: Set}
+
+#: Deepest nesting of constructed values :func:`decode` accepts.  Real
+#: certificates nest fewer than 10 levels; without a bound, hostile
+#: nesting would hit Python's recursion limit instead of raising
+#: :class:`Asn1Error`.
+MAX_DEPTH = 32
 
 
-def decode(data: bytes, offset: int = 0) -> tuple[Asn1Value, bytes]:
-    """Decode one DER value; return ``(value, remaining_bytes)``."""
+def decode(data: bytes, offset: int = 0, depth: int = 0) -> tuple[Asn1Value, bytes]:
+    """Decode one DER value; return ``(value, remaining_bytes)``.
+
+    ``depth`` counts the constructed values enclosing this one.
+    """
+    if depth > MAX_DEPTH:
+        raise Asn1Error(f"nesting deeper than {MAX_DEPTH} levels")
     tag, content, end = der.read_tlv(data, offset)
     rest = data[end:]
     decoder = _UNIVERSAL_DECODERS.get(tag)
     if decoder is not None:
         return decoder(content), rest
+    constructed = _CONSTRUCTED_TYPES.get(tag)
+    if constructed is not None:
+        return constructed(decode_all(content, depth + 1)), rest
     if tag & 0xC0 == der.CLASS_CONTEXT:
         if tag & der.CONSTRUCTED:
             try:
-                return ContextExplicit.from_tag_content(tag, content), rest
+                return ContextExplicit.from_tag_content(tag, content, depth + 1), rest
             except Asn1Error:
                 return Raw(tag, content), rest
         return ContextPrimitive(tag & 0x1F, content), rest
     return Raw(tag, content), rest
 
 
-def decode_all(data: bytes) -> list[Asn1Value]:
+def decode_all(data: bytes, depth: int = 0) -> list[Asn1Value]:
     """Decode consecutive DER values until ``data`` is exhausted."""
     values = []
     rest = data
     while rest:
-        value, rest = decode(rest)
+        value, rest = decode(rest, 0, depth)
         values.append(value)
     return values

@@ -4,7 +4,7 @@
 
 * ``study1`` / ``study2`` — run a measurement study and print the
   corresponding paper tables (optionally exporting the raw report
-  database as JSON Lines).
+  database as a segmented report store).
 * ``scan`` — the Table 1 policy-file scan and probe-site selection.
 * ``ablation`` — the §7 mitigation ablation matrix.
 * ``whitelist`` — the §6.3 whitelist experiment (this paper vs Huang).
@@ -36,6 +36,8 @@ from repro.analysis import (
     issuer_organization_table,
     malware_census,
 )
+from repro.faults.recovery import database_ops, deliver
+from repro.measure.store import ReportStore, require_empty_store
 from repro.reporting import (
     render_classification_table,
     render_country_table,
@@ -107,7 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
             "reproduce the fault-free aggregate signature",
         )
         study_parser.add_argument(
-            "--export", metavar="PATH", help="write the report database as JSONL"
+            "--export",
+            metavar="DIR",
+            help="write the report database as a segmented report store "
+            "(read it back with 'repro store scan'; directory must not "
+            "already hold segments)",
         )
         study_parser.add_argument(
             "--metrics-out",
@@ -375,7 +381,9 @@ def _run_study(study: int, args) -> int:
             report_store=args.report_store,
             faults=args.faults,
         )
-    except ValueError as exc:
+        if args.export:
+            require_empty_store(args.export)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -455,9 +463,7 @@ def _run_study(study: int, args) -> int:
         f"{census.total_connections:,} connections"
     )
     if args.export:
-        from repro.measure.persist import save_database
-
-        save_database(db, args.export)
+        deliver(database_ops(db), ReportStore(args.export))
         print(f"\nreport database exported to {args.export}")
     if args.metrics_out:
         _emit_metrics(result.metrics, args.metrics_out)
@@ -721,7 +727,7 @@ def _run_mimicry_prevalence(args) -> int:
 
 
 def _run_store(args) -> int:
-    from repro.measure.store import ReportStore, SegmentedStore, scan_store
+    from repro.measure.store import SegmentedStore, scan_store
     from repro.obs.metrics import MetricsRegistry
 
     if args.store_command == "compact":

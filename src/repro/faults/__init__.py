@@ -4,7 +4,8 @@ Everything here is seeded: a :class:`FaultPlan` turns
 ``stable_hash(seed, site, kind)`` into fault schedules for the wire
 path (:mod:`repro.faults.wire`), the reporting server, and the report
 store's named crash points, while :mod:`repro.faults.recovery`
-supervises crash-then-reopen healing and exactly-accounted delivery.
+delivers every report batch (op stream, optional gate, sink) with
+crash-then-reopen healing and exact loss accounting.
 :mod:`repro.faults.chaos` runs the whole drill matrix behind the
 ``repro chaos`` CLI.
 """
@@ -21,9 +22,9 @@ from repro.faults.plan import (
 from repro.faults.recovery import (
     CrashSchedule,
     FaultGate,
-    ResilientStoreWriter,
-    apply_op,
+    ResilientStore,
     database_ops,
+    deliver,
 )
 from repro.faults.wire import FaultRelay, server_fault_hook
 
@@ -36,10 +37,10 @@ __all__ = [
     "FaultPlanError",
     "FaultRelay",
     "GATE_FAULT_KINDS",
-    "ResilientStoreWriter",
+    "ResilientStore",
     "SERVER_FAULT_KINDS",
     "WIRE_FAULT_KINDS",
-    "apply_op",
     "database_ops",
+    "deliver",
     "server_fault_hook",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.crypto.keystore import KeyStore
 from repro.faults.plan import CRASH_POINTS, FaultPlan
-from repro.faults.recovery import ResilientStoreWriter, database_ops
+from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
 from repro.faults.wire import FaultRelay, server_fault_hook
 from repro.measure.database import ReportDatabase
 from repro.measure.ingest import IngestLoop, ReportSubmission
@@ -112,9 +112,7 @@ class _ChaosWorld:
         from repro.measure.store import ReportStore
 
         store = ReportStore(store_dir, registry, batch_rows=8)
-        server = ReportingServer(
-            None, None, study=1, registry=registry, store=store
-        )
+        server = ReportingServer(store, None, study=1, registry=registry)
         server.expect(_COLLECTOR, self.expected, "Popular")
         network = Network()
         network.add_host(_COLLECTOR).listen(80, server.http.factory)
@@ -255,17 +253,14 @@ def run_chaos_matrix(
                 f"crash-{point}={cadence},segment-bytes=512,batch-rows=4", seed=seed
             )
             drill_registry = MetricsRegistry()
-            writer = ResilientStoreWriter(
-                f"{tmp}/crash-{point}", plan, drill_registry
-            )
-            stats = writer.deliver(ops)
+            store = ResilientStore(f"{tmp}/crash-{point}", plan, drill_registry)
+            stats = deliver(ops, store, FaultGate(plan, drill_registry))
             if point == "compact":
                 # deliver() alone never compacts; run the maintenance
                 # pass the crash point lives in, riding through crashes.
-                writer.compact()
-                writer.close()
-                stats["recoveries"] = writer.recoveries
-                stats["crashes"] = dict(writer.schedule.fired)
+                store.compact()
+                store.close()
+                stats.update(store.stats())
             signature = scan_store(f"{tmp}/crash-{point}").aggregate_signature()
             fold(drill_registry)
             outcomes.append(
@@ -288,8 +283,8 @@ def run_chaos_matrix(
         # only the exact-loss invariant is on trial.
         plan = FaultPlan.parse("drop=0.15,reset=0.2,crash-flush=2", seed=seed)
         drill_registry = MetricsRegistry()
-        writer = ResilientStoreWriter(f"{tmp}/lossy", plan, drill_registry)
-        stats = writer.deliver(ops)
+        store = ResilientStore(f"{tmp}/lossy", plan, drill_registry)
+        stats = deliver(ops, store, FaultGate(plan, drill_registry))
         fold(drill_registry)
         outcomes.append(
             DrillOutcome(

@@ -1,9 +1,12 @@
-"""Recovery supervision: deliver an op stream through injected faults.
+"""The report pipeline: op stream, optional fault gate, sink.
 
-The fast-mode study merge normally appends each shard database to the
-report store in fixed (plan, sub) order.  Under a fault plan the same
-operations — mismatch records, matched bulk counters, failure-ledger
-increments — flow through two hazards instead:
+Every report batch reaches its destination the same way.  A shard
+database becomes an ordered op stream (:func:`database_ops`: mismatch
+records, matched bulk counters, failure-ledger increments), and
+:func:`deliver` feeds it into any
+:class:`~repro.measure.database.ReportSink` — the in-memory database,
+a report store, or a :class:`ResilientStore`.  Under a fault plan the
+ops meet two hazards on the way:
 
 * a :class:`FaultGate` that models the transport: transient kinds
   (``reset``, ``429``) cost seeded-backoff retries before the op gets
@@ -11,14 +14,14 @@ increments — flow through two hazards instead:
 * a :class:`CrashSchedule` wired into the store's crash points, which
   kills the writer mid-flush/rotate/seal/compact.
 
-:class:`ResilientStoreWriter` pairs them with recovery: after a crash
-it reopens the store (healing torn tails), consults ``ops_durable`` to
-find exactly which applied ops the dead instance never made durable,
-and replays from the first lost one.  Because the store's crash points
-fire before any byte of the cycle is written, the durable set is
-always a prefix of the applied ops — replay is exact, never
-double-counts, and a plan without ``drop`` reproduces the fault-free
-``aggregate_signature()`` byte-identically.
+:class:`ResilientStore` is the sink that survives the second: after a
+crash it reopens the store (healing torn tails), consults
+``ops_durable`` to find exactly which applied ops the dead instance
+never made durable, and replays from the first lost one.  Because the
+store's crash points fire before any byte of the cycle is written, the
+durable set is always a prefix of the applied ops — replay is exact,
+never double-counts, and a plan without ``drop`` reproduces the
+fault-free ``aggregate_signature()`` byte-identically.
 
 The loss invariant is accounted exactly: ``submitted == delivered +
 failed`` where ``failed`` is precisely the gate's dropped set.
@@ -28,10 +31,10 @@ from __future__ import annotations
 
 import pathlib
 from collections import Counter
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.faults.plan import Backoff, FaultPlan
-from repro.measure.database import ReportDatabase
+from repro.measure.database import ReportDatabase, ReportSink
 from repro.measure.store import InjectedCrash, ReportStore
 from repro.obs.metrics import BACKOFF_TICK_BUCKETS, MetricsRegistry
 
@@ -79,8 +82,8 @@ class FaultGate:
     Decisions are keyed on the global op ordinal, which the parent
     process assigns in fixed plan order — so the injected fault
     sequence is identical for any worker count.  Each ordinal is
-    evaluated exactly once; crash-recovery replays of already-evaluated
-    ordinals reuse the cached verdict without re-counting metrics.
+    evaluated exactly once; asking again for an evaluated ordinal
+    returns the cached verdict without re-counting metrics.
     """
 
     def __init__(self, plan: FaultPlan, registry: MetricsRegistry | None = None) -> None:
@@ -139,11 +142,11 @@ class FaultGate:
 # -- the op stream -------------------------------------------------------
 
 def database_ops(database: ReportDatabase) -> Iterable[tuple]:
-    """One shard database as an ordered op stream.
+    """One shard database as an ordered op stream: the merge currency.
 
-    Mirrors ``ReportStore.append_database`` exactly — mismatches, then
-    matched bulk counters, then failure increments — so fault-free
-    delivery reproduces the unfaulted merge byte for byte.
+    Mismatches, then matched bulk counters, then failure increments —
+    the ops :meth:`~repro.measure.database.ReportSink.apply` takes.
+    Counts are never zero, so every op is exactly one store append.
     """
     for record in database.records:
         yield ("m", record)
@@ -154,26 +157,47 @@ def database_ops(database: ReportDatabase) -> Iterable[tuple]:
             yield ("f", name, value)
 
 
-def apply_op(sink, op: tuple) -> None:
-    """Apply one op to a :class:`ReportStore` or :class:`ReportDatabase`."""
-    kind = op[0]
-    if kind == "m":
-        sink.add_mismatch(op[1])
-    elif kind == "c":
-        sink.add_matched_bulk(op[1], op[2], op[3], op[4])
-    elif hasattr(sink, "add_failure"):
-        sink.add_failure(op[1], op[2])
-    else:
-        setattr(sink.failures, op[1], getattr(sink.failures, op[1]) + op[2])
+def deliver(
+    ops: Iterable[tuple], sink: ReportSink, gate: FaultGate | None = None
+) -> dict:
+    """Drive ``ops`` through an optional ``gate`` into ``sink``; close it.
+
+    The one delivery loop: study merges, exports and the chaos drills
+    all come through here, whatever the sink.  Op ordinals are assigned
+    in stream order, so the gate's decisions depend only on the stream.
+    Returns the exact loss accounting: ``submitted`` ops in,
+    ``delivered`` applied, ``failed`` dropped by the gate, with
+    ``submitted == delivered + failed`` always — plus the gate's
+    ``retries`` and ``injected`` counts and the sink's own
+    :meth:`~repro.measure.database.ReportSink.stats`.
+    """
+    submitted = 0
+    for op in ops:
+        if gate is None or gate.attempt(submitted):
+            sink.apply(op)
+        submitted += 1
+    sink.close()
+    accounting = {"submitted": submitted, "delivered": submitted, "failed": 0}
+    if gate is not None:
+        failed = len(gate.dropped)
+        accounting.update(
+            delivered=submitted - failed,
+            failed=failed,
+            retries=gate.retries,
+            injected=dict(sorted(gate.injected.items())),
+        )
+    accounting.update(sink.stats())
+    return accounting
 
 
-class ResilientStoreWriter:
-    """Crash-surviving, fault-gated delivery into a report store.
+class ResilientStore(ReportSink):
+    """A report store sink that heals itself after injected crashes.
 
-    Owns the store instance(s): the plan's crash schedule is installed
-    as the crash hook, and every :class:`InjectedCrash` is answered by
-    reopening the directory (which heals torn tails) and replaying the
-    ops the dead writer had accepted but not flushed.
+    The plan's crash schedule is installed as the store's crash hook,
+    and every :class:`InjectedCrash` is answered by reopening the
+    directory (which heals torn tails) and re-applying the ops the dead
+    store had not made durable.  Ops applied since the last flush are
+    kept for that replay and dropped once a flush covers them.
     """
 
     def __init__(
@@ -184,22 +208,22 @@ class ResilientStoreWriter:
         *,
         batch_rows: int = 4096,
         segment_bytes: int | None = None,
-        crash_hook: Callable[[str], None] | None = None,
     ) -> None:
         self.path = path
         self.plan = plan
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.gate = FaultGate(plan, self.metrics)
         self.schedule = (
-            crash_hook
-            if crash_hook is not None
-            else CrashSchedule(plan, self.metrics) if plan.has_crashes() else None
+            CrashSchedule(plan, self.metrics) if plan.has_crashes() else None
         )
         self._batch_rows = plan.batch_rows or batch_rows
         self._segment_bytes = plan.segment_bytes or segment_bytes
         self.recoveries = 0
         self.torn_tails = 0
         self.store = self._open()
+        # Ops applied to self.store that a flush may not cover yet; the
+        # first one is the store's op number _unflushed_base.
+        self._unflushed: list[tuple] = []
+        self._unflushed_base = 0
 
     def _open(self) -> ReportStore:
         kwargs: dict = {"batch_rows": self._batch_rows}
@@ -213,60 +237,46 @@ class ResilientStoreWriter:
             **kwargs,
         )
 
-    def _recover(self) -> None:
-        self.recoveries += 1
-        self.torn_tails += self.store.crash_torn_segments
-        self.metrics.inc("store.recoveries")
-        self.store = self._open()
-
-    def deliver(self, ops) -> dict:
-        """Drive every op to delivered-or-dropped; close the store.
-
-        Returns the exact loss accounting: ``submitted`` ops in,
-        ``delivered`` made durable, ``failed`` dropped by the gate,
-        with ``submitted == delivered + failed`` always.
-        """
-        ops = ops if isinstance(ops, list) else list(ops)
-        i = 0
-        applied: list[int] = []  # global indices applied to self.store
-        while True:
-            try:
-                while i < len(ops):
-                    if not self.gate.attempt(i):
-                        i += 1
-                        continue
-                    apply_op(self.store, ops[i])
-                    applied.append(i)
-                    i += 1
-                self.store.close()
-                break
-            except InjectedCrash:
-                # Durability is a prefix of the applied ops (crash
-                # points fire before the cycle's writes), so the first
-                # lost op is applied[ops_durable]; everything before it
-                # is safely on disk and never replayed.
-                survivors = self.store.ops_durable
-                if survivors < len(applied):
-                    i = applied[survivors]
-                applied.clear()
-                self._recover()
-        submitted = len(ops)
-        failed = len(self.gate.dropped)
+    def stats(self) -> dict:
+        """Crash recoveries so far, torn tails healed, crashes per point."""
+        fired = self.schedule.fired if self.schedule is not None else {}
         return {
-            "plan": self.plan.describe(),
-            "submitted": submitted,
-            "delivered": submitted - failed,
-            "failed": failed,
             "recoveries": self.recoveries,
             "torn_tails": self.torn_tails,
-            "retries": self.gate.retries,
-            "injected": dict(sorted(self.gate.injected.items())),
-            "crashes": dict(
-                sorted(self.schedule.fired.items())
-                if isinstance(self.schedule, CrashSchedule)
-                else []
-            ),
+            "crashes": dict(sorted(fired.items())),
         }
+
+    def apply(self, op: tuple) -> None:
+        self._unflushed.append(op)
+        try:
+            self.store.apply(op)
+        except InjectedCrash:
+            self._recover()
+        durable = self.store.ops_durable - self._unflushed_base
+        if durable:
+            del self._unflushed[:durable]
+            self._unflushed_base += durable
+
+    def _recover(self) -> None:
+        """Reopen the store and replay what the crash lost, until it sticks.
+
+        The store's crash points fire before the cycle's writes, so the
+        dead store's durable ops are a prefix of the applied ones: the
+        replay starts at op ``ops_durable`` and never double-counts.
+        """
+        while True:
+            lost = self._unflushed[self.store.ops_durable - self._unflushed_base :]
+            self.recoveries += 1
+            self.torn_tails += self.store.crash_torn_segments
+            self.metrics.inc("store.recoveries")
+            self.store = self._open()
+            self._unflushed, self._unflushed_base = lost, 0
+            try:
+                for op in lost:
+                    self.store.apply(op)
+                return
+            except InjectedCrash:
+                continue
 
     def compact(self) -> dict:
         """Run store compaction, riding through injected crashes."""

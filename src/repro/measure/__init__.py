@@ -16,9 +16,12 @@ Mirrors §3 of the paper end to end:
   segmented on-disk store with streaming aggregation
   (:class:`StreamingAggregator`), batched writes and back-pressure,
   driven concurrently by :class:`IngestLoop`.
+
+Both are a :class:`ReportSink`, the one interface every report reaches
+its destination through.
 """
 
-from repro.measure.database import ReportDatabase
+from repro.measure.database import ReportDatabase, ReportSink
 from repro.measure.ingest import IngestLoop, ReportSubmission
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
@@ -38,6 +41,7 @@ __all__ = [
     "MeasurementRecord",
     "MeasurementTool",
     "ReportDatabase",
+    "ReportSink",
     "ReportStore",
     "ReportSubmission",
     "ReportingServer",

@@ -76,7 +76,39 @@ def combine_signature(
     return digest.hexdigest()
 
 
-class ReportDatabase:
+class ReportSink:
+    """Where reports land: the interface every report destination shares.
+
+    The reporting server writes one report at a time through
+    ``add_mismatch``/``add_matched``/``add_failure`` and honours
+    :attr:`overloaded`; merges and exports feed an op stream
+    (:func:`repro.faults.recovery.database_ops`) through :meth:`apply`,
+    finish with :meth:`close` and report :meth:`stats`.
+    """
+
+    #: Back-pressure: while True the reporting server answers 429.
+    overloaded = False
+
+    def apply(self, op: tuple) -> None:
+        """Apply one op: ``("m", record)``, ``("c", country, host type,
+        hostname, count)`` or ``("f", failure counter, count)``."""
+        kind = op[0]
+        if kind == "m":
+            self.add_mismatch(op[1])
+        elif kind == "c":
+            self.add_matched_bulk(op[1], op[2], op[3], op[4])
+        else:
+            self.add_failure(op[1], op[2])
+
+    def close(self) -> None:
+        """Make everything applied so far durable."""
+
+    def stats(self) -> dict:
+        """What this sink did to get the ops in (crash recoveries, say)."""
+        return {}
+
+
+class ReportDatabase(ReportSink):
     """In-memory store with the query surface the analysis needs."""
 
     def __init__(
@@ -144,6 +176,10 @@ class ReportDatabase:
     def _count_matched(self, country: str, host_type: str, count: int) -> None:
         self._country_totals.setdefault(country, [0, 0])[1] += count
         self._host_type_totals.setdefault(host_type, [0, 0])[1] += count
+
+    def add_failure(self, name: str, count: int = 1) -> None:
+        """Count ``count`` more failures under ledger entry ``name``."""
+        setattr(self.failures, name, getattr(self.failures, name) + count)
 
     # -- totals --------------------------------------------------------------
 
@@ -218,12 +254,8 @@ class ReportDatabase:
             entry[0] += proxied
             entry[1] += total
         self._merge_reservoir(other)
-        for name in vars(self.failures):
-            setattr(
-                self.failures,
-                name,
-                getattr(self.failures, name) + getattr(other.failures, name),
-            )
+        for name, count in vars(other.failures).items():
+            self.add_failure(name, count)
 
     def _merge_reservoir(self, other: "ReportDatabase") -> None:
         """Reservoir-merge the other shard's matched sample.

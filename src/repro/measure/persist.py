@@ -1,21 +1,13 @@
-"""Report-database persistence (JSON Lines).
+"""JSON codecs for measurement records.
 
-The paper promised its collected datasets for download; this module
-gives the reproduction the same property.  The format is line-oriented
-JSON: one header line, one line per mismatch record, one line per
-matched-counter cell, one line of failure counters — diffable,
-greppable, and stable across versions of this library.
+The report store (:mod:`repro.measure.store`) keeps every mismatch at
+full fidelity as one of these dicts per JSONL row — the on-disk form
+of the dataset the paper promised to publish.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-
-_FORMAT_VERSION = 1
 
 
 def summary_to_dict(summary: CertSummary) -> dict:
@@ -84,88 +76,3 @@ def record_from_dict(data: dict) -> MeasurementRecord:
         via=data["via"],
         product_key=data.get("product_key"),
     )
-
-
-def save_database(database: ReportDatabase, path: str | pathlib.Path) -> None:
-    """Write the database as JSON Lines."""
-    path = pathlib.Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        header = {
-            "type": "header",
-            "version": _FORMAT_VERSION,
-            "mismatch_count": database.mismatch_count,
-            "matched_count": database.matched_count,
-        }
-        handle.write(json.dumps(header) + "\n")
-        for record in database.records:
-            handle.write(
-                json.dumps({"type": "mismatch", **record_to_dict(record)}) + "\n"
-            )
-        for (country, host_type, hostname), count in sorted(
-            database.matched_counts.items()
-        ):
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "matched",
-                        "country": country,
-                        "host_type": host_type,
-                        "hostname": hostname,
-                        "count": count,
-                    }
-                )
-                + "\n"
-            )
-        handle.write(
-            json.dumps({"type": "failures", **vars(database.failures)}) + "\n"
-        )
-
-
-def load_database(path: str | pathlib.Path) -> ReportDatabase:
-    """Read a database written by :func:`save_database`."""
-    path = pathlib.Path(path)
-    database = ReportDatabase()
-    header_seen = False
-    expected: dict | None = None
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: bad JSON: {exc}") from exc
-            kind = data.get("type")
-            if kind == "header":
-                if data.get("version") != _FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported format version {data.get('version')}"
-                    )
-                header_seen = True
-                expected = data
-            elif kind == "mismatch":
-                database.add_mismatch(record_from_dict(data))
-            elif kind == "matched":
-                database.add_matched_bulk(
-                    data["country"], data["host_type"], data["hostname"], data["count"]
-                )
-            elif kind == "failures":
-                for name in vars(database.failures):
-                    setattr(database.failures, name, data.get(name, 0))
-            else:
-                raise ValueError(f"{path}:{line_number}: unknown row type {kind!r}")
-    if not header_seen:
-        raise ValueError(f"{path}: missing header line")
-    if expected is not None:
-        if database.mismatch_count != expected["mismatch_count"]:
-            raise ValueError(
-                f"{path}: mismatch count {database.mismatch_count} != "
-                f"header {expected['mismatch_count']}"
-            )
-        if database.matched_count != expected["matched_count"]:
-            raise ValueError(
-                f"{path}: matched count {database.matched_count} != "
-                f"header {expected['matched_count']}"
-            )
-    return database

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.codec import HttpRequest, HttpResponse
 from repro.httpmin.server import HttpServer
-from repro.measure.database import ReportDatabase
+from repro.measure.database import ReportSink
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
@@ -31,31 +31,30 @@ class ReportingServer:
     established the way the authors did it: by probing each target from
     a clean vantage point at study setup.
 
-    Reports land in an in-memory :class:`ReportDatabase`, an on-disk
-    :class:`~repro.measure.store.ReportStore`, or both.  With a store
-    attached, an overloaded pending buffer turns submissions away with
-    429 + ``Retry-After`` until someone flushes — the back-pressure
-    contract the ingest loop leans on.
+    Reports land in one :class:`~repro.measure.database.ReportSink`:
+    the in-memory :class:`~repro.measure.database.ReportDatabase` or an
+    on-disk :class:`~repro.measure.store.ReportStore`.  While the sink
+    is overloaded, submissions are turned away with 429 +
+    ``Retry-After`` until someone flushes — the back-pressure contract
+    the ingest loop leans on.
     """
 
     def __init__(
         self,
-        database: ReportDatabase | None,
+        sink: ReportSink,
         geoip: GeoIpDatabase | None,
         study: int,
         campaign: str = "default",
         public_roots=None,
         registry: MetricsRegistry | None = None,
-        store=None,  # ReportStore | None
         fault_hook=None,  # Callable[[HttpRequest, Host | None], HttpResponse | None]
     ) -> None:
-        if database is None and store is None:
-            raise ValueError("ReportingServer needs a database, a store, or both")
-        self.database = database
-        self.store = store
+        if sink is None:
+            raise ValueError("ReportingServer needs a sink")
+        self.sink = sink
         # Chaos hook, consulted before the report handler: returning a
         # response injects it (500/503/429 drills) without the report
-        # ever touching the database or store.
+        # ever touching the sink.
         self.fault_hook = fault_hook
         self.geoip = geoip
         self.study = study
@@ -77,16 +76,6 @@ class ReportingServer:
         self.expected_leaves[hostname] = leaf_fingerprint
         self.host_types[hostname] = host_type
 
-    def _count_failure(self, name: str) -> None:
-        if self.database is not None:
-            setattr(
-                self.database.failures,
-                name,
-                getattr(self.database.failures, name) + 1,
-            )
-        if self.store is not None:
-            self.store.add_failure(name)
-
     # -- handlers ------------------------------------------------------------
 
     def _serve_tool(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
@@ -102,7 +91,7 @@ class ReportingServer:
         """
         request_line = partial.split(b"\r\n", 1)[0]
         if request_line.startswith(b"POST /report"):
-            self._count_failure("report_failed")
+            self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="truncated")
 
     def _ingest_report(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
@@ -110,32 +99,32 @@ class ReportingServer:
             injected = self.fault_hook(request, remote)
             if injected is not None:
                 return injected
-        if self.store is not None and self.store.overloaded:
+        if self.sink.overloaded:
             # Deferred accept: the pending write buffer is full, so the
             # client must come back after the next flush drains it.
-            self.store.defer()
+            self.sink.defer()
             return HttpResponse(
                 429, headers={"Retry-After": "1"}, body=b"ingest backlog"
             )
         hostname = request.headers.get("x-probed-host", "")
         if not hostname or hostname not in self.expected_leaves:
-            self._count_failure("report_failed")
+            self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="unknown-host")
             return HttpResponse(400, body=b"unknown probed host")
         try:
             der_chain = pem_decode_all(request.body.decode("ascii", errors="replace"))
         except PemError as exc:
-            self._count_failure("report_failed")
+            self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="pem")
             return HttpResponse(400, body=str(exc).encode())
         if not der_chain:
-            self._count_failure("report_failed")
+            self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="empty")
             return HttpResponse(400, body=b"empty report")
         try:
             chain = [parse_certificate(der) for der in der_chain]
         except X509Error as exc:
-            self._count_failure("report_failed")
+            self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="x509")
             return HttpResponse(400, body=str(exc).encode())
 
@@ -165,16 +154,10 @@ class ReportingServer:
             product_key=request.headers.get("x-sim-product") or None,
         )
         if mismatch:
-            if self.database is not None:
-                self.database.add_mismatch(record)
-            if self.store is not None:
-                self.store.add_mismatch(record)
+            self.sink.add_mismatch(record)
             self.metrics.inc("reports.ingested", verdict="mismatch")
         else:
-            if self.database is not None:
-                self.database.add_matched(record)
-            if self.store is not None:
-                self.store.add_matched(record)
+            self.sink.add_matched(record)
             self.metrics.inc("reports.ingested", verdict="matched")
         return HttpResponse(200, body=b"ok")
 

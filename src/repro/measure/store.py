@@ -55,6 +55,7 @@ from typing import Callable, Iterator
 from repro.measure.database import (
     FailureCounters,
     ReportDatabase,
+    ReportSink,
     combine_signature,
     record_signature_key,
 )
@@ -76,8 +77,8 @@ class InjectedCrash(RuntimeError):
     (optionally with a torn half-row), and the instance refuses further
     appends.  Recovery is a fresh :class:`ReportStore` on the same
     directory plus a replay of the operations ``ops_durable`` did not
-    cover — :class:`repro.faults.recovery.ResilientStoreWriter` is that
-    loop.
+    cover — :class:`repro.faults.recovery.ResilientStore` does exactly
+    that.
     """
 
     def __init__(self, point: str) -> None:
@@ -411,7 +412,7 @@ class SegmentedStore:
         ]
 
 
-class ReportStore:
+class ReportStore(ReportSink):
     """Batched, metric-instrumented ingest into a :class:`SegmentedStore`.
 
     Appends are buffered per shard — mismatches as encoded lines,
@@ -545,21 +546,6 @@ class ReportStore:
         ).encode("utf-8")
         self.segments.shard(_META_SHARD).pending_lines.append(line)
         self._appended()
-
-    def append_database(self, database: ReportDatabase) -> None:
-        """Stream one shard database's contents into the store.
-
-        The fast-mode study path: worker outcomes are appended here in
-        fixed plan order instead of being merged into a parent
-        in-memory database.
-        """
-        for record in database.records:
-            self.add_mismatch(record)
-        for (country, host_type, hostname), count in database.matched_counts.items():
-            self.add_matched_bulk(country, host_type, hostname, count)
-        for name, value in vars(database.failures).items():
-            if value:
-                self.add_failure(name, value)
 
     def _appended(self) -> None:
         if self._closed:
@@ -793,6 +779,16 @@ class ReportStore:
         return {"rows_before": rows_before, "rows_after": rows_after}
 
 
+def require_empty_store(path: str | pathlib.Path) -> None:
+    """Refuse a directory that already holds segments.
+
+    Studies and exports write a fresh store; appending to an old one
+    would silently fold two datasets together.
+    """
+    if SegmentedStore(path).segment_paths():
+        raise ValueError(f"report store {str(path)!r} already has segments")
+
+
 def scan_store(
     path: str | pathlib.Path,
     registry: MetricsRegistry | None = None,
@@ -864,11 +860,7 @@ def load_store(
             elif kind == "m":
                 database.add_mismatch(record_from_dict(row["r"]))
             elif kind == "f":
-                setattr(
-                    database.failures,
-                    row["k"],
-                    getattr(database.failures, row["k"]) + row["n"],
-                )
+                database.add_failure(row["k"], row["n"])
             else:
                 raise StoreError(f"unknown row type {kind!r}")
     return database

@@ -23,9 +23,10 @@ mirroring the paper's heavily skewed country sizes.  Sub-shards run
 inline (``workers=1``) or are submitted largest-first to one shared
 :class:`ProcessPoolExecutor` queue that idle workers pull from —
 work-stealing in effect, so a straggler country no longer serialises
-the run.  Results are folded back through
-:meth:`ReportDatabase.merge` in fixed (plan order, sub index) order,
-so the resulting database is byte-identical for any worker count.
+the run.  Results are delivered as one op stream
+(:func:`repro.faults.recovery.deliver`) in fixed (plan order, sub
+index) order into the in-memory database or the report store, so the
+result is byte-identical for any worker count.
 
 With a key vault attached (``StudyConfig.vault``) the parent warms
 every RSA key a fast run can touch *once* before the pool spins up;
@@ -46,7 +47,7 @@ import numpy as np
 from repro.adwords.campaign import AdCampaign, CampaignOutcome, run_study2_campaigns
 from repro.crypto.keystore import KeyStore
 from repro.faults.plan import Backoff, FaultPlan
-from repro.faults.recovery import FaultGate, ResilientStoreWriter, apply_op, database_ops
+from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
 from repro.faults.wire import FaultRelay, server_fault_hook
 from repro.data import countries as country_data
 from repro.data import products as product_data
@@ -55,7 +56,7 @@ from repro.data.sites import ProbeSite
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
-from repro.measure.store import ReportStore
+from repro.measure.store import ReportStore, require_empty_store
 from repro.measure.tool import MeasurementTool
 from repro.netsim.loop import WireScheduler
 from repro.netsim.network import Network, PathHop
@@ -535,11 +536,21 @@ class StudyRunner:
         plan (a function of its count and ``subshard_sessions`` only),
         and each sub-shard runs on its own seeded randomness.  Neither
         the split nor the seeding depends on worker count or execution
-        order, and outcomes merge back in fixed (plan, sub) order — so
-        the database is byte-identical for any ``workers`` value.
+        order, and outcomes are delivered in fixed (plan, sub) order — so
+        the database or store is byte-identical for any ``workers`` value.
         """
         config = self.config
         population = result.population
+        faults = config.fault_plan()
+        # Open the sink first, so an occupied store directory is refused
+        # before any shard runs.
+        sink = result.database
+        if config.report_store is not None:
+            require_empty_store(config.report_store)
+            if faults is None:
+                sink = ReportStore(config.report_store, registry=self.obs)
+            else:
+                sink = ResilientStore(config.report_store, faults, registry=self.obs)
         with self.obs.span("study.plan"):
             np_rng = np.random.default_rng(stable_hash(config.seed, "fast"))
 
@@ -561,65 +572,22 @@ class StudyRunner:
             outcomes = [
                 self._run_fast_shard(population, shard) for shard in subshards
             ]
-        plan = config.fault_plan()
-        store = None
-        writer = None
-        if config.report_store is not None:
-            if plan is not None:
-                # Delivery rides through the fault gate and any store
-                # crash points, with crash-then-reopen supervision.
-                writer = ResilientStoreWriter(
-                    config.report_store, plan, registry=self.obs
-                )
-                store = writer.store
-            else:
-                store = ReportStore(config.report_store, registry=self.obs)
-            if store.segments.segment_paths():
-                raise ValueError(
-                    f"report store {config.report_store!r} already has segments"
-                )
-        # Fold the shard snapshots back in fixed (plan, sub) order —
-        # the same discipline ReportDatabase.merge follows — so the
-        # deterministic section is byte-identical for any worker count.
-        # Fault decisions key on the global op ordinal assigned here,
-        # which inherits that worker-count invariance.
+        # Every shard's ops go out in fixed (plan, sub) order, so the
+        # sink's contents and the deterministic section are
+        # byte-identical for any worker count.  Fault decisions key on
+        # the global op ordinal, which inherits that invariance.
         with self.obs.span("study.merge"):
-            if writer is not None:
-                ops: list[tuple] = []
-                for outcome in outcomes:
-                    ops.extend(database_ops(outcome.database))
-                    result.sessions_run += outcome.sessions_run
-                    self.obs.merge_snapshot(outcome.metrics)
-                result.notes["faults"] = writer.deliver(ops)
-            elif plan is not None:
-                gate = FaultGate(plan, self.obs)
-                index = 0
-                for outcome in outcomes:
-                    for op in database_ops(outcome.database):
-                        if gate.attempt(index):
-                            apply_op(result.database, op)
-                        index += 1
-                    result.sessions_run += outcome.sessions_run
-                    self.obs.merge_snapshot(outcome.metrics)
-                result.notes["faults"] = {
-                    "plan": plan.describe(),
-                    "submitted": index,
-                    "delivered": index - len(gate.dropped),
-                    "failed": len(gate.dropped),
-                    "retries": gate.retries,
-                    "injected": dict(sorted(gate.injected.items())),
-                }
-            else:
-                for outcome in outcomes:
-                    if store is not None:
-                        store.append_database(outcome.database)
-                    else:
-                        result.database.merge(outcome.database)
-                    result.sessions_run += outcome.sessions_run
-                    self.obs.merge_snapshot(outcome.metrics)
-        if store is not None:
-            if writer is None:
-                store.close()  # writer.deliver() closes its own store
+            for outcome in outcomes:
+                result.sessions_run += outcome.sessions_run
+                self.obs.merge_snapshot(outcome.metrics)
+            delivery = deliver(
+                (op for outcome in outcomes for op in database_ops(outcome.database)),
+                sink,
+                FaultGate(faults, self.obs) if faults is not None else None,
+            )
+        if faults is not None:
+            result.notes["faults"] = {"plan": faults.describe(), **delivery}
+        if config.report_store is not None:
             result.notes["report_store"] = config.report_store
         result.notes["fast_workers"] = config.workers
         result.notes["fast_shards"] = len({shard.code for shard in subshards})

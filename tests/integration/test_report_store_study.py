@@ -113,7 +113,13 @@ class TestStoreDrivenStudy:
         assert counters["store.segments_written"] >= 1
         assert counters["store.bytes_written"] > 0
 
-    def test_refuses_non_empty_store(self, store_dir):
+    def test_refuses_non_empty_store(self, store_dir, monkeypatch):
+        shards_run = []
+        monkeypatch.setattr(
+            StudyRunner,
+            "_run_fast_shard",
+            lambda self, population, shard: shards_run.append(shard),
+        )
         with pytest.raises(ValueError, match="already has segments"):
             StudyRunner(
                 StudyConfig(
@@ -124,6 +130,8 @@ class TestStoreDrivenStudy:
                     report_store=str(store_dir),
                 )
             ).run()
+        # Refused up front, not after the whole run's shards.
+        assert shards_run == []
 
     def test_wire_mode_rejects_report_store(self):
         with pytest.raises(ValueError, match="fast mode only"):

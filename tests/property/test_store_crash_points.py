@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import CRASH_POINTS, FaultPlan
-from repro.faults.recovery import ResilientStoreWriter, apply_op
+from repro.faults.recovery import FaultGate, ResilientStore, deliver
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.store import scan_store
@@ -82,8 +82,7 @@ _ops = st.lists(st.one_of(_mismatch, _bulk, _failure), min_size=1, max_size=40)
 
 def _reference(ops):
     database = ReportDatabase()
-    for op in ops:
-        apply_op(database, op)
+    deliver(ops, database)
     return database
 
 
@@ -108,17 +107,17 @@ class TestCrashPointRecovery:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s")
             registry = MetricsRegistry()
-            writer = ResilientStoreWriter(
+            store = ResilientStore(
                 path,
                 plan,
                 registry,
                 batch_rows=batch_rows,
                 segment_bytes=segment_bytes,
             )
-            stats = writer.deliver(list(ops))
+            stats = deliver(ops, store)
             if point == "compact":
-                writer.compact()
-                writer.close()
+                store.compact()
+                store.close()
             # Exact loss accounting: a crash-only plan never loses an op.
             assert stats["failed"] == 0
             assert stats["submitted"] == stats["delivered"] == len(ops)
@@ -128,7 +127,7 @@ class TestCrashPointRecovery:
             # at reopen and counted exactly once.
             counters = registry.deterministic_snapshot()["counters"]
             torn = counters.get("reports.rejected{reason=torn-segment}", 0)
-            assert torn == writer.torn_tails
+            assert torn == store.torn_tails
             if tear is False:
                 assert torn == 0
             # A fresh scan sees a clean store: healing is durable.
@@ -155,12 +154,12 @@ class TestCrashPointRecovery:
         plan = FaultPlan(seed=seed, crash_every=dict(cadences))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "s")
-            writer = ResilientStoreWriter(
+            store = ResilientStore(
                 path, plan, MetricsRegistry(), batch_rows=3, segment_bytes=384
             )
-            stats = writer.deliver(list(ops))
-            writer.compact()
-            writer.close()
+            stats = deliver(ops, store)
+            store.compact()
+            store.close()
             assert stats["failed"] == 0
             assert scan_store(path).aggregate_signature() == reference
 
@@ -171,22 +170,23 @@ class TestCrashPointRecovery:
             seed=seed, rates={"drop": rate}, crash_every={"flush": 2}
         )
         with tempfile.TemporaryDirectory() as tmp:
-            writer = ResilientStoreWriter(
-                os.path.join(tmp, "s"),
-                plan,
-                MetricsRegistry(),
-                batch_rows=3,
-                segment_bytes=512,
+            path = os.path.join(tmp, "s")
+            gate = FaultGate(plan, MetricsRegistry())
+            store = ResilientStore(
+                path, plan, MetricsRegistry(), batch_rows=3, segment_bytes=512
             )
-            stats = writer.deliver(list(ops))
+            stats = deliver(ops, store, gate)
             assert stats["submitted"] == stats["delivered"] + stats["failed"]
-            assert stats["failed"] == len(writer.gate.dropped)
-            # The surviving set is exactly the non-dropped prefix ops.
+            assert stats["failed"] == len(gate.dropped)
+            # The surviving set is exactly the non-dropped ops.
             survivors = [
-                op
-                for index, op in enumerate(ops)
-                if index not in writer.gate.dropped
+                op for index, op in enumerate(ops) if index not in gate.dropped
             ]
-            assert scan_store(
-                os.path.join(tmp, "s")
-            ).aggregate_signature() == _reference(survivors).aggregate_signature()
+            signature = _reference(survivors).aggregate_signature()
+            assert scan_store(path).aggregate_signature() == signature
+            # The in-memory sink, fed the same ops through the same
+            # plan's gate, lands on the same accounting and signature.
+            database = ReportDatabase()
+            memory = deliver(ops, database, FaultGate(plan, MetricsRegistry()))
+            assert memory == {key: stats[key] for key in memory}
+            assert database.aggregate_signature() == signature

@@ -4,8 +4,9 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1.der import Asn1Error
+from repro.asn1.der import Asn1Error, encode_tlv
 from repro.asn1.types import (
+    MAX_DEPTH,
     BitString,
     Boolean,
     ContextExplicit,
@@ -235,3 +236,32 @@ class TestDecodeAll:
 
     def test_empty(self):
         assert decode_all(b"") == []
+
+
+class TestNestingBound:
+    @staticmethod
+    def nested(tag: int, levels: int) -> bytes:
+        data = Null().encode()
+        for _ in range(levels):
+            data = encode_tlv(tag, data)
+        return data
+
+    def test_bound_admits_its_own_depth(self):
+        decoded, rest = decode(self.nested(0x30, MAX_DEPTH))
+        assert rest == b""
+        for _ in range(MAX_DEPTH):
+            decoded = decoded[0]
+        assert decoded == Null()
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
+    def test_deeper_sequences_raise_asn1_error(self, levels):
+        with pytest.raises(Asn1Error, match="nesting deeper"):
+            decode(self.nested(0x30, levels))
+
+    def test_deep_explicit_tags_stay_bounded(self):
+        # An over-deep explicit wrapper degrades to Raw at the bound
+        # instead of recursing on.
+        decoded, _ = decode(self.nested(0xA0, 3000))
+        for _ in range(MAX_DEPTH):
+            decoded = decoded.inner
+        assert isinstance(decoded, Raw)

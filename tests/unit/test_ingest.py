@@ -85,7 +85,7 @@ def build_world(tmp_path, origin_chain, *, max_pending=None, auto_flush=True,
         max_pending=max_pending,
         auto_flush=auto_flush,
     )
-    server = ReportingServer(None, None, study=1, registry=registry, store=store)
+    server = ReportingServer(store, None, study=1, registry=registry)
     body = "".join(pem_encode(c.encode()) for c in origin_chain).encode()
     server.expect("collector.test", origin_chain[0].fingerprint(), "Authors'")
     network = Network()
@@ -143,7 +143,7 @@ class TestIngestLoop:
         store = ReportStore(
             tmp_path / "store", registry, max_pending=1, auto_flush=False
         )
-        server = ReportingServer(None, None, study=1, registry=registry, store=store)
+        server = ReportingServer(store, None, study=1, registry=registry)
         server.expect("collector.test", origin_chain[0].fingerprint(), "Authors'")
         network = Network()
         network.add_host("collector.test").listen(80, server.http.factory)

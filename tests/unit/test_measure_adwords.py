@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.adwords import AdCampaign, run_study2_campaigns
+from repro.asn1.der import encode_length
 from repro.data.countries import STUDY2_CAMPAIGNS
 from repro.data.sites import ProbeSite
 from repro.httpmin.client import HttpClient
@@ -22,6 +23,7 @@ from repro.policy.server import PolicyServer, fetch_policy
 from repro.tls.server import TlsCertServer
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
+from repro.x509.pem import pem_encode
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +305,25 @@ class TestMeasurementToolWire:
         )
         assert response.status == 400
         assert world.database.failures.report_failed == 1
+
+    def test_deeply_nested_der_is_a_counted_rejection(self, origin_chain, root_ca):
+        # 3,000 nested SEQUENCEs (~11.8 KB): once enough to blow the
+        # recursion limit in parse_certificate and earn a retryable 500.
+        der = b""
+        for _ in range(3000):
+            der = b"\x30" + encode_length(len(der)) + der
+        world = MeasurementWorld(origin_chain, root_ca)
+        response = HttpClient(world.client).request(
+            "POST",
+            "tlsresearch.byu.edu",
+            "/report",
+            body=pem_encode(der).encode(),
+            headers={"X-Probed-Host": "tlsresearch.byu.edu"},
+        )
+        assert response.status == 400
+        assert world.database.failures.report_failed == 1
+        counters = world.server.metrics.deterministic_snapshot()["counters"]
+        assert counters["reports.rejected{reason=x509}"] == 1
 
     def test_combined_port_serves_policy_and_http(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)

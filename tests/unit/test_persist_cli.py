@@ -1,92 +1,112 @@
-"""Tests for database persistence and the command-line interface."""
+"""Tests for study exports (report stores) and the command-line interface."""
 
-import json
+import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.measure.persist import load_database, save_database
+from repro.measure.store import StoreError, load_store
+from repro.obs.metrics import MetricsRegistry
 from repro.study import StudyConfig, StudyRunner
 from repro.study.whitelist import run_whitelist_experiment
+
+SEED, SCALE = 13, 0.005
 
 
 @pytest.fixture(scope="module")
 def small_study():
-    return StudyRunner(StudyConfig(study=1, seed=13, scale=0.005, mode="fast")).run()
+    return StudyRunner(StudyConfig(study=1, seed=SEED, scale=SCALE, mode="fast")).run()
+
+
+@pytest.fixture(scope="module")
+def export_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "reports"
+    argv = ["study1", "--scale", str(SCALE), "--seed", str(SEED), "--export", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+def _segment(path):
+    return next(path.glob("*/seg-*.jsonl"))
 
 
 class TestPersistence:
-    def test_round_trip_counts(self, small_study, tmp_path):
+    def test_round_trip_counts(self, small_study, export_dir):
         db = small_study.database
-        path = tmp_path / "reports.jsonl"
-        save_database(db, path)
-        loaded = load_database(path)
+        loaded = load_store(export_dir)
+        assert loaded.aggregate_signature() == db.aggregate_signature()
         assert loaded.mismatch_count == db.mismatch_count
         assert loaded.matched_count == db.matched_count
         assert loaded.totals_by_country() == db.totals_by_country()
         assert loaded.totals_by_host_type() == db.totals_by_host_type()
 
-    def test_round_trip_records_identical(self, small_study, tmp_path):
-        db = small_study.database
-        path = tmp_path / "reports.jsonl"
-        save_database(db, path)
-        loaded = load_database(path)
-        original = sorted(db.records, key=lambda r: r.leaf.fingerprint)
-        restored = sorted(loaded.records, key=lambda r: r.leaf.fingerprint)
-        assert original == restored
+    def test_round_trip_records_identical(self, small_study, export_dir):
+        # The store groups records by country shard, so compare multisets.
+        restored = load_store(export_dir).records
+        assert sorted(restored, key=repr) == sorted(
+            small_study.database.records, key=repr
+        )
 
-    def test_round_trip_failures(self, small_study, tmp_path):
-        db = small_study.database
-        db.failures.policy_denied = 7
-        path = tmp_path / "reports.jsonl"
-        save_database(db, path)
-        assert load_database(path).failures.policy_denied == 7
+    def test_round_trip_failures(self, small_study, export_dir):
+        failures = load_store(export_dir).failures
+        assert failures == small_study.database.failures
+        assert failures.sessions_started > 0
 
-    def test_analysis_identical_after_reload(self, small_study, tmp_path):
+    def test_analysis_identical_after_reload(self, small_study, export_dir):
         from repro.analysis import classification_table
 
-        path = tmp_path / "reports.jsonl"
-        save_database(small_study.database, path)
-        loaded = load_database(path)
-        assert classification_table(loaded) == classification_table(
+        assert classification_table(load_store(export_dir)) == classification_table(
             small_study.database
         )
 
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "failures"}\n')
-        with pytest.raises(ValueError, match="header"):
-            load_database(path)
+    def test_corrupt_json_rejected(self, tmp_path, export_dir):
+        path = shutil.copytree(export_dir, tmp_path / "copy")
+        with _segment(path).open("a") as handle:
+            handle.write("{not json}\n")
+        registry = MetricsRegistry()
+        load_store(path, registry=registry)
+        counters = registry.deterministic_snapshot()["counters"]
+        assert counters["reports.rejected{reason=torn-segment}"] == 1
 
-    def test_corrupt_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json}\n")
-        with pytest.raises(ValueError, match="bad JSON"):
-            load_database(path)
+    def test_unknown_row_type_rejected(self, tmp_path, export_dir):
+        path = shutil.copytree(export_dir, tmp_path / "copy")
+        with _segment(path).open("a") as handle:
+            handle.write('{"t": "mystery"}\n')
+        with pytest.raises(StoreError, match="unknown row type"):
+            load_store(path)
 
-    def test_count_mismatch_rejected(self, small_study, tmp_path):
-        path = tmp_path / "reports.jsonl"
-        save_database(small_study.database, path)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["mismatch_count"] += 1
-        lines[0] = json.dumps(header)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="mismatch count"):
-            load_database(path)
+    def test_export_is_identical_at_any_worker_count(self, tmp_path):
+        trees = []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}"
+            argv = ["study2", "--scale", "0.002", "--seed", "5",
+                    "--workers", str(workers), "--export", str(path)]
+            assert main(argv) == 0
+            trees.append(
+                {
+                    str(file.relative_to(path)): file.read_bytes()
+                    for file in sorted(path.rglob("*"))
+                    if file.is_file()
+                }
+            )
+        assert trees[0] and trees[0] == trees[1]
 
-    def test_unknown_row_type_rejected(self, small_study, tmp_path):
-        path = tmp_path / "reports.jsonl"
-        save_database(small_study.database, path)
-        with path.open("a") as handle:
-            handle.write('{"type": "mystery"}\n')
-        with pytest.raises(ValueError, match="unknown row type"):
-            load_database(path)
+    @pytest.mark.parametrize("occupant", ["segments", "file"])
+    def test_export_refuses_an_occupied_path(self, capsys, tmp_path, export_dir, occupant):
+        path = export_dir
+        if occupant == "file":
+            path = tmp_path / "reports.jsonl"
+            path.write_text("{}\n")
+        argv = ["study1", "--scale", "0.002", "--export", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "running study" not in captured.out
 
 
 class TestCli:
     def test_study1_runs_and_prints_tables(self, capsys, tmp_path):
-        export = tmp_path / "db.jsonl"
+        export = tmp_path / "reports"
         code = main(
             [
                 "study1",
@@ -103,8 +123,7 @@ class TestCli:
         assert "Table 3" in out
         assert "Table 5" in out
         assert "Bitdefender" in out
-        assert export.exists()
-        assert load_database(export).total_measurements > 0
+        assert load_store(export).total_measurements > 0
 
     def test_study2_prints_host_types_and_heatmap(self, capsys):
         code = main(["study2", "--scale", "0.001", "--seed", "3"])

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.faults.recovery import database_ops, deliver
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.store import (
@@ -98,9 +99,7 @@ class TestRoundTrip:
         db.add_mismatch(make_record())
         db.add_matched_bulk("US", "Popular", "h", 9)
         db.failures.connect_failed = 4
-        store = ReportStore(tmp_path / "s")
-        store.append_database(db)
-        store.close()
+        deliver(database_ops(db), ReportStore(tmp_path / "s"))
         assert scan_store(tmp_path / "s").aggregate_signature() == (
             db.aggregate_signature()
         )
