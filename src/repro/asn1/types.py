@@ -411,8 +411,8 @@ class ContextExplicit(Asn1Value):
     def from_tag_content(
         cls, tag: int, content: bytes, depth: int = 0
     ) -> "ContextExplicit":
-        inner, rest = decode(content, 0, depth)
-        if rest:
+        inner, end = _decode_at(content, 0, depth)
+        if end != len(content):
             raise Asn1Error("trailing data inside explicit tag")
         return cls(tag & 0x1F, inner)
 
@@ -490,31 +490,41 @@ def decode(data: bytes, offset: int = 0, depth: int = 0) -> tuple[Asn1Value, byt
 
     ``depth`` counts the constructed values enclosing this one.
     """
-    if depth > MAX_DEPTH:
-        raise Asn1Error(f"nesting deeper than {MAX_DEPTH} levels")
-    tag, content, end = der.read_tlv(data, offset)
-    rest = data[end:]
-    decoder = _UNIVERSAL_DECODERS.get(tag)
-    if decoder is not None:
-        return decoder(content), rest
-    constructed = _CONSTRUCTED_TYPES.get(tag)
-    if constructed is not None:
-        return constructed(decode_all(content, depth + 1)), rest
-    if tag & 0xC0 == der.CLASS_CONTEXT:
-        if tag & der.CONSTRUCTED:
-            try:
-                return ContextExplicit.from_tag_content(tag, content, depth + 1), rest
-            except Asn1Error:
-                return Raw(tag, content), rest
-        return ContextPrimitive(tag & 0x1F, content), rest
-    return Raw(tag, content), rest
+    value, end = _decode_at(data, offset, depth)
+    return value, data[end:]
 
 
 def decode_all(data: bytes, depth: int = 0) -> list[Asn1Value]:
     """Decode consecutive DER values until ``data`` is exhausted."""
     values = []
-    rest = data
-    while rest:
-        value, rest = decode(rest, 0, depth)
+    offset = 0
+    while offset < len(data):
+        value, offset = _decode_at(data, offset, depth)
         values.append(value)
     return values
+
+
+def _decode_at(data: bytes, offset: int, depth: int) -> tuple[Asn1Value, int]:
+    """Decode the value at ``offset``; return it and the offset just past it.
+
+    Walking offsets instead of slicing off the remainder keeps decoding
+    linear in the input: a hostile flat SEQUENCE of many tiny elements
+    would otherwise copy its tail once per element.
+    """
+    if depth > MAX_DEPTH:
+        raise Asn1Error(f"nesting deeper than {MAX_DEPTH} levels")
+    tag, content, end = der.read_tlv(data, offset)
+    decoder = _UNIVERSAL_DECODERS.get(tag)
+    if decoder is not None:
+        return decoder(content), end
+    constructed = _CONSTRUCTED_TYPES.get(tag)
+    if constructed is not None:
+        return constructed(decode_all(content, depth + 1)), end
+    if tag & 0xC0 == der.CLASS_CONTEXT:
+        if tag & der.CONSTRUCTED:
+            try:
+                return ContextExplicit.from_tag_content(tag, content, depth + 1), end
+            except Asn1Error:
+                return Raw(tag, content), end
+        return ContextPrimitive(tag & 0x1F, content), end
+    return Raw(tag, content), end

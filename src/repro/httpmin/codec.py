@@ -23,6 +23,19 @@ def _encode_headers(headers: dict[str, str], body: bytes) -> list[str]:
     return lines
 
 
+def _content_length(headers: dict[str, str]) -> int:
+    """The declared body length (0 when absent), a non-negative decimal.
+
+    A bare ``int()`` takes ``-3`` and raises ``ValueError``, not
+    :class:`HttpError`, on ``abc`` or past 4300 digits; no real body
+    needs more than 18.
+    """
+    value = headers.get("content-length", "0")
+    if not (value.isascii() and value.isdigit()) or len(value) > 18:
+        raise HttpError(f"bad Content-Length {value!r}")
+    return int(value)
+
+
 def _parse_headers(block: bytes) -> dict[str, str]:
     headers: dict[str, str] = {}
     for line in block.split(_CRLF):
@@ -64,7 +77,7 @@ class HttpRequest:
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise HttpError(f"bad request line {lines[0]!r}")
         headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = int(headers.get("content-length", "0"))
+        length = _content_length(headers)
         if len(rest) < length:
             return None, data
         return (
@@ -114,7 +127,7 @@ class HttpResponse:
         except ValueError as exc:
             raise HttpError(f"bad status code {parts[1]!r}") from exc
         headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = int(headers.get("content-length", "0"))
+        length = _content_length(headers)
         if len(rest) < length:
             return None, data
         reason = parts[2] if len(parts) == 3 else ""

@@ -70,10 +70,23 @@ from repro.study.webpki import WebPki, build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer
 from repro.util import stable_hash
+from repro.x509.parse import parse_cache_info
+from repro.x509.verify import chain_memo_info
 
 # Per-study completion constants (§4.1/§4.2 totals; see data.sites).
 _STUDY1_CLIENT_RUN = 0.65
 _STUDY1_SITE_SUCCESS = 0.95
+
+
+def _x509_cache_counts() -> dict[str, int]:
+    parse = parse_cache_info()
+    memo_hits, memo_misses = chain_memo_info()
+    return {
+        "x509.parse_cache.hits": parse.hits,
+        "x509.parse_cache.misses": parse.misses,
+        "x509.chain_memo.hits": memo_hits,
+        "x509.chain_memo.misses": memo_misses,
+    }
 
 
 @dataclass(frozen=True)
@@ -292,11 +305,16 @@ class StudyRunner:
             pki=self.pki,
             sites=self.sites,
         )
+        caches_before = _x509_cache_counts()
         with self.obs.span("study.run", mode=config.mode):
             if config.mode == "wire":
                 self._run_wire(result)
             else:
                 self._run_fast(result)
+        # The parse cache is process-global, so its hits depend on what
+        # ran earlier in this process: process section, as a delta.
+        for name, count in _x509_cache_counts().items():
+            self.obs.process_counter(name).inc(count - caches_before[name])
         result.notes["certificates_forged"] = self.forger.certificates_forged
         result.notes["forge_cache_hits"] = self.forger.cache_hits
         # Forge traffic depends on process boundaries (each worker pays

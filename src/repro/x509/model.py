@@ -345,7 +345,11 @@ class Certificate:
         """Short name, e.g. ``sha256WithRSAEncryption``."""
         return oids.oid_name(self.signature_oid)
 
-    @property
+    # is_ca and dns_names decode an extension, and every report that
+    # repeats a shared (parse-cached) certificate asks for both again
+    # (hostname matching, report summaries) — memoise them too.
+
+    @cached_property
     def is_ca(self) -> bool:
         """True if a basicConstraints extension asserts CA=TRUE."""
         from repro.x509.parse import parse_basic_constraints
@@ -357,13 +361,17 @@ class Certificate:
 
     @property
     def dns_names(self) -> list[str]:
-        """dNSName entries of subjectAltName (empty if absent)."""
+        """dNSName entries of subjectAltName (empty if absent), as a new list."""
+        return list(self._dns_names)
+
+    @cached_property
+    def _dns_names(self) -> tuple[str, ...]:
         from repro.x509.parse import parse_subject_alt_name
 
         for ext in self.tbs.extensions:
             if ext.oid == oids.OID_EXT_SUBJECT_ALT_NAME:
-                return parse_subject_alt_name(ext.value)
-        return []
+                return tuple(parse_subject_alt_name(ext.value))
+        return ()
 
     @property
     def key_usage(self) -> tuple[str, ...]:

@@ -4,9 +4,16 @@ Parses the structures produced by :mod:`repro.x509.model` and, more
 importantly, anything a proxy on the wire may hand us.  The original
 DER is retained on the parsed object so reports round-trip byte-exactly
 and fingerprints are stable.
+
+Parsed certificates are frozen, so one object per distinct DER is
+shared process-wide: the probe client, the reporting server and every
+proxy engine's upstream leg see the same few genuine chains over and
+over, and each would otherwise decode them afresh.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.asn1 import oids
 from repro.asn1.der import Asn1Error
@@ -47,8 +54,28 @@ def _expect(value: Asn1Value, kind: type, what: str):
     return value
 
 
+#: Distinct DER blobs whose parsed :class:`Certificate` is kept for
+#: reuse; past the bound the least recently used is dropped.
+PARSE_CACHE_SIZE = 1024
+
+
 def parse_certificate(data: bytes) -> Certificate:
-    """Parse one DER certificate; raises :class:`X509Error` on malformed input."""
+    """Parse one DER certificate; raises :class:`X509Error` on malformed input.
+
+    Equal DER bytes yield the same :class:`Certificate` object.  Input
+    that fails to parse is never cached: every hostile blob pays a full
+    (linear) parse and raises again.
+    """
+    return _parse_der(bytes(data))
+
+
+def parse_cache_info():
+    """``(hits, misses, maxsize, currsize)`` of the process-wide parse cache."""
+    return _parse_der.cache_info()
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_der(data: bytes) -> Certificate:
     try:
         top, rest = decode(data)
     except Asn1Error as exc:
@@ -67,7 +94,7 @@ def parse_certificate(data: bytes) -> Certificate:
         tbs=tbs,
         signature_oid=sig_alg,
         signature=sig_bits.data,
-        raw=bytes(data),
+        raw=data,
     )
 
 

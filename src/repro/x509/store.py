@@ -11,30 +11,52 @@ from __future__ import annotations
 
 from repro.x509.model import Certificate
 
+#: Chain verdicts one store remembers; past the bound the oldest goes.
+VERDICT_MEMO_SIZE = 256
+
 
 class RootStore:
-    """A set of trusted root certificates, keyed by fingerprint."""
+    """A set of trusted root certificates, keyed by fingerprint.
+
+    The store also remembers the chain verdicts :mod:`repro.x509.verify`
+    reached against it, since a verdict holds exactly as long as the
+    roots do: adding, injecting or removing a root forgets them all.
+    """
 
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         self._roots: dict[str, Certificate] = {}
         self._injected: set[str] = set()
+        self._verdicts: dict[tuple, object] = {}
         for root in roots or []:
             self.add(root)
 
     def add(self, root: Certificate) -> None:
         """Add a factory (pre-installed) root."""
         self._roots[root.fingerprint()] = root
+        self._verdicts.clear()
 
     def inject(self, root: Certificate) -> None:
         """Add a root the way a proxy product or malware does at install."""
         fingerprint = root.fingerprint()
         self._roots[fingerprint] = root
         self._injected.add(fingerprint)
+        self._verdicts.clear()
 
     def remove(self, root: Certificate) -> None:
         fingerprint = root.fingerprint()
         self._roots.pop(fingerprint, None)
         self._injected.discard(fingerprint)
+        self._verdicts.clear()
+
+    def recall(self, key: tuple):
+        """The verdict remembered under ``key``, or None."""
+        return self._verdicts.get(key)
+
+    def remember(self, key: tuple, verdict) -> None:
+        """Remember ``verdict`` under ``key`` until the roots change."""
+        if len(self._verdicts) >= VERDICT_MEMO_SIZE:
+            del self._verdicts[next(iter(self._verdicts))]
+        self._verdicts[key] = verdict
 
     def contains(self, certificate: Certificate) -> bool:
         return certificate.fingerprint() in self._roots

@@ -11,6 +11,7 @@ that a proxy, not the real PKI, vouched for the connection.
 from __future__ import annotations
 
 import datetime as _dt
+import threading
 from dataclasses import dataclass, field
 
 from repro.crypto.hashes import hash_by_signature_oid
@@ -103,39 +104,22 @@ def validate_chain(
     Checks: non-emptiness, hostname match on the leaf, validity
     windows, issuer/subject chaining, CA flags on intermediates, each
     link's signature, and that the chain terminates at (a certificate
-    signed by) a root-store member.  The checks themselves live in
+    signed by) a root-store member.  The checks are those of
     :func:`collect_chain_defects`; this wraps them in the all-or-
     nothing verdict a browser renders, plus which root anchored trust.
     """
-    at_time = at_time or _dt.datetime(2014, 6, 1, tzinfo=_dt.timezone.utc)
-    defects = collect_chain_defects(chain, store, hostname=hostname, at_time=at_time)
+    defects, anchor = _check_chain(chain, store, hostname, at_time)
     if defects:
         return ChainValidationResult(
             False, str(defects[0]), errors=tuple(str(d) for d in defects)
         )
-
-    # No defects: the chain anchors; recover which root vouched.
-    top = chain[-1]
-    if store.contains(top):
-        return ChainValidationResult(
-            True,
-            "chain anchors at trusted root",
-            trust_root=top,
-            trusted_via_injected_root=store.is_injected(top),
-        )
-    for root in store.find_issuer_roots(top):
-        if verify_certificate_signature(top, root) and root.validity.contains(
-            at_time
-        ):
-            return ChainValidationResult(
-                True,
-                "chain signed by trusted root",
-                trust_root=root,
-                trusted_via_injected_root=store.is_injected(root),
-            )
-    # Unreachable unless the store changed between the two passes.
     return ChainValidationResult(
-        False, "no trusted root found", errors=("no trusted root found",)
+        True,
+        "chain anchors at trusted root"
+        if store.contains(chain[-1])
+        else "chain signed by trusted root",
+        trust_root=anchor,
+        trusted_via_injected_root=store.is_injected(anchor),
     )
 
 
@@ -154,9 +138,41 @@ def collect_chain_defects(
     failed, not merely that one did.  The chain is valid iff the result
     is empty.
     """
+    return _check_chain(chain, store, hostname, at_time)[0]
+
+
+_memo_lock = threading.Lock()
+_memo_counts = {"hits": 0, "misses": 0}
+
+
+def chain_memo_info() -> tuple[int, int]:
+    """``(hits, misses)`` of the chain-verdict memos, over the whole process."""
+    with _memo_lock:
+        return _memo_counts["hits"], _memo_counts["misses"]
+
+
+def _check_chain(
+    chain: list[Certificate],
+    store: RootStore,
+    hostname: str | None,
+    at_time: _dt.datetime | None,
+) -> tuple[tuple[ChainDefect, ...], Certificate | None]:
+    """Every check, once: ``(defects, anchoring root or None)``.
+
+    The verdict is a function of the chain's DER, the hostname, the
+    time and the store's roots, so it is memoised on the store under
+    the first three; the store forgets its verdicts whenever its roots
+    change.
+    """
     if not chain:
-        return (ChainDefect(DEFECT_EMPTY_CHAIN, "no certificates presented"),)
+        return (ChainDefect(DEFECT_EMPTY_CHAIN, "no certificates presented"),), None
     at_time = at_time or _dt.datetime(2014, 6, 1, tzinfo=_dt.timezone.utc)
+    key = (tuple(certificate.fingerprint() for certificate in chain), hostname, at_time)
+    verdict = store.recall(key)
+    with _memo_lock:
+        _memo_counts["misses" if verdict is None else "hits"] += 1
+    if verdict is not None:
+        return verdict
     defects: list[ChainDefect] = []
 
     leaf = chain[0]
@@ -202,17 +218,25 @@ def collect_chain_defects(
             )
 
     top = chain[-1]
-    if not store.contains(top):
-        anchored = any(
-            verify_certificate_signature(top, root)
-            and root.validity.contains(at_time)
-            for root in store.find_issuer_roots(top)
+    if store.contains(top):
+        anchor: Certificate | None = top
+    else:
+        anchor = next(
+            (
+                root
+                for root in store.find_issuer_roots(top)
+                if verify_certificate_signature(top, root)
+                and root.validity.contains(at_time)
+            ),
+            None,
         )
-        if not anchored:
-            defects.append(
-                ChainDefect(
-                    DEFECT_UNTRUSTED_ROOT,
-                    f"no trusted root found for issuer {top.issuer}",
-                )
+    if anchor is None:
+        defects.append(
+            ChainDefect(
+                DEFECT_UNTRUSTED_ROOT,
+                f"no trusted root found for issuer {top.issuer}",
             )
-    return tuple(defects)
+        )
+    verdict = tuple(defects), anchor
+    store.remember(key, verdict)
+    return verdict

@@ -6,9 +6,12 @@ event logs and deterministic metrics.  Concurrency only reshapes the
 process section (loop ticks, queue depth, in-flight high-water).
 """
 
+import json
+
 import pytest
 
 from repro.study import StudyConfig, StudyRunner
+from repro.x509 import parse
 
 
 def _run(wire_concurrency: int):
@@ -93,3 +96,21 @@ class TestWireConcurrencyEquivalence:
         config = StudyConfig(study=2, seed=9, scale=0.0001, mode="wire", workers=8)
         assert config.workers == 1
         assert config.wire_concurrency == 8
+
+
+def test_parse_cache_warmth_changes_no_output():
+    # The parse cache is process-global: a second run of the same study
+    # finds every genuine chain already parsed.  Outputs must not care.
+    parse._parse_der.cache_clear()
+    cold, cold_logs = _run(64)
+    warm, warm_logs = _run(64)
+    assert cold.database.aggregate_signature() == warm.database.aggregate_signature()
+    assert json.dumps(cold.metrics["deterministic"], sort_keys=True) == json.dumps(
+        warm.metrics["deterministic"], sort_keys=True
+    )
+    assert cold_logs == warm_logs
+    cold_counts = cold.metrics["process"]["counters"]
+    warm_counts = warm.metrics["process"]["counters"]
+    assert warm_counts["x509.parse_cache.hits"] > cold_counts["x509.parse_cache.hits"]
+    assert warm_counts["x509.parse_cache.misses"] < cold_counts["x509.parse_cache.misses"]
+    assert cold_counts["x509.chain_memo.hits"] > 0

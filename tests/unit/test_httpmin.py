@@ -73,6 +73,10 @@ class TestCodec:
         with pytest.raises(HttpError):
             HttpResponse.try_decode(b"HTTP/1.1 abc Bad\r\n\r\n")
 
+    def test_bad_response_content_length(self):
+        with pytest.raises(HttpError, match="Content-Length"):
+            HttpResponse.try_decode(b"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nabc")
+
 
 class TestClientServer:
     def test_get(self, web):
@@ -104,11 +108,16 @@ class TestClientServer:
 
     def test_malformed_request_gets_400(self, web):
         net, client, server = web
-        sock = client.host.connect("www.example", 80)
-        sock.send(b"NOT HTTP AT ALL\r\n\r\n")
-        response, _ = HttpResponse.try_decode(sock.recv())
-        assert response.status == 400
-        assert server.parse_errors == 1
+        malformed = [b"NOT HTTP AT ALL\r\n\r\n"] + [
+            b"POST /report HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\nbody"
+            for length in (b"abc", b"-3", b"1e3", b"9" * 5000)
+        ]
+        for count, request in enumerate(malformed, start=1):
+            sock = client.host.connect("www.example", 80)
+            sock.send(request)
+            response, _ = HttpResponse.try_decode(sock.recv())
+            assert response.status == 400
+            assert server.parse_errors == count
 
     def test_keep_alive_multiple_requests(self, web):
         net, client, server = web

@@ -12,6 +12,7 @@ from repro.x509 import (
     RootStore,
     SelfSignedParams,
     X509Error,
+    collect_chain_defects,
     parse_certificate,
     pem_decode,
     pem_decode_all,
@@ -19,8 +20,11 @@ from repro.x509 import (
     validate_chain,
     verify_certificate_signature,
 )
-from repro.x509.model import SubjectPublicKeyInfo, Validity
+from repro.x509.model import Certificate, SubjectPublicKeyInfo, Validity
+from repro.x509.parse import PARSE_CACHE_SIZE, parse_cache_info
 from repro.x509.pem import PemError
+from repro.x509.store import VERDICT_MEMO_SIZE
+from repro.x509.verify import DEFECT_BAD_SIGNATURE, chain_memo_info
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +85,12 @@ class TestIssuance:
         assert site_cert.serial_number > 0
 
     def test_dns_names(self, site_cert):
+        assert site_cert.dns_names == [
+            "tlsresearch.byu.edu",
+            "www.tlsresearch.byu.edu",
+        ]
+        # Memoised, but every caller still gets a list of its own.
+        site_cert.dns_names.append("evil.example")
         assert site_cert.dns_names == [
             "tlsresearch.byu.edu",
             "www.tlsresearch.byu.edu",
@@ -355,3 +365,146 @@ class TestCertificateMemoisation:
         bare = replace(cert, raw=b"")
         assert bare.encode() == cert.encode()
         assert bare.fingerprint() == cert.fingerprint()
+
+
+class TestParseCache:
+    def test_equal_der_yields_the_same_object(self, site_cert):
+        der = site_cert.encode()
+        first = parse_certificate(bytes(bytearray(der)))
+        assert parse_certificate(der) is first
+        assert parse_certificate(bytearray(der)) is first
+
+    def test_failures_are_not_cached(self, site_cert):
+        truncated = site_cert.encode()[:40]
+        for _ in range(2):
+            misses = parse_cache_info().misses
+            with pytest.raises(X509Error):
+                parse_certificate(truncated)
+            assert parse_cache_info().misses == misses + 1
+
+    def test_cache_stays_within_its_bound(self, site_cert):
+        from dataclasses import replace
+
+        for serial in range(PARSE_CACHE_SIZE + 8):
+            tbs = replace(site_cert.tbs, serial_number=10**9 + serial)
+            parse_certificate(replace(site_cert, tbs=tbs, raw=b"").encode())
+        info = parse_cache_info()
+        assert info.maxsize == PARSE_CACHE_SIZE
+        assert info.currsize <= PARSE_CACHE_SIZE
+
+
+class TestChainMemo:
+    """validate_chain/collect_chain_defects memoise verdicts on the store."""
+
+    @pytest.fixture()
+    def chain(self, site_cert, intermediate_ca):
+        return [site_cert, intermediate_ca.certificate]
+
+    @pytest.fixture()
+    def fixture_chains(self, site_cert, intermediate_ca, root_ca, keystore, now):
+        """(chain, roots, injected, hostname, at_time) from TestChainValidation."""
+        chain = [site_cert, intermediate_ca.certificate]
+        root = root_ca.certificate
+        bad_int_key = keystore.key("bad-intermediate", 512)
+        bad_int_cert = root_ca.issue(
+            Name.build(common_name="Bad Intermediate"),
+            SubjectPublicKeyInfo(bad_int_key.n, bad_int_key.e),
+            is_ca=False,
+        )
+        leaf_key = keystore.key("bad-leaf", 512)
+        bad_leaf = CertificateAuthority(bad_int_cert, bad_int_key).issue(
+            Name.build(common_name="victim.example"),
+            SubjectPublicKeyInfo(leaf_key.n, leaf_key.e),
+        )
+        tampered = Certificate(
+            tbs=site_cert.tbs,
+            signature_oid=site_cert.signature_oid,
+            signature=bytes(64),
+        )
+        later = dt.datetime(2030, 1, 1, tzinfo=dt.timezone.utc)
+        return [
+            (chain, [root], [], "tlsresearch.byu.edu", now),
+            (chain, [], [], None, now),
+            (chain, [], [root], None, now),
+            (chain, [root], [], "other.example", now),
+            (chain, [root], [], None, later),
+            ([site_cert], [root], [], None, now),
+            ([], [root], [], None, None),
+            ([bad_leaf, bad_int_cert], [root], [], None, now),
+            ([tampered, intermediate_ca.certificate], [root], [], None, now),
+            ([root], [root], [], None, now),
+        ]
+
+    @staticmethod
+    def store_of(roots, injected) -> RootStore:
+        store = RootStore(roots)
+        for root in injected:
+            store.inject(root)
+        return store
+
+    def test_views_agree_on_every_fixture_chain(self, fixture_chains):
+        for chain, roots, injected, hostname, at_time in fixture_chains:
+            cold_result = validate_chain(
+                chain, self.store_of(roots, injected), hostname, at_time
+            )
+            cold_defects = collect_chain_defects(
+                chain, self.store_of(roots, injected), hostname, at_time
+            )
+            assert cold_result.valid == (not cold_defects)
+            assert cold_result.errors == tuple(str(d) for d in cold_defects)
+            # The second view on one store is served from the memo.
+            store = self.store_of(roots, injected)
+            assert collect_chain_defects(chain, store, hostname, at_time) == cold_defects
+            hits = chain_memo_info()[0]
+            assert validate_chain(chain, store, hostname, at_time) == cold_result
+            assert chain_memo_info()[0] == hits + (1 if chain else 0)
+
+    def test_root_changes_forget_verdicts(self, chain, root_ca, now):
+        root = root_ca.certificate
+        store = RootStore()
+        assert not validate_chain(chain, store, at_time=now).valid
+        store.inject(root)
+        result = validate_chain(chain, store, at_time=now)
+        assert result.valid and result.trusted_via_injected_root
+        store.remove(root)
+        assert not validate_chain(chain, store, at_time=now).valid
+        store.add(root)
+        result = validate_chain(chain, store, at_time=now)
+        assert result.valid and not result.trusted_via_injected_root
+
+    def test_verdicts_key_on_chain_hostname_and_time(self, chain, root_ca, now):
+        store = RootStore([root_ca.certificate])
+        later = dt.datetime(2030, 1, 1, tzinfo=dt.timezone.utc)
+        assert validate_chain(chain, store, "tlsresearch.byu.edu", now).valid
+        assert not validate_chain(chain[:1], store, "tlsresearch.byu.edu", now).valid
+        assert not validate_chain(chain, store, "other.example", now).valid
+        assert not validate_chain(chain, store, "tlsresearch.byu.edu", later).valid
+
+    def test_copy_starts_with_no_memo(self, chain, root_ca, now):
+        store = RootStore([root_ca.certificate])
+        validate_chain(chain, store, at_time=now)
+        clone = store.copy()
+        hits, misses = chain_memo_info()
+        assert validate_chain(chain, clone, at_time=now).valid
+        assert chain_memo_info() == (hits, misses + 1)
+
+    def test_tampered_signature_after_genuine_chain(
+        self, chain, site_cert, intermediate_ca, root_ca, now
+    ):
+        store = RootStore([root_ca.certificate])
+        assert validate_chain(chain, store, at_time=now).valid
+        tampered = Certificate(
+            tbs=site_cert.tbs,
+            signature_oid=site_cert.signature_oid,
+            signature=bytes(64),
+        )
+        defects = collect_chain_defects(
+            [tampered, intermediate_ca.certificate], store, at_time=now
+        )
+        assert [defect.code for defect in defects] == [DEFECT_BAD_SIGNATURE]
+
+    def test_memo_stays_within_its_bound(self, chain, root_ca, now):
+        store = RootStore([root_ca.certificate])
+        for index in range(VERDICT_MEMO_SIZE + 8):
+            validate_chain(chain, store, hostname=f"h{index}.example", at_time=now)
+        assert len(store._verdicts) <= VERDICT_MEMO_SIZE
