@@ -9,7 +9,7 @@ hardware allows":
   (disk-load) key material, and warm-vault 4-worker vs 1-worker study
   wall time, with RSA generation counts asserted to hit zero;
 * **audit battery scaling** — full-catalog adversarial battery wall
-  time at ``workers`` ∈ {1, 2, 4} (process executor beyond 1);
+  time at ``workers`` ∈ {1, 2, 4} (process pool beyond 1);
 * **hot-path micro-optimisations** — the exact per-operation costs
   removed by CRT-constant caching, the DigestInfo prefix cache and
   certificate DER/fingerprint memoisation, measured against faithful
@@ -374,18 +374,14 @@ def bench_audit(measured_parallelism: float) -> dict:
     reports = {}
     phase_profile: dict = {}
     for workers in WORKER_COUNTS:
-        executor = "process" if workers > 1 else "thread"
         obs = MetricsRegistry()
         start = time.perf_counter()
-        report = audit_catalog(
-            seed=BENCH_SEED, workers=workers, executor=executor, registry=obs
-        )
+        report = audit_catalog(seed=BENCH_SEED, workers=workers, registry=obs)
         wall = time.perf_counter() - start
         reports[workers] = report
         if workers == 1:
             phase_profile = obs.timing_profile()
         per_workers[str(workers)] = {
-            "executor": executor,
             "wall_time_s": round(wall, 3),
             "products_per_second": round(len(report.scorecards) / wall, 3),
         }

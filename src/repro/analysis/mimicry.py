@@ -14,8 +14,8 @@ the handshake alone — no certificate inspection, no server
 cooperation.
 
 Everything is a pure function of (survey, study), and the survey is
-byte-identical for any worker count or executor kind, so the rendered
-table and exported JSON are too.
+byte-identical for any worker count, so the rendered table and
+exported JSON are too.
 """
 
 from __future__ import annotations

@@ -11,14 +11,16 @@ same flow every non-caching product handles correctly.
 The expensive state (RSA keys, the audit PKI, each product's signing
 CA) lives in one :class:`AuditHarness` and is shared across the whole
 catalog, which is what makes ``audit_catalog`` cheap enough to run as
-a benchmark: scenario chains are minted once per seed, and a fleet of
-worker threads can drain the product list against the same harness.
+a benchmark: scenario chains are minted once per seed and reused for
+every product.  Because every byte is derived from the seed, each
+worker process of a pooled run builds its own identical harness once
+and audits its share of the catalog.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 
 from repro.audit.scenarios import (
     AUDIT_HOSTNAME,
@@ -57,6 +59,7 @@ from repro.obs.metrics import (
     SECTION_TIMING,
     MetricsRegistry,
 )
+from repro.pool import ordered_map
 from repro.tls import codec
 from repro.proxy.engine import TlsProxyEngine
 from repro.proxy.forger import SubstituteCertForger
@@ -111,8 +114,9 @@ class AuditHarness:
         """Pre-generate every signing CA ``profile`` can use.
 
         Aggregate profiles rotate issuer variants per client bucket;
-        warming only the bucket-0 variant leaves worker threads racing
-        to generate the remaining variant CA keys mid-battery.
+        warming every variant into a key vault lets pooled workers
+        load all of them from disk instead of generating any
+        mid-battery.
         """
         self.forger.warm(profile)
 
@@ -464,30 +468,25 @@ def audit_catalog(
     workers: int = 1,
     products: list[str] | None = None,
     pki_key_bits: int = 1024,
-    executor: str = "thread",
     vault: str | None = None,
     browser: str = DEFAULT_BROWSER,
     registry: MetricsRegistry | None = None,
 ) -> AuditReport:
     """Grade every catalog product (or the named subset) under ``seed``.
 
-    ``workers`` > 1 fans products out over a pool; every certificate
-    byte is derived deterministically from the seed and scorecards are
-    returned in catalog order, so the report is identical regardless
-    of worker count, executor kind or scheduling.
-
-    ``executor`` picks the pool: ``"thread"`` shares one harness (the
-    per-product signing CAs — *all* issuer variants — are warmed
-    serially first so threads do not race to regenerate the same
-    expensive RSA keys), while ``"process"`` sidesteps the GIL the
-    battery is otherwise bound by: each worker process rebuilds the
-    harness once from the seed and audits its share of the catalog.
+    ``workers`` > 1 fans products out over a process pool
+    (:func:`repro.pool.ordered_map`), sidestepping the GIL that bounds
+    the RSA-heavy battery in one process: each worker process rebuilds
+    the harness once from the seed and audits its share of the catalog.
+    Every certificate byte is derived deterministically from the seed
+    and scorecards are returned in catalog order, so the report is
+    identical regardless of worker count or scheduling.
 
     ``vault`` names a persistent key-vault directory
-    (:mod:`repro.crypto.vault`).  On the process path the parent warms
-    the vault once — audit PKI plus every product's signing CAs — so
-    each worker's harness rebuild loads its RSA material from disk in
-    microseconds instead of regenerating it, which is what lets the
+    (:mod:`repro.crypto.vault`).  Before a pool starts, the parent
+    warms the vault once — audit PKI plus every product's signing CAs —
+    so each worker's harness rebuild loads its RSA material from disk
+    in microseconds instead of regenerating it, which is what lets the
     battery's wall time actually shrink with worker count.
 
     ``browser`` picks the 2014-era profile the client-leg mimicry
@@ -497,20 +496,18 @@ def audit_catalog(
     (scenario check outcomes, letter grades) are computed here from the
     returned scorecards in catalog order — never from harness-internal
     counters, whose home registry a process pool discards — so the
-    deterministic section is identical for any worker count or
-    executor kind.  Harness timings and keygen counts merge in as
-    timing/process metrics where available (serial and thread paths).
+    deterministic section is identical for any worker count.  At
+    ``workers=1`` the harness's timings and keygen counts merge in as
+    timing/process metrics; pooled runs export the parent's only.
     """
     scorecards = _fan_out_catalog(
+        _audit_task,
         seed=seed,
         workers=workers,
         products=products,
         pki_key_bits=pki_key_bits,
-        executor=executor,
         vault=vault,
         browser=browser,
-        serial_task=lambda harness, spec: harness.audit_product(spec.profile),
-        process_task=_audit_product_task,
         registry=registry,
     )
     if registry is not None:
@@ -535,56 +532,48 @@ def _resolve_specs(products: list[str] | None):
 
 
 def _fan_out_catalog(
+    task,
     seed: int,
     workers: int,
     products: list[str] | None,
     pki_key_bits: int,
-    executor: str,
     vault: str | None,
     browser: str,
-    serial_task,
-    process_task,
     registry: MetricsRegistry | None = None,
 ) -> list:
     """Shared orchestration for per-product catalog fan-outs.
 
-    ``serial_task(harness, spec)`` runs one product against a local
-    harness (serial and thread paths); ``process_task`` is its
-    module-level twin for the process pool, which rebuilds the
-    deterministic harness per worker via ``_init_audit_worker``.
-    Results come back in catalog order regardless of pool scheduling.
+    ``task(harness, product_key)`` runs one product; it is module-level
+    so the pool can send it to workers, each of which builds its own
+    deterministic harness once.  Results come back in catalog order
+    regardless of pool scheduling.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError("executor must be 'thread' or 'process'")
     specs = _resolve_specs(products)
-    if workers > 1 and executor == "process":
+    keys = [spec.key for spec in specs]
+    build = partial(
+        AuditHarness,
+        seed=seed,
+        pki_key_bits=pki_key_bits,
+        vault=vault,
+        browser=browser,
+    )
+    if workers > 1:
         # Gate the parent warm on the *resolved* vault — an explicit
         # path or the REPRO_KEY_VAULT fallback — so env-attached
         # vaults (the CI cache mechanism) warm exactly like --vault.
         if open_vault(vault) is not None:
-            warm_harness = AuditHarness(
-                seed=seed, pki_key_bits=pki_key_bits, vault=vault
-            )
+            warm_harness = build()
             for spec in specs:
                 warm_harness.warm_product(spec.profile)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_audit_worker,
-            initargs=(seed, pki_key_bits, vault, browser),
-        ) as pool:
-            return list(pool.map(process_task, [spec.key for spec in specs]))
-    harness = AuditHarness(
-        seed=seed, pki_key_bits=pki_key_bits, vault=vault, browser=browser
-    )
+        return ordered_map(task, keys, workers, build)
+    harness = build()
     try:
-        if workers > 1:
-            return _fan_out_threads(harness, specs, workers, serial_task)
-        return [serial_task(harness, spec) for spec in specs]
+        return [task(harness, key) for key in keys]
     finally:
         if registry is not None:
             # Only the scheduling-dependent sections: the harness's own
             # deterministic counters (proxy decisions, probe counts)
-            # would differ thread-vs-process, since process workers'
+            # would differ serial-vs-pooled, since worker processes'
             # registries never leave their processes.
             registry.merge_snapshot(
                 harness.obs.snapshot(),
@@ -592,26 +581,11 @@ def _fan_out_catalog(
             )
 
 
-def _fan_out_threads(harness, specs, workers: int, serial_task) -> list:
-    # Threads share the harness: warm every signing CA (all issuer
-    # variants, not just bucket 0) serially first so the pool never
-    # races to regenerate the same expensive RSA keys mid-battery.
-    # Today's battery forges only bucket 0, so the extra variants
-    # are insurance for bucket-varying batteries at the cost of
-    # some up-front keygen on this (GIL-bound anyway) path; the
-    # serial and process paths stay lazy and pay nothing.
-    for spec in specs:
-        harness.warm_product(spec.profile)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda spec: serial_task(harness, spec), specs))
-
-
 def mimicry_catalog(
     seed: int = 42,
     workers: int = 1,
     products: list[str] | None = None,
     pki_key_bits: int = 1024,
-    executor: str = "thread",
     vault: str | None = None,
     browser: str = DEFAULT_BROWSER,
     registry: MetricsRegistry | None = None,
@@ -622,22 +596,20 @@ def mimicry_catalog(
     mimicry observation but none of the adversarial scenarios, so this
     is roughly an order of magnitude cheaper than ``audit_catalog``.
     Sharding semantics are identical: entries come back in catalog
-    order and are byte-identical for any worker count or executor
-    kind, and a warm ``vault`` spares every worker its keygen.
-    ``registry`` follows the ``audit_catalog`` contract: deterministic
-    tallies derive from the returned entries, harness telemetry merges
-    in as timing/process only.
+    order and are byte-identical for any worker count, and a warm
+    ``vault`` spares every worker its keygen.  ``registry`` follows the
+    ``audit_catalog`` contract: deterministic tallies derive from the
+    returned entries, harness telemetry merges in as timing/process
+    only, and only at ``workers=1``.
     """
     entries = _fan_out_catalog(
+        _survey_task,
         seed=seed,
         workers=workers,
         products=products,
         pki_key_bits=pki_key_bits,
-        executor=executor,
         vault=vault,
         browser=browser,
-        serial_task=lambda harness, spec: harness.survey_product(spec),
-        process_task=_survey_product_task,
         registry=registry,
     )
     if registry is not None:
@@ -652,33 +624,9 @@ def mimicry_catalog(
     return MimicrySurvey(seed=seed, browser=browser, entries=tuple(entries))
 
 
-# Per-process worker state for the process-pool backend.  The harness
-# is deterministic per seed, so rebuilding it in every worker yields
-# the exact certificates the shared-thread harness mints; scorecards
-# come back in catalog order via ``pool.map``.
-_AUDIT_WORKER: AuditHarness | None = None
+def _audit_task(harness: AuditHarness, product_key: str) -> ProductScorecard:
+    return harness.audit_product(catalog_by_key()[product_key].profile)
 
 
-def _init_audit_worker(
-    seed: int,
-    pki_key_bits: int,
-    vault: str | None = None,
-    browser: str = DEFAULT_BROWSER,
-) -> None:
-    global _AUDIT_WORKER
-    _AUDIT_WORKER = AuditHarness(
-        seed=seed, pki_key_bits=pki_key_bits, vault=vault, browser=browser
-    )
-
-
-def _audit_product_task(product_key: str) -> ProductScorecard:
-    harness = _AUDIT_WORKER
-    assert harness is not None, "worker initialised without a harness"
-    spec = catalog_by_key()[product_key]
-    return harness.audit_product(spec.profile)
-
-
-def _survey_product_task(product_key: str) -> MimicryEntry:
-    harness = _AUDIT_WORKER
-    assert harness is not None, "worker initialised without a harness"
+def _survey_task(harness: AuditHarness, product_key: str) -> MimicryEntry:
     return harness.survey_product(catalog_by_key()[product_key])

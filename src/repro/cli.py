@@ -183,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool width for the product fan-out (default 1)",
     )
     audit.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="pool kind for --workers > 1: 'process' sidesteps the GIL "
-        "the RSA-bound battery saturates (default thread)",
-    )
-    audit.add_argument(
         "--product",
         action="append",
         metavar="KEY",
@@ -253,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="pool width for the product fan-out; output is identical "
         "for any value (default 1)",
-    )
-    prevalence.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="pool kind for --workers > 1 (default thread)",
     )
     prevalence.add_argument(
         "--product",
@@ -633,7 +620,6 @@ def _run_audit(args) -> int:
             seed=args.seed,
             workers=args.workers,
             products=args.product or None,
-            executor=args.executor,
             vault=args.vault,
             browser=args.browser,
             registry=obs,
@@ -686,7 +672,6 @@ def _run_mimicry_prevalence(args) -> int:
             seed=args.seed,
             workers=args.workers,
             products=args.product or None,
-            executor=args.executor,
             vault=args.vault,
             browser=args.browser,
             registry=obs,

@@ -81,9 +81,7 @@ class FaultGate:
 
     Decisions are keyed on the global op ordinal, which the parent
     process assigns in fixed plan order — so the injected fault
-    sequence is identical for any worker count.  Each ordinal is
-    evaluated exactly once; asking again for an evaluated ordinal
-    returns the cached verdict without re-counting metrics.
+    sequence is identical for any worker count.
     """
 
     def __init__(self, plan: FaultPlan, registry: MetricsRegistry | None = None) -> None:
@@ -94,16 +92,12 @@ class FaultGate:
         self.injected: Counter[str] = Counter()
         self.retries = 0
         self.ticks_waited = 0
-        self._evaluated = -1
         self._h_backoff = self.metrics.histogram(
             "faults.backoff_ticks", BACKOFF_TICK_BUCKETS
         )
 
     def attempt(self, index: int) -> bool:
         """True when op ``index`` gets through (possibly after retries)."""
-        if index <= self._evaluated:
-            return index not in self.dropped
-        self._evaluated = index
         if self.plan.fires("drop", "gate", index):
             self._count("drop")
             return self._drop(index, "drop")

@@ -121,38 +121,39 @@ class ReportingServer:
             self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="empty")
             return HttpResponse(400, body=b"empty report")
+        # Extension values decode lazily, on first use by the chain
+        # check or the summaries, so those belong under the handler too.
         try:
             chain = [parse_certificate(der) for der in der_chain]
+            client_ip = remote.ip if remote is not None else "0.0.0.0"
+            country = self.geoip.lookup(client_ip) if self.geoip is not None else None
+            leaf = chain[0]
+            mismatch = leaf.fingerprint() != self.expected_leaves[hostname]
+            chain_valid = False
+            if self.public_roots is not None:
+                from repro.x509.verify import validate_chain
+
+                chain_valid = bool(
+                    validate_chain(chain, self.public_roots, hostname=hostname)
+                )
+            record = MeasurementRecord(
+                study=self.study,
+                campaign=self.campaign,
+                client_ip=client_ip,
+                country=country,
+                hostname=hostname,
+                host_type=self.host_types.get(hostname, "?"),
+                mismatch=mismatch,
+                leaf=CertSummary.from_certificate(leaf),
+                chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
+                chain_valid=chain_valid,
+                via="wire",
+                product_key=request.headers.get("x-sim-product") or None,
+            )
         except X509Error as exc:
             self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="x509")
             return HttpResponse(400, body=str(exc).encode())
-
-        client_ip = remote.ip if remote is not None else "0.0.0.0"
-        country = self.geoip.lookup(client_ip) if self.geoip is not None else None
-        leaf = chain[0]
-        mismatch = leaf.fingerprint() != self.expected_leaves[hostname]
-        chain_valid = False
-        if self.public_roots is not None:
-            from repro.x509.verify import validate_chain
-
-            chain_valid = bool(
-                validate_chain(chain, self.public_roots, hostname=hostname)
-            )
-        record = MeasurementRecord(
-            study=self.study,
-            campaign=self.campaign,
-            client_ip=client_ip,
-            country=country,
-            hostname=hostname,
-            host_type=self.host_types.get(hostname, "?"),
-            mismatch=mismatch,
-            leaf=CertSummary.from_certificate(leaf),
-            chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
-            chain_valid=chain_valid,
-            via="wire",
-            product_key=request.headers.get("x-sim-product") or None,
-        )
         if mismatch:
             self.sink.add_mismatch(record)
             self.metrics.inc("reports.ingested", verdict="mismatch")

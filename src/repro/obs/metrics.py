@@ -8,8 +8,8 @@ strictly separated sections:
 * **deterministic** — counters, gauges and fixed-bucket histograms
   whose values are a pure function of ``(seed, config)``: event
   counts, scenario verdict tallies, bytes on the wire.  Determinism
-  tests pin this section byte-for-byte across worker counts and
-  executor kinds, exactly like the report database itself.
+  tests pin this section byte-for-byte across worker counts,
+  exactly like the report database itself.
 * **process** — counters that depend on process boundaries and
   scheduling: RSA generations, vault hits, forge-cache hits.  Real
   and useful, but a 4-worker run legitimately differs from a serial
@@ -217,9 +217,9 @@ class _Span:
 class MetricsRegistry:
     """Named metrics, one instance per runner/harness/engine.
 
-    Thread-safe (the audit battery drains products over a thread
-    pool); cheap enough to put on hot paths — a counter increment is a
-    dict update under an RLock.
+    Thread-safe, so a caller's threads may share one registry (spans
+    nest per thread); cheap enough to put on hot paths — a counter
+    increment is a dict update under an RLock.
     """
 
     def __init__(self) -> None:

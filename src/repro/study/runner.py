@@ -21,9 +21,9 @@ countries keep the historical ``stable_hash(seed, country)`` stream),
 so the work units a pool schedules are roughly even instead of
 mirroring the paper's heavily skewed country sizes.  Sub-shards run
 inline (``workers=1``) or are submitted largest-first to one shared
-:class:`ProcessPoolExecutor` queue that idle workers pull from —
-work-stealing in effect, so a straggler country no longer serialises
-the run.  Results are delivered as one op stream
+process-pool queue (:func:`repro.pool.ordered_map`) that idle workers
+pull from — work-stealing in effect, so a straggler country no longer
+serialises the run.  Results are delivered as one op stream
 (:func:`repro.faults.recovery.deliver`) in fixed (plan order, sub
 index) order into the in-memory database or the report store, so the
 result is byte-identical for any worker count.
@@ -39,7 +39,6 @@ slower.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +62,7 @@ from repro.netsim.network import Network, PathHop
 from repro.obs.metrics import SHARD_SESSION_BUCKETS, MetricsRegistry
 from repro.policy.model import PolicyFile
 from repro.policy.server import PolicyServer
+from repro.pool import ordered_map
 from repro.population.model import ClientPopulation, ClientProfile
 from repro.proxy.engine import TlsProxyEngine
 from repro.proxy.forger import SubstituteCertForger
@@ -177,7 +177,7 @@ class StudyResult:
     sessions_run: int = 0
     notes: dict[str, object] = field(default_factory=dict)
     # Full metrics snapshot (deterministic / process / timing); the
-    # deterministic section is worker- and executor-invariant.
+    # deterministic section is worker-invariant.
     metrics: dict = field(default_factory=dict)
 
 
@@ -588,7 +588,7 @@ class StudyRunner:
             outcomes = self._run_fast_sharded(subshards)
         else:
             outcomes = [
-                self._run_fast_shard(population, shard) for shard in subshards
+                _fast_shard_task((self, population), shard) for shard in subshards
             ]
         # Every shard's ops go out in fixed (plan, sub) order, so the
         # sink's contents and the deterministic section are
@@ -617,7 +617,7 @@ class StudyRunner:
     def _run_fast_sharded(self, subshards: list["SubShard"]) -> list["FastShardOutcome"]:
         """Drain the sub-shard queue over worker processes.
 
-        Sub-shards are submitted to one shared executor queue in
+        Sub-shards are submitted to one shared pool queue in
         largest-first (LPT) order, and whichever worker goes idle pulls
         the next one — work-stealing, so a skewed country no longer
         pins the whole run to one process.  Results are reassembled in
@@ -638,21 +638,18 @@ class StudyRunner:
         if self.keystore.vault is not None:
             with self.obs.span("study.warm_keys"):
                 self.warm_keys()
-        workers = min(config.workers, len(subshards))
         queue_order = sorted(
             range(len(subshards)),
             key=lambda i: (-subshards[i].sessions, i),
         )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_fast_worker,
-            initargs=(config,),
-        ) as pool:
-            futures = {
-                index: pool.submit(_run_fast_shard_task, subshards[index])
-                for index in queue_order
-            }
-            outcomes = [futures[index].result() for index in range(len(subshards))]
+        outcomes = ordered_map(
+            _fast_shard_task,
+            subshards,
+            config.workers,
+            _fast_worker,
+            (config,),
+            order=queue_order,
+        )
         for outcome in outcomes:
             self.forger.certificates_forged += outcome.certificates_forged
             self.forger.cache_hits += outcome.cache_hits
@@ -878,25 +875,24 @@ class FastShardOutcome:
     metrics: dict = field(default_factory=dict)
 
 
-# Per-process worker state for the fast-mode shard pool.  Workers are
-# initialised once from the picklable StudyConfig and reused for every
-# shard they pull, so PKI and CA key generation amortise per process.
-_FAST_WORKER: StudyRunner | None = None
+def _fast_worker(config: StudyConfig) -> tuple[StudyRunner, ClientPopulation]:
+    """A pool worker's runner and population, built once per process.
 
-
-def _init_fast_worker(config: StudyConfig) -> None:
-    global _FAST_WORKER
+    PKI and CA key generation thus amortise over every shard the
+    worker pulls.
+    """
     runner = StudyRunner(config)
-    runner._fast_population = ClientPopulation(
+    population = ClientPopulation(
         config.study,
         seed=config.seed,
         scale=config.scale,
         measurements_per_session=runner.measurements_per_session(),
     )
-    _FAST_WORKER = runner
+    return runner, population
 
 
-def _run_fast_shard_task(shard: SubShard) -> FastShardOutcome:
-    runner = _FAST_WORKER
-    assert runner is not None, "worker initialised without a runner"
-    return runner._run_fast_shard(runner._fast_population, shard)
+def _fast_shard_task(
+    worker: tuple[StudyRunner, ClientPopulation], shard: SubShard
+) -> FastShardOutcome:
+    runner, population = worker
+    return runner._run_fast_shard(population, shard)

@@ -3,7 +3,7 @@
 The perf work (process-sharded fast studies, process-pool audit
 backend, crypto/DER memoisation) is only acceptable if it changes
 nothing observable: same seed → byte-identical forged chains and
-identical report aggregates, for any worker count and executor kind.
+identical report aggregates, for any worker count.
 """
 
 import json
@@ -242,7 +242,6 @@ class TestVaultDeterminism:
             seed=SEED,
             products=AUDIT_SUBSET,
             workers=2,
-            executor="process",
             pki_key_bits=512,
             vault=warm_vault,
         )
@@ -261,47 +260,32 @@ class TestAuditExecutorDeterminism:
     def serial_report(self):
         return audit_catalog(seed=SEED, products=AUDIT_SUBSET, workers=1, pki_key_bits=512)
 
-    def test_thread_pool_matches_serial(self, serial_report):
-        threaded = audit_catalog(
-            seed=SEED, products=AUDIT_SUBSET, workers=2, executor="thread", pki_key_bits=512
-        )
-        assert threaded.scorecards == serial_report.scorecards
-
     def test_process_pool_matches_serial(self, serial_report):
         pooled = audit_catalog(
-            seed=SEED, products=AUDIT_SUBSET, workers=2, executor="process", pki_key_bits=512
+            seed=SEED, products=AUDIT_SUBSET, workers=2, pki_key_bits=512
         )
         assert pooled.scorecards == serial_report.scorecards
 
     def test_scorecards_in_catalog_order(self, serial_report):
         assert [c.product_key for c in serial_report.scorecards] == AUDIT_SUBSET
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            audit_catalog(seed=SEED, products=AUDIT_SUBSET, executor="fiber")
-
 
 class TestFingerprintStability:
     """ClientHello fingerprints must not depend on execution layout.
 
     The mimicry grading compares JA3-style digests; if those drifted
-    with worker count, executor kind or seed, the client-leg section
-    would break the battery's byte-identical-report guarantee."""
+    with worker count or seed, the client-leg section would break the
+    battery's byte-identical-report guarantee."""
 
-    def test_client_leg_identical_across_workers_and_executors(self, serial_audit):
-        for workers, executor in ((2, "thread"), (2, "process")):
-            report = audit_catalog(
-                seed=SEED,
-                products=AUDIT_SUBSET,
-                workers=workers,
-                executor=executor,
-                pki_key_bits=512,
-            )
-            for card, expected in zip(report.scorecards, serial_audit.scorecards):
-                assert card.client_leg == expected.client_leg
-                assert card.client_checks == expected.client_checks
-                assert card.server_leg == expected.server_leg
-                assert card.server_checks == expected.server_checks
+    def test_client_leg_identical_across_workers(self, serial_audit):
+        report = audit_catalog(
+            seed=SEED, products=AUDIT_SUBSET, workers=2, pki_key_bits=512
+        )
+        for card, expected in zip(report.scorecards, serial_audit.scorecards):
+            assert card.client_leg == expected.client_leg
+            assert card.client_checks == expected.client_checks
+            assert card.server_leg == expected.server_leg
+            assert card.server_checks == expected.server_checks
 
     def test_mimicry_scenario_present_for_every_product(self, serial_audit):
         for card in serial_audit.scorecards:
@@ -338,7 +322,7 @@ class TestFingerprintStability:
 
 class TestMimicryPrevalenceDeterminism:
     """Acceptance: ``repro mimicry-prevalence`` output is byte-identical
-    for workers ∈ {1, 4} and thread vs process executors."""
+    for workers ∈ {1, 4}."""
 
     SUBSET = ["bitdefender", "kurupira", "md5-legacy"]
 
@@ -346,16 +330,11 @@ class TestMimicryPrevalenceDeterminism:
     def serial_survey(self):
         return mimicry_catalog(seed=SEED, products=self.SUBSET, pki_key_bits=512)
 
-    def test_survey_identical_across_workers_and_executors(self, serial_survey):
-        for workers, executor in ((4, "thread"), (4, "process")):
-            survey = mimicry_catalog(
-                seed=SEED,
-                products=self.SUBSET,
-                workers=workers,
-                executor=executor,
-                pki_key_bits=512,
-            )
-            assert survey == serial_survey
+    def test_survey_identical_across_workers(self, serial_survey):
+        survey = mimicry_catalog(
+            seed=SEED, products=self.SUBSET, workers=4, pki_key_bits=512
+        )
+        assert survey == serial_survey
 
     def test_prevalence_json_identical_across_workers(self, serial_survey):
         baseline = json.dumps(
@@ -365,7 +344,6 @@ class TestMimicryPrevalenceDeterminism:
             seed=SEED,
             products=self.SUBSET,
             workers=4,
-            executor="process",
             pki_key_bits=512,
         )
         assert (
@@ -375,11 +353,11 @@ class TestMimicryPrevalenceDeterminism:
 
     def test_cli_output_identical_across_workers(self, capsys):
         """The rendered table itself — not just the survey — must not
-        depend on worker count or executor kind."""
+        depend on worker count."""
         from repro.cli import main
 
         outputs = []
-        for extra in ([], ["--workers", "4"], ["--workers", "4", "--executor", "process"]):
+        for extra in ([], ["--workers", "4"]):
             code = main(
                 [
                     "mimicry-prevalence",
@@ -394,7 +372,7 @@ class TestMimicryPrevalenceDeterminism:
             )
             assert code == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
         assert "Detectable" in outputs[0]
 
     def test_survey_verdicts_match_catalog_expectations(self, serial_survey):
@@ -407,7 +385,7 @@ class TestMimicryPrevalenceDeterminism:
 class TestModernAuditDeterminism:
     """The TLS 1.3-era battery obeys the same contract as the 2014 one:
     a chrome-2020 audit — double resumption probe and all — is
-    byte-identical for workers ∈ {1, 4} and thread vs process pools."""
+    byte-identical for workers ∈ {1, 2, 4}."""
 
     SUBSET = ["bitdefender", "fortinet", "kurupira"]
     MODERN_KEYS = {"alpn-mismatch", "resumption-honouring", "tls13-downgrade"}
@@ -422,14 +400,13 @@ class TestModernAuditDeterminism:
             browser="chrome-2020",
         )
 
-    def test_report_identical_across_workers_and_executors(self, modern_serial):
+    def test_report_identical_across_workers(self, modern_serial):
         baseline = json.dumps(modern_serial.to_dict(), sort_keys=True)
-        for workers, executor in ((4, "thread"), (2, "process")):
+        for workers in (2, 4):
             report = audit_catalog(
                 seed=SEED,
                 products=self.SUBSET,
                 workers=workers,
-                executor=executor,
                 pki_key_bits=512,
                 browser="chrome-2020",
             )
@@ -453,8 +430,8 @@ class TestModernAuditDeterminism:
 class TestMetricsDeterminism:
     """The telemetry layer obeys the same contract as the database:
     the *deterministic* metrics section is a pure function of
-    (seed, config) — byte-identical for any worker count or executor
-    kind — while process/timing sections are allowed to vary."""
+    (seed, config) — byte-identical for any worker count — while
+    process/timing sections are allowed to vary."""
 
     def test_study_deterministic_section_identical_across_workers(
         self, run_w1, run_w4
@@ -480,29 +457,24 @@ class TestMetricsDeterminism:
             assert proc.get("keystore.keys_generated", 0) > 0
             assert "study.run" in run.metrics["timing"]["spans"]
 
-    def test_audit_deterministic_section_executor_invariant(self):
+    def test_audit_deterministic_section_worker_invariant(self):
         from repro.obs import MetricsRegistry
 
         snapshots = {}
-        for label, workers, executor in (
-            ("serial", 1, "thread"),
-            ("thread", 2, "thread"),
-            ("process", 2, "process"),
-        ):
+        for workers in (1, 2):
             registry = MetricsRegistry()
             audit_catalog(
                 seed=SEED,
                 products=AUDIT_SUBSET,
                 workers=workers,
-                executor=executor,
                 pki_key_bits=512,
                 registry=registry,
             )
-            snapshots[label] = json.dumps(
+            snapshots[workers] = json.dumps(
                 registry.deterministic_snapshot(), sort_keys=True
             )
-        assert snapshots["serial"] == snapshots["thread"] == snapshots["process"]
-        counters = json.loads(snapshots["serial"])["counters"]
+        assert snapshots[1] == snapshots[2]
+        counters = json.loads(snapshots[1])["counters"]
         assert counters["audit.products"] == len(AUDIT_SUBSET)
         assert sum(
             value
@@ -510,18 +482,17 @@ class TestMetricsDeterminism:
             if key.startswith("audit.grades{")
         ) == len(AUDIT_SUBSET)
 
-    def test_mimicry_deterministic_section_executor_invariant(self):
+    def test_mimicry_deterministic_section_worker_invariant(self):
         from repro.obs import MetricsRegistry
 
         subset = ["bitdefender", "kurupira"]
         snapshots = []
-        for workers, executor in ((1, "thread"), (4, "process")):
+        for workers in (1, 4):
             registry = MetricsRegistry()
             mimicry_catalog(
                 seed=SEED,
                 products=subset,
                 workers=workers,
-                executor=executor,
                 pki_key_bits=512,
                 registry=registry,
             )

@@ -349,8 +349,9 @@ class TestMimicry:
 class TestCatalogWarmup:
     def test_warm_product_covers_every_issuer_variant(self, harness):
         """The pre-battery warm-up must mint the CA of *every* issuer
-        variant, not just bucket 0 — otherwise worker threads race to
-        generate the remaining variant keys mid-battery."""
+        variant, not just bucket 0 — otherwise pooled workers find the
+        remaining variant keys missing from the warmed vault and
+        generate them mid-battery."""
         from repro.data.products import catalog
 
         spec = next(s for s in catalog() if s.profile.issuer_variants)

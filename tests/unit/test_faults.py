@@ -157,16 +157,6 @@ class TestFaultGate:
         counters = registry.deterministic_snapshot()["counters"]
         assert counters["faults.dropped{kind=drop}"] == len(gate.dropped)
 
-    def test_replay_reuses_cached_verdicts_without_recounting(self):
-        registry = MetricsRegistry()
-        gate = FaultGate(FaultPlan.parse("reset=0.4,drop=0.2", seed=4), registry)
-        first = [gate.attempt(i) for i in range(50)]
-        snapshot = registry.deterministic_snapshot()
-        # A crash-recovery replay walks the same ordinals again: same
-        # verdicts, and the injection counters must not move.
-        assert [gate.attempt(i) for i in range(50)] == first
-        assert registry.deterministic_snapshot() == snapshot
-
     def test_transient_exhaustion_becomes_a_drop(self):
         # rate 1.0 means every retry attempt refires: the budget runs
         # out and the op is dropped rather than retried forever.

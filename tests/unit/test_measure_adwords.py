@@ -1,11 +1,14 @@
 """Unit tests for measurement records/database/server/tool and AdWords."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.adwords import AdCampaign, run_study2_campaigns
 from repro.asn1.der import encode_length
+from repro.asn1.oids import OID_EXT_BASIC_CONSTRAINTS, OID_EXT_SUBJECT_ALT_NAME
+from repro.crypto.hashes import hash_by_name
 from repro.data.countries import STUDY2_CAMPAIGNS
 from repro.data.sites import ProbeSite
 from repro.httpmin.client import HttpClient
@@ -22,7 +25,8 @@ from repro.policy.model import PolicyFile
 from repro.policy.server import PolicyServer, fetch_policy
 from repro.tls.server import TlsCertServer
 from repro.x509 import Name
-from repro.x509.model import SubjectPublicKeyInfo
+from repro.x509.ca import _sign_tbs
+from repro.x509.model import Extension, SubjectPublicKeyInfo
 from repro.x509.pem import pem_encode
 
 
@@ -215,6 +219,43 @@ class TestReportDatabase:
         assert db.distinct_proxied_ips() == len({r.client_ip for r in db.records})
 
 
+def _nested_der(origin_chain, root_ca):
+    # 3,000 nested SEQUENCEs (~11.8 KB): once enough to blow the
+    # recursion limit in parse_certificate and earn a retryable 500.
+    der = b""
+    for _ in range(3000):
+        der = b"\x30" + encode_length(len(der)) + der
+    return [der]
+
+
+# The next two chains parse: their extension values are malformed, and
+# only decode when the chain check or the record summary first reads
+# them.
+
+
+def _bad_san_leaf(origin_chain, root_ca):
+    truncated_san = Extension(OID_EXT_SUBJECT_ALT_NAME, False, bytes.fromhex("300582"))
+    leaf = root_ca.issue(
+        Name.build(common_name="tlsresearch.byu.edu"),
+        origin_chain[0].tbs.public_key,
+        extra_extensions=(truncated_san,),
+    )
+    return [leaf.raw]
+
+
+def _bad_basic_constraints_intermediate(origin_chain, root_ca):
+    intermediate = origin_chain[1]
+    extensions = tuple(
+        replace(ext, value=bytes.fromhex("300301"))
+        if ext.oid == OID_EXT_BASIC_CONSTRAINTS
+        else ext
+        for ext in intermediate.tbs.extensions
+    )
+    tbs = replace(intermediate.tbs, extensions=extensions)
+    bad = _sign_tbs(tbs, root_ca.key, hash_by_name("sha256"))
+    return [origin_chain[0].raw, bad.raw]
+
+
 class MeasurementWorld:
     """Origin site + reporting server + a client, fully wired."""
 
@@ -306,13 +347,16 @@ class TestMeasurementToolWire:
         assert response.status == 400
         assert world.database.failures.report_failed == 1
 
-    def test_deeply_nested_der_is_a_counted_rejection(self, origin_chain, root_ca):
-        # 3,000 nested SEQUENCEs (~11.8 KB): once enough to blow the
-        # recursion limit in parse_certificate and earn a retryable 500.
-        der = b""
-        for _ in range(3000):
-            der = b"\x30" + encode_length(len(der)) + der
+    @pytest.mark.parametrize(
+        "hostile_chain",
+        [_nested_der, _bad_san_leaf, _bad_basic_constraints_intermediate],
+        ids=["nested-der", "bad-subject-alt-name", "bad-basic-constraints"],
+    )
+    def test_deeply_nested_der_is_a_counted_rejection(
+        self, origin_chain, root_ca, hostile_chain
+    ):
         world = MeasurementWorld(origin_chain, root_ca)
+        body = "".join(pem_encode(der) for der in hostile_chain(origin_chain, root_ca))
         # Failures are never cached: the same hostile report sent twice
         # is parsed, rejected and counted twice.
         for _ in range(2):
@@ -320,7 +364,7 @@ class TestMeasurementToolWire:
                 "POST",
                 "tlsresearch.byu.edu",
                 "/report",
-                body=pem_encode(der).encode(),
+                body=body.encode(),
                 headers={"X-Probed-Host": "tlsresearch.byu.edu"},
             )
             assert response.status == 400
