@@ -712,12 +712,16 @@ def _run_mimicry_prevalence(args) -> int:
 
 
 def _run_store(args) -> int:
-    from repro.measure.store import SegmentedStore, scan_store
+    from repro.measure.store import SegmentedStore, StoreError, scan_store
     from repro.obs.metrics import MetricsRegistry
 
     if args.store_command == "compact":
         store = ReportStore(args.dir)
-        stats = store.compact()
+        try:
+            stats = store.compact()
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         store.close()
         n_segments = len(SegmentedStore(args.dir).segment_paths())
         print(
@@ -726,7 +730,11 @@ def _run_store(args) -> int:
         )
         return 0
     obs = MetricsRegistry()
-    aggregator = scan_store(args.dir, registry=obs, heal=args.heal)
+    try:
+        aggregator = scan_store(args.dir, registry=obs, heal=args.heal)
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     torn = obs.counter("reports.rejected", reason="torn-segment").value
     n_segments = len(SegmentedStore(args.dir).segment_paths())
     print(

@@ -46,10 +46,11 @@ Row kinds, one JSON object per line:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Callable, Iterator
 
 from repro.measure.database import (
@@ -120,6 +121,97 @@ def _segment_index(name: str) -> int:
     return int(stem.split(".", 1)[0])
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_row(raw: bytes) -> dict | None:
+    """Decode one segment line as file iteration yields it.
+
+    Returns the row, or ``None`` for a blank line.  Raises
+    :class:`ValueError` for a torn row: no trailing newline, or a line
+    that ``json.loads(raw.strip())`` rejects or decodes to something
+    other than a JSON object.  The fast path — one UTF-8 object ending
+    exactly at the newline, which is every row this module writes — is
+    exact: it accepts only lines that rule maps to the same dict, and
+    everything else goes through the rule itself.
+    """
+    if not raw.endswith(b"\n"):
+        raise ValueError("row has no trailing newline")
+    try:
+        text = raw.decode("utf-8")
+        row, end = _raw_decode(text)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        if end == len(text) - 1 and type(row) is dict:
+            return row
+    stripped = raw.strip()
+    if not stripped:
+        return None
+    try:
+        row = json.loads(stripped)
+    except RecursionError as exc:
+        raise ValueError("row nests too deeply") from exc
+    if type(row) is not dict:
+        raise ValueError("row is not a JSON object")
+    return row
+
+
+# A tuple, not a set: membership compares, so an unhashable name is
+# simply absent instead of raising TypeError.
+_FAILURE_NAMES = tuple(field.name for field in dataclasses.fields(FailureCounters))
+
+
+def _is_mismatch_payload(payload: object) -> bool:
+    """Whether a mismatch row holds every field the aggregate keys on."""
+    if type(payload) is not dict:
+        return False
+    leaf, chain = payload.get("leaf"), payload.get("chain")
+    return (
+        payload.get("mismatch") is True
+        and all(
+            type(payload.get(name)) is str
+            for name in ("hostname", "client_ip", "campaign", "host_type")
+        )
+        and type(leaf) is dict
+        and type(leaf.get("fingerprint")) is str
+        and type(leaf.get("serial_number")) is int
+        and type(chain) is list
+        and all(type(c) is dict and type(c.get("fingerprint")) is str for c in chain)
+    )
+
+
+def _row_kind(row: dict) -> str:
+    """A data row's kind, once the fields its readers use are checked.
+
+    Raises :class:`StoreError` naming the kind for an unknown kind and
+    for a known kind with a missing or ill-typed field, so damage that
+    still decodes never escapes a reader as a ``KeyError`` or corrupts
+    an aggregate.
+    """
+    kind = row.get("t")
+    count = row.get("n")
+    counted = type(count) is int and count >= 0
+    if kind == "c":
+        valid = counted and type(row.get("ht")) is str and type(row.get("h")) is str
+    elif kind == "m":
+        valid = _is_mismatch_payload(row.get("r"))
+    elif kind == "f":
+        valid = counted and row.get("k") in _FAILURE_NAMES
+    else:
+        raise StoreError(f"unknown row type {kind!r}")
+    if not valid:
+        raise StoreError(f"malformed {kind!r} row")
+    return kind
+
+
+def _mismatch_record(row: dict) -> MeasurementRecord:
+    try:
+        return record_from_dict(row["r"])
+    except (KeyError, TypeError) as exc:
+        raise StoreError(f"malformed 'm' row: {exc!r}") from exc
+
+
 def _mismatch_signature_key(country: str, payload: dict) -> tuple:
     """``record_signature_key`` computed from a row dict, not a record."""
     return (
@@ -131,6 +223,10 @@ def _mismatch_signature_key(country: str, payload: dict) -> tuple:
         payload["leaf"]["serial_number"],
         tuple(c["fingerprint"] for c in payload["chain"]),
     )
+
+
+def _zero_totals() -> list[int]:
+    return [0, 0]
 
 
 class StreamingAggregator:
@@ -147,8 +243,9 @@ class StreamingAggregator:
         self.matched_counts: Counter[tuple[str, str, str]] = Counter()
         self.mismatch_keys: list[tuple] = []
         self.failures = FailureCounters()
-        self._country_totals: dict[str, list[int]] = {}
-        self._host_type_totals: dict[str, list[int]] = {}
+        # [proxied, total] per country and per host type.
+        self._country_totals: defaultdict[str, list[int]] = defaultdict(_zero_totals)
+        self._host_type_totals: defaultdict[str, list[int]] = defaultdict(_zero_totals)
         self._proxied_ips: set[str] = set()
 
     # -- ingest ----------------------------------------------------------
@@ -158,8 +255,8 @@ class StreamingAggregator:
     ) -> None:
         if count:
             self.matched_counts[(country, host_type, hostname)] += count
-            self._country_totals.setdefault(country, [0, 0])[1] += count
-            self._host_type_totals.setdefault(host_type, [0, 0])[1] += count
+            self._country_totals[country][1] += count
+            self._host_type_totals[host_type][1] += count
 
     def observe_mismatch_record(self, record: MeasurementRecord) -> None:
         self._observe_mismatch(
@@ -181,10 +278,10 @@ class StreamingAggregator:
         self, country: str, host_type: str, client_ip: str, key: tuple
     ) -> None:
         self.mismatch_keys.append(key)
-        entry = self._country_totals.setdefault(country, [0, 0])
+        entry = self._country_totals[country]
         entry[0] += 1
         entry[1] += 1
-        entry = self._host_type_totals.setdefault(host_type, [0, 0])
+        entry = self._host_type_totals[host_type]
         entry[0] += 1
         entry[1] += 1
         self._proxied_ips.add(client_ip)
@@ -245,6 +342,7 @@ class _Shard:
         "next_index",
         "pending_lines",
         "pending_matched",
+        "counter_prefixes",
     )
 
     def __init__(self, path: pathlib.Path) -> None:
@@ -255,6 +353,24 @@ class _Shard:
         self.next_index = 1
         self.pending_lines: list[bytes] = []
         self.pending_matched: Counter[tuple[str, str]] = Counter()
+        self.counter_prefixes: dict[tuple[str, str], bytes] = {}
+
+    def counter_row(self, cell: tuple[str, str], count: int) -> bytes:
+        """The ``c`` row of ``count`` matched measurements for one
+        (host type, hostname) cell.
+
+        The row up to ``"n":`` is encoded once per cell by ``json.dumps``
+        and cached, so escaping is exactly the general encoder's.
+        """
+        prefix = self.counter_prefixes.get(cell)
+        if prefix is None:
+            host_type, hostname = cell
+            prefix = json.dumps(
+                {"t": "c", "ht": host_type, "h": hostname, "n": 0},
+                separators=(",", ":"),
+            ).encode("utf-8")[:-2]
+            self.counter_prefixes[cell] = prefix
+        return prefix + b"%d}" % count
 
 
 class SegmentedStore:
@@ -264,6 +380,7 @@ class SegmentedStore:
         self.path = pathlib.Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self._shards: dict[str, _Shard] = {}
+        self._country_shards: dict[str, _Shard] = {}
 
     # -- write side ------------------------------------------------------
 
@@ -275,6 +392,13 @@ class SegmentedStore:
             if existing:
                 shard.next_index = max(_segment_index(n) for n in existing) + 1
             self._shards[name] = shard
+        return shard
+
+    def country_shard(self, country: str) -> _Shard:
+        """The shard of a country code, its directory name quoted once."""
+        shard = self._country_shards.get(country)
+        if shard is None:
+            shard = self._country_shards[country] = self.shard(_shard_name(country))
         return shard
 
     def write_blob(self, shard: _Shard, blob: bytes, segment_bytes: int) -> int:
@@ -338,11 +462,9 @@ class SegmentedStore:
     def _first_row(path: pathlib.Path) -> dict | None:
         with open(path, "rb") as handle:
             raw = handle.readline()
-        if not raw.endswith(b"\n"):
-            return None
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError:
+            return _decode_row(raw)
+        except ValueError:
             return None
 
     @staticmethod
@@ -357,18 +479,13 @@ class SegmentedStore:
         torn_at = None
         with open(path, "rb") as handle:
             for raw in handle:
-                if not raw.endswith(b"\n"):
+                try:
+                    row = _decode_row(raw)
+                except ValueError:
                     torn_at = offset
                     break
-                stripped = raw.strip()
-                if stripped:
-                    try:
-                        row = json.loads(stripped)
-                    except json.JSONDecodeError:
-                        torn_at = offset
-                        break
-                    if row.get("t") != "seal":
-                        yield row
+                if row is not None and row.get("t") != "seal":
+                    yield row
                 offset += len(raw)
         if torn_at is not None:
             if on_torn is not None:
@@ -384,13 +501,13 @@ class SegmentedStore:
     ) -> Iterator[dict]:
         """Yield every row of one shard in (segment, line) order.
 
-        Detects torn tails (trailing bytes with no newline, or an
-        undecodable line): the torn tail and everything after it in
-        that segment is dropped, ``on_torn`` is called once per torn
-        segment, and with ``heal=True`` the file is truncated back to
-        its last complete row.  Segments replaced by a compaction
-        header are skipped entirely, so a crash between a compaction's
-        rename and its unlinks never double-counts.
+        Detects torn tails (trailing bytes with no newline, or a line
+        that does not decode to a JSON object): the torn tail and
+        everything after it in that segment is dropped, ``on_torn`` is
+        called once per torn segment, and with ``heal=True`` the file is
+        truncated back to its last complete row.  Segments replaced by
+        a compaction header are skipped entirely, so a crash between a
+        compaction's rename and its unlinks never double-counts.
         """
         shard_path = self.path / name
         segments = self._segment_names(shard_path)
@@ -398,7 +515,12 @@ class SegmentedStore:
         for segment in segments:
             header = self._first_row(shard_path / segment)
             if header is not None and header.get("t") == "seal":
-                replaced.update(header.get("compacts", []))
+                compacts = header.get("compacts")
+                if type(compacts) is not list or not all(
+                    type(name) is str for name in compacts
+                ):
+                    raise StoreError("malformed 'seal' row")
+                replaced.update(compacts)
         for segment in segments:
             if segment in replaced:
                 continue
@@ -508,11 +630,10 @@ class ReportStore(ReportSink):
     def add_mismatch(self, record: MeasurementRecord) -> None:
         if not record.mismatch:
             raise ValueError("add_mismatch() requires a mismatch record")
-        country = record.country or "??"
         line = json.dumps(
             {"t": "m", "r": record_to_dict(record)}, separators=(",", ":")
         ).encode("utf-8")
-        self.segments.shard(_shard_name(country)).pending_lines.append(line)
+        self.segments.country_shard(record.country or "??").pending_lines.append(line)
         self.aggregator.observe_mismatch_record(record)
         self._appended()
 
@@ -530,7 +651,7 @@ class ReportStore(ReportSink):
             raise ValueError("negative bulk count")
         if not count:
             return
-        shard = self.segments.shard(_shard_name(country))
+        shard = self.segments.country_shard(country)
         shard.pending_matched[(host_type, hostname)] += count
         self.aggregator.observe_matched(country, host_type, hostname, count)
         self._appended()
@@ -615,13 +736,9 @@ class ReportStore(ReportSink):
                 if not shard.pending_lines and not shard.pending_matched:
                     continue
                 lines = shard.pending_lines
-                for (host_type, hostname), count in shard.pending_matched.items():
-                    lines.append(
-                        json.dumps(
-                            {"t": "c", "ht": host_type, "h": hostname, "n": count},
-                            separators=(",", ":"),
-                        ).encode("utf-8")
-                    )
+                counter_row = shard.counter_row
+                for cell, count in shard.pending_matched.items():
+                    lines.append(counter_row(cell, count))
                 blob = b"\n".join(lines) + b"\n"
                 blobs.append((shard, blob))
                 active = shard.active_bytes if shard.handle is not None else 0
@@ -726,17 +843,15 @@ class ReportStore(ReportSink):
                 mismatch_lines: list[bytes] = []
                 for row in self.segments.iter_shard_rows(name):
                     rows_before += 1
-                    kind = row.get("t")
+                    kind = _row_kind(row)
                     if kind == "c":
                         counters[(row["ht"], row["h"])] += row["n"]
                     elif kind == "f":
                         failures[row["k"]] += row["n"]
-                    elif kind == "m":
+                    else:
                         mismatch_lines.append(
                             json.dumps(row, separators=(",", ":")).encode("utf-8")
                         )
-                    else:
-                        raise StoreError(f"unknown row type {kind!r}")
                 shard = self.segments.shard(name)
                 index = shard.next_index
                 shard.next_index += 1
@@ -747,13 +862,8 @@ class ReportStore(ReportSink):
                     ).encode("utf-8")
                 ]
                 lines.extend(mismatch_lines)
-                for (host_type, hostname), count in sorted(counters.items()):
-                    lines.append(
-                        json.dumps(
-                            {"t": "c", "ht": host_type, "h": hostname, "n": count},
-                            separators=(",", ":"),
-                        ).encode("utf-8")
-                    )
+                for cell, count in sorted(counters.items()):
+                    lines.append(shard.counter_row(cell, count))
                 for key, count in sorted(failures.items()):
                     lines.append(
                         json.dumps(
@@ -813,15 +923,13 @@ def scan_store(
             for row in segments.iter_shard_rows(
                 name, on_torn=lambda _path: torn.inc(), heal=heal
             ):
-                kind = row.get("t")
+                kind = _row_kind(row)
                 if kind == "c":
                     aggregator.observe_matched(country, row["ht"], row["h"], row["n"])
                 elif kind == "m":
                     aggregator.observe_mismatch_row(country, row["r"])
-                elif kind == "f":
-                    aggregator.observe_failure(row["k"], row["n"])
                 else:
-                    raise StoreError(f"unknown row type {kind!r}")
+                    aggregator.observe_failure(row["k"], row["n"])
     return aggregator
 
 
@@ -830,8 +938,8 @@ def iter_store_mismatches(path: str | pathlib.Path) -> Iterator[MeasurementRecor
     segments = SegmentedStore(path)
     for name in segments.shard_names():
         for row in segments.iter_shard_rows(name):
-            if row.get("t") == "m":
-                yield record_from_dict(row["r"])
+            if _row_kind(row) == "m":
+                yield _mismatch_record(row)
 
 
 def load_store(
@@ -854,13 +962,11 @@ def load_store(
     for name in segments.shard_names():
         country = _shard_country(name)
         for row in segments.iter_shard_rows(name, on_torn=lambda _path: torn.inc()):
-            kind = row.get("t")
+            kind = _row_kind(row)
             if kind == "c":
                 database.add_matched_bulk(country, row["ht"], row["h"], row["n"])
             elif kind == "m":
-                database.add_mismatch(record_from_dict(row["r"]))
-            elif kind == "f":
-                database.add_failure(row["k"], row["n"])
+                database.add_mismatch(_mismatch_record(row))
             else:
-                raise StoreError(f"unknown row type {kind!r}")
+                database.add_failure(row["k"], row["n"])
     return database

@@ -58,15 +58,24 @@ def _expect(value: Asn1Value, kind: type, what: str):
 #: reuse; past the bound the least recently used is dropped.
 PARSE_CACHE_SIZE = 1024
 
+#: Longest DER the parse cache keeps, so it holds at most
+#: ``PARSE_CACHE_SIZE * PARSE_CACHE_MAX_DER`` bytes (16 MiB) of DER
+#: however large the certificates in a hostile report.
+PARSE_CACHE_MAX_DER = 16 * 1024
+
 
 def parse_certificate(data: bytes) -> Certificate:
     """Parse one DER certificate; raises :class:`X509Error` on malformed input.
 
-    Equal DER bytes yield the same :class:`Certificate` object.  Input
-    that fails to parse is never cached: every hostile blob pays a full
-    (linear) parse and raises again.
+    Equal DER bytes yield the same :class:`Certificate` object, unless
+    they are longer than :data:`PARSE_CACHE_MAX_DER`: those are parsed
+    afresh on every call.  Input that fails to parse is never cached:
+    every hostile blob pays a full (linear) parse and raises again.
     """
-    return _parse_der(bytes(data))
+    der = bytes(data)
+    if len(der) > PARSE_CACHE_MAX_DER:
+        return _parse_der.__wrapped__(der)
+    return _parse_der(der)
 
 
 def parse_cache_info():

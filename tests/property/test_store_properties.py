@@ -9,9 +9,16 @@ Two invariants the paper-scale ingest path rests on:
   at most the torn tail: the scan still decodes every complete row
   before the tear, counts exactly one torn segment, and healing makes
   the store clean again.
+
+The row codec's fast paths are checked against the general code they
+replace: counter rows against ``json.dumps``, and the row decoder
+against the reader's historical rule, ``json.loads(raw.strip())`` on
+each complete line.
 """
 
+import json
 import os
+import pathlib
 import tempfile
 
 from hypothesis import given, settings
@@ -19,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-from repro.measure.store import ReportStore, scan_store
+from repro.measure.store import ReportStore, _decode_row, _Shard, scan_store
 from repro.obs.metrics import MetricsRegistry
 
 _COUNTRIES = ["US", "BR", "??", "DE"]
@@ -158,3 +165,137 @@ class TestStoreProperties:
                 == 0
             )
             assert again.aggregate_signature() == aggregator.aggregate_signature()
+
+
+# Text that stresses JSON escaping: quotes, backslashes, control
+# characters, non-ASCII and lone surrogates, mixed with anything else.
+_tricky_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\u4e2d\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _tricky_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_tricky_text, inner, max_size=3),
+    max_leaves=8,
+)
+
+_rows = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "t": st.just("c"),
+            "ht": _tricky_text,
+            "h": _tricky_text,
+            "n": st.integers(1, 2**63),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"t": st.just("f"), "k": _tricky_text, "n": st.integers(1, 9)}
+    ),
+    st.fixed_dictionaries(
+        {"t": st.just("m"), "r": st.dictionaries(_tricky_text, _json_values)}
+    ),
+    st.dictionaries(_tricky_text, _json_values, max_size=4),
+    _json_values,
+)
+
+_encodings = st.sampled_from(
+    [
+        {"separators": (",", ":")},
+        {},
+        {"separators": (",", ":"), "ensure_ascii": False},
+    ]
+)
+
+_padding = st.text(" \t\r\x0b\x0c", max_size=3).map(str.encode)
+_foreign = st.sampled_from(
+    [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x00"]
+)
+
+
+@st.composite
+def _lines(draw) -> list[bytes]:
+    """Lines as file iteration yields them: valid rows, then altered."""
+    encode = draw(_encodings)
+    body = json.dumps(draw(_rows), **encode).encode("utf-8", "surrogatepass")
+    alteration = draw(
+        st.sampled_from(
+            ("none", "pad", "crlf", "blank", "truncate")
+            + ("flip", "two", "split", "foreign")
+        )
+    )
+    if alteration == "pad":
+        return [draw(_padding) + body + draw(_padding) + b"\n"]
+    if alteration == "crlf":
+        return [body + b"\r\n"]
+    if alteration == "blank":
+        return [draw(_padding) + b"\n"]
+    if alteration == "truncate":
+        return [(body + b"\n")[: draw(st.integers(0, len(body)))]]
+    if alteration == "flip":
+        line = bytearray(body + b"\n")
+        line[draw(st.integers(0, len(body) - 1))] ^= 1 << draw(st.integers(0, 7))
+        return [bytes(line)]
+    if alteration == "two":
+        other = json.dumps(draw(_rows), **encode).encode("utf-8", "surrogatepass")
+        return [body + draw(_padding) + other + b"\n"]
+    if alteration == "split":
+        cut = draw(st.integers(0, len(body)))
+        return [body[:cut] + b"\n", body[cut:] + b"\n"]
+    if alteration == "foreign":
+        at = draw(st.integers(0, len(body)))
+        return [body[:at] + draw(_foreign) + body[at:] + b"\n"]
+    return [body + b"\n"]
+
+
+def _historical(raw: bytes):
+    """The segment reader's rule before the fast path."""
+    if not raw.endswith(b"\n"):
+        return "torn"
+    stripped = raw.strip()
+    if not stripped:
+        return "blank"
+    try:
+        row = json.loads(stripped)
+    except (ValueError, RecursionError):
+        return "torn"
+    return row if type(row) is dict else "torn"
+
+
+def _decoded(raw: bytes):
+    try:
+        row = _decode_row(raw)
+    except ValueError:
+        return "torn"
+    return "blank" if row is None else row
+
+
+class TestRowCodecReference:
+    @given(
+        host_type=_tricky_text,
+        hostname=_tricky_text,
+        counts=st.lists(st.integers(1, 2**63), min_size=1, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counter_row_equals_json_dumps(self, host_type, hostname, counts):
+        shard = _Shard(pathlib.Path("unused"))
+        # The first count builds the cell's cached prefix; later ones reuse it.
+        for count in counts:
+            expected = json.dumps(
+                {"t": "c", "ht": host_type, "h": hostname, "n": count},
+                separators=(",", ":"),
+            ).encode("utf-8")
+            assert shard.counter_row((host_type, hostname), count) == expected
+
+    @given(lines=_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_decoder_agrees_with_the_historical_rule(self, lines):
+        for raw in lines:
+            expected = _historical(raw)
+            actual = _decoded(raw)
+            assert type(actual) is type(expected)
+            assert actual == expected

@@ -68,12 +68,15 @@ class TestPersistence:
         counters = registry.deterministic_snapshot()["counters"]
         assert counters["reports.rejected{reason=torn-segment}"] == 1
 
-    def test_unknown_row_type_rejected(self, tmp_path, export_dir):
+    def test_unknown_row_type_rejected(self, capsys, tmp_path, export_dir):
         path = shutil.copytree(export_dir, tmp_path / "copy")
         with _segment(path).open("a") as handle:
             handle.write('{"t": "mystery"}\n')
         with pytest.raises(StoreError, match="unknown row type"):
             load_store(path)
+        for command in ("scan", "compact"):
+            assert main(["store", command, "--dir", str(path)]) == 2
+            assert "unknown row type" in capsys.readouterr().err
 
     def test_export_is_identical_at_any_worker_count(self, tmp_path):
         trees = []

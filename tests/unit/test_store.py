@@ -267,6 +267,89 @@ class TestRecoveryAndCompaction:
         aggregator = scan_store(tmp_path / "s")
         assert aggregator.aggregate_signature() == db.aggregate_signature()
 
+    @pytest.mark.parametrize("position", ["tail", "first-line"])
+    @pytest.mark.parametrize(
+        ("line", "kind"),
+        [
+            pytest.param(b'{"t":"c","ht":"\xff","h":"x","n":1}', None, id="non-utf8"),
+            pytest.param(b"[1]", None, id="array"),
+            pytest.param(b"7", None, id="number"),
+            pytest.param(b"[" * 100_000, None, id="deep-nesting"),
+            pytest.param(b'{"t":"c","ht":"Popular","h":"x"}', "c", id="no-count"),
+            pytest.param(b'{"t":"c","ht":"Pop","h":"x","n":"1"}', "c", id="text-count"),
+            pytest.param(b'{"t":"c","ht":null,"h":"x","n":1}', "c", id="null-type"),
+            pytest.param(b'{"t":"f","k":"no_such","n":1}', "f", id="unknown-failure"),
+            pytest.param(b'{"t":"m","r":{"hostname":"h"}}', "m", id="partial-mismatch"),
+        ],
+    )
+    def test_damaged_row_is_torn_or_a_store_error(self, tmp_path, line, kind, position):
+        """Undecodable rows are torn; decodable ones with bad fields raise.
+
+        ``first-line`` puts the damage at the top of its own segment,
+        where the seal-header probe reads it first.
+        """
+        store = ReportStore(tmp_path / "s")
+        db = ReportDatabase()
+        fill(store, db, n=30)
+        store.close()
+        name = "seg-000001.jsonl" if position == "tail" else "seg-000009.jsonl"
+        segment = tmp_path / "s" / "US" / name
+        intact = segment.read_bytes() if segment.exists() else b""
+        segment.write_bytes(intact + line + b"\n")
+        if kind is not None:
+            readers = (
+                scan_store,
+                load_store,
+                lambda path: list(iter_store_mismatches(path)),
+                lambda path: ReportStore(path).compact(),
+            )
+            for read in readers:
+                with pytest.raises(StoreError, match=f"'{kind}' row"):
+                    read(tmp_path / "s")
+            return
+        loaded = MetricsRegistry()
+        assert load_store(tmp_path / "s", registry=loaded).aggregate_signature() == (
+            db.aggregate_signature()
+        )
+        assert sorted(r.client_ip for r in iter_store_mismatches(tmp_path / "s")) == (
+            sorted(r.client_ip for r in db.records)
+        )
+        healed = MetricsRegistry()
+        aggregator = scan_store(tmp_path / "s", healed, heal=True)
+        assert aggregator.aggregate_signature() == db.aggregate_signature()
+        for registry in (loaded, healed):
+            counters = registry.deterministic_snapshot()["counters"]
+            assert counters["reports.rejected{reason=torn-segment}"] == 1
+        assert segment.read_bytes() == intact
+        rescanned = MetricsRegistry()
+        scan_store(tmp_path / "s", rescanned)
+        counters = rescanned.deterministic_snapshot()["counters"]
+        assert "reports.rejected{reason=torn-segment}" not in counters
+
+    @pytest.mark.parametrize("header", [b'{"t":"seal"}', b'{"t":"seal","compacts":5}'])
+    def test_malformed_seal_header_is_a_store_error(self, tmp_path, header):
+        store = ReportStore(tmp_path / "s")
+        store.add_matched_bulk("US", "Popular", "h", 1)
+        store.close()
+        (tmp_path / "s" / "US" / "seg-000009.jsonl").write_bytes(header + b"\n")
+        with pytest.raises(StoreError, match="'seal' row"):
+            scan_store(tmp_path / "s")
+
+    def test_mismatch_row_missing_a_record_field(self, tmp_path):
+        """Scans need only the keyed fields; rebuilding records needs all."""
+        store = ReportStore(tmp_path / "s")
+        store.add_mismatch(make_record())
+        store.close()
+        segment = tmp_path / "s" / "US" / "seg-000001.jsonl"
+        row = json.loads(segment.read_bytes())
+        del row["r"]["via"]
+        segment.write_bytes(json.dumps(row).encode() + b"\n")
+        assert scan_store(tmp_path / "s").mismatch_count == 1
+        with pytest.raises(StoreError, match="'m' row"):
+            load_store(tmp_path / "s")
+        with pytest.raises(StoreError, match="'m' row"):
+            list(iter_store_mismatches(tmp_path / "s"))
+
     def test_appends_continue_after_reopen(self, tmp_path):
         store = ReportStore(tmp_path / "s")
         db = ReportDatabase()

@@ -21,7 +21,11 @@ from repro.x509 import (
     verify_certificate_signature,
 )
 from repro.x509.model import Certificate, SubjectPublicKeyInfo, Validity
-from repro.x509.parse import PARSE_CACHE_SIZE, parse_cache_info
+from repro.x509.parse import (
+    PARSE_CACHE_MAX_DER,
+    PARSE_CACHE_SIZE,
+    parse_cache_info,
+)
 from repro.x509.pem import PemError
 from repro.x509.store import VERDICT_MEMO_SIZE
 from repro.x509.verify import DEFECT_BAD_SIGNATURE, chain_memo_info
@@ -381,6 +385,25 @@ class TestParseCache:
             with pytest.raises(X509Error):
                 parse_certificate(truncated)
             assert parse_cache_info().misses == misses + 1
+
+    def test_oversized_der_is_parsed_but_not_cached(
+        self, site_cert, intermediate_ca, keystore
+    ):
+        key = keystore.key("site", 512)
+        oversized = intermediate_ca.issue(
+            Name.build(common_name="big.example"),
+            SubjectPublicKeyInfo(key.n, key.e),
+            dns_names=[f"host-{i:05d}.big.example" for i in range(1000)],
+        ).encode()
+        assert len(oversized) > PARSE_CACHE_MAX_DER
+        currsize = parse_cache_info().currsize
+        first = parse_certificate(oversized)
+        second = parse_certificate(oversized)
+        assert first == second
+        assert first is not second
+        assert parse_cache_info().currsize == currsize
+        der = site_cert.encode()
+        assert parse_certificate(der) is parse_certificate(der)
 
     def test_cache_stays_within_its_bound(self, site_cert):
         from dataclasses import replace
