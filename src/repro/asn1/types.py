@@ -42,9 +42,11 @@ class Boolean(Asn1Value):
 
     @classmethod
     def from_content(cls, content: bytes) -> "Boolean":
-        if len(content) != 1:
-            raise Asn1Error("BOOLEAN content must be one octet")
-        return cls(content[0] != 0)
+        if content == b"\xff":
+            return cls(True)
+        if content == b"\x00":
+            return cls(False)
+        raise Asn1Error("BOOLEAN content must be the one octet 0x00 or 0xFF")
 
 
 @dataclass(frozen=True)

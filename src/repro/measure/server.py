@@ -17,11 +17,38 @@ from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyFile
 from repro.policy.server import POLICY_REQUEST, PolicyServer
+from repro.util import content_memo
+from repro.x509.model import Certificate
 from repro.x509.parse import X509Error, parse_certificate
 from repro.x509.pem import PemError, pem_decode_all
 
 # The measurement tool, served as the "ad" payload.
 _TOOL_PAYLOAD = b"<html><body><!-- repro measurement tool (flash) --></body></html>"
+
+#: Distinct report bodies whose decoded chain and summaries are kept:
+#: every client behind the same product reports the same chain.
+REPORT_CACHE_SIZE = 256
+
+
+class _EmptyReport(ValueError):
+    """A report body that holds no PEM certificate."""
+
+
+@content_memo("report.decode_cache", REPORT_CACHE_SIZE)
+def _decode_report(
+    body: bytes,
+) -> tuple[tuple[Certificate, ...], tuple[CertSummary, ...]]:
+    """One report body's parsed chain (leaf first) and its summaries.
+
+    Raises :class:`PemError`, :class:`_EmptyReport` or
+    :class:`X509Error`; extension values decode here too, on the
+    summaries' first read of ``is_ca`` and the SAN names.
+    """
+    der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
+    if not der_chain:
+        raise _EmptyReport("empty report")
+    chain = tuple(parse_certificate(der) for der in der_chain)
+    return chain, tuple(CertSummary.from_certificate(c) for c in chain)
 
 
 class ReportingServer:
@@ -94,6 +121,12 @@ class ReportingServer:
             self.sink.add_failure("report_failed")
             self.metrics.inc("reports.rejected", reason="truncated")
 
+    def _reject(self, reason: str, body: bytes) -> HttpResponse:
+        """Count a refused report against the failure ledger; answer 400."""
+        self.sink.add_failure("report_failed")
+        self.metrics.inc("reports.rejected", reason=reason)
+        return HttpResponse(400, body=body)
+
     def _ingest_report(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
         if self.fault_hook is not None:
             injected = self.fault_hook(request, remote)
@@ -108,27 +141,12 @@ class ReportingServer:
             )
         hostname = request.headers.get("x-probed-host", "")
         if not hostname or hostname not in self.expected_leaves:
-            self.sink.add_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="unknown-host")
-            return HttpResponse(400, body=b"unknown probed host")
+            return self._reject("unknown-host", b"unknown probed host")
         try:
-            der_chain = pem_decode_all(request.body.decode("ascii", errors="replace"))
-        except PemError as exc:
-            self.sink.add_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="pem")
-            return HttpResponse(400, body=str(exc).encode())
-        if not der_chain:
-            self.sink.add_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="empty")
-            return HttpResponse(400, body=b"empty report")
-        # Extension values decode lazily, on first use by the chain
-        # check or the summaries, so those belong under the handler too.
-        try:
-            chain = [parse_certificate(der) for der in der_chain]
+            chain, summaries = _decode_report(request.body)
             client_ip = remote.ip if remote is not None else "0.0.0.0"
             country = self.geoip.lookup(client_ip) if self.geoip is not None else None
-            leaf = chain[0]
-            mismatch = leaf.fingerprint() != self.expected_leaves[hostname]
+            mismatch = summaries[0].fingerprint != self.expected_leaves[hostname]
             chain_valid = False
             if self.public_roots is not None:
                 from repro.x509.verify import validate_chain
@@ -144,16 +162,18 @@ class ReportingServer:
                 hostname=hostname,
                 host_type=self.host_types.get(hostname, "?"),
                 mismatch=mismatch,
-                leaf=CertSummary.from_certificate(leaf),
-                chain=tuple(CertSummary.from_certificate(c) for c in chain[1:]),
+                leaf=summaries[0],
+                chain=summaries[1:],
                 chain_valid=chain_valid,
                 via="wire",
                 product_key=request.headers.get("x-sim-product") or None,
             )
+        except PemError as exc:
+            return self._reject("pem", str(exc).encode())
+        except _EmptyReport:
+            return self._reject("empty", b"empty report")
         except X509Error as exc:
-            self.sink.add_failure("report_failed")
-            self.metrics.inc("reports.rejected", reason="x509")
-            return HttpResponse(400, body=str(exc).encode())
+            return self._reject("x509", str(exc).encode())
         if mismatch:
             self.sink.add_mismatch(record)
             self.metrics.inc("reports.ingested", verdict="mismatch")

@@ -25,7 +25,21 @@ from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyError
 from repro.policy.server import fetch_policy_task
 from repro.tls.probe import ProbeClient
+from repro.util import content_memo
 from repro.x509.pem import pem_encode
+
+
+#: Distinct DER chains whose PEM report body is kept: wire sessions
+#: POST the same few chains over and over.
+PEM_BODY_CACHE_SIZE = 256
+
+
+@content_memo(
+    "tool.pem_cache", PEM_BODY_CACHE_SIZE, size=lambda chain: sum(map(len, chain))
+)
+def _pem_body(der_chain: tuple[bytes, ...]) -> bytes:
+    """The report body for one received chain: every certificate in PEM."""
+    return "".join(pem_encode(der) for der in der_chain).encode("ascii")
 
 
 @dataclass
@@ -158,7 +172,7 @@ class MeasurementTool:
                 outcome.probe_failed += 1
             outcome.errors.append(f"{site.hostname}: {result.error}")
             return
-        body = "".join(pem_encode(der) for der in result.der_chain).encode("ascii")
+        body = _pem_body(result.der_chain)
         headers = {
             "X-Probed-Host": site.hostname,
             "Content-Type": "application/x-pem-file",

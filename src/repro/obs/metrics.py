@@ -239,7 +239,9 @@ class MetricsRegistry:
         return _Counter(self._counters, metric_key(name, labels), self._lock)
 
     def inc(self, name: str, n: int = 1, **labels) -> None:
-        self.counter(name, **labels).inc(n)
+        key = metric_key(name, labels)
+        with self._lock:
+            self._counters[key] = self._counters.get(key, 0) + n
 
     def gauge(self, name: str, **labels) -> _Gauge:
         return _Gauge(self._gauges, metric_key(name, labels), self._lock)

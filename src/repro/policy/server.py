@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.netsim.events import drive, settle
 from repro.netsim.network import ConnectionRefused, Host, Protocol, StreamSocket
 from repro.policy.model import PolicyError, PolicyFile
+from repro.util import content_memo
 
 POLICY_REQUEST = b"<policy-file-request/>\x00"
 
@@ -44,6 +45,17 @@ class PolicyServer(Protocol):
         sock.close()
 
 
+#: Distinct policy documents whose parse is kept: every probed site
+#: serves the same permissive file.
+POLICY_CACHE_SIZE = 64
+
+
+@content_memo("policy.parse_cache", POLICY_CACHE_SIZE)
+def _parse_policy(document: bytes) -> PolicyFile:
+    """Parse one policy document (the bytes before its NUL terminator)."""
+    return PolicyFile.from_xml(document.decode("utf-8", errors="replace"))
+
+
 def fetch_policy(client: Host, hostname: str, port: int = 843) -> PolicyFile:
     """Fetch and parse the policy file from ``hostname:port``.
 
@@ -69,8 +81,7 @@ def fetch_policy_task(client: Host, hostname: str, port: int = 843):
         sock.close()
     if not raw:
         raise PolicyError(f"{hostname}:{port} returned no policy data")
-    text = raw.split(b"\x00", 1)[0].decode("utf-8", errors="replace")
-    return PolicyFile.from_xml(text)
+    return _parse_policy(raw.split(b"\x00", 1)[0])
 
 
 __all__ = [

@@ -69,8 +69,7 @@ from repro.proxy.forger import SubstituteCertForger
 from repro.study.webpki import WebPki, build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer
-from repro.util import stable_hash
-from repro.x509.parse import parse_cache_info
+from repro.util import memo_counts, stable_hash
 from repro.x509.verify import chain_memo_info
 
 # Per-study completion constants (§4.1/§4.2 totals; see data.sites).
@@ -78,15 +77,11 @@ _STUDY1_CLIENT_RUN = 0.65
 _STUDY1_SITE_SUCCESS = 0.95
 
 
-def _x509_cache_counts() -> dict[str, int]:
-    parse = parse_cache_info()
-    memo_hits, memo_misses = chain_memo_info()
-    return {
-        "x509.parse_cache.hits": parse.hits,
-        "x509.parse_cache.misses": parse.misses,
-        "x509.chain_memo.hits": memo_hits,
-        "x509.chain_memo.misses": memo_misses,
-    }
+def _cache_counts() -> dict[str, int]:
+    """Hits and misses of every process-wide memo (content memos, chain verdicts)."""
+    counts = memo_counts()
+    counts["x509.chain_memo.hits"], counts["x509.chain_memo.misses"] = chain_memo_info()
+    return counts
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ class StudyRunner:
         # (product, site, bucket) → (leaf summary, chain summaries).
         self._fast_summary_cache: dict[tuple, tuple] = {}
         # Per-site completion probabilities, in site order (fast mode
-        # draws them as one vector per shard).
+        # draws them as one vector per shard, wire mode per session).
         self._site_probs = np.array(
             [self.site_success_probability(site) for site in self.sites]
         )
@@ -305,15 +300,15 @@ class StudyRunner:
             pki=self.pki,
             sites=self.sites,
         )
-        caches_before = _x509_cache_counts()
+        caches_before = _cache_counts()
         with self.obs.span("study.run", mode=config.mode):
             if config.mode == "wire":
                 self._run_wire(result)
             else:
                 self._run_fast(result)
-        # The parse cache is process-global, so its hits depend on what
+        # The memos are process-global, so their hits depend on what
         # ran earlier in this process: process section, as a delta.
-        for name, count in _x509_cache_counts().items():
+        for name, count in _cache_counts().items():
             self.obs.process_counter(name).inc(count - caches_before[name])
         result.notes["certificates_forged"] = self.forger.certificates_forged
         result.notes["forge_cache_hits"] = self.forger.cache_hits
@@ -376,6 +371,7 @@ class StudyRunner:
 
         n_sessions = self.total_sessions()
         c_sessions = self.obs.counter("study.sessions", mode="wire")
+        site_odds = list(zip(self.sites, self._site_probs.tolist()))
 
         def fold(outcome) -> None:
             result.database.failures.policy_denied += outcome.policy_denied
@@ -392,11 +388,7 @@ class StudyRunner:
                 result.database.failures.sessions_started += 1
                 profile = population.sample_client(rng)
                 client = self._client_host(network, profile, client_hosts)
-                chosen = [
-                    site
-                    for site in self.sites
-                    if rng.random() < self.site_success_probability(site)
-                ]
+                chosen = [site for site, odds in site_odds if rng.random() < odds]
                 if not chosen:
                     continue
                 planned.append((client, profile.product_key, chosen, ordinal))

@@ -27,7 +27,24 @@ from repro.tls.fingerprint import (
     negotiate_origin_cipher,
     origin_alpn_selection,
 )
+from repro.util import content_memo
 from repro.x509.model import Certificate
+
+
+#: Distinct ClientHello bodies whose parse is kept: the measurement
+#: probe sends each site the same hello every time.
+HELLO_CACHE_SIZE = 1024
+
+
+@content_memo("tls.hello_cache", HELLO_CACHE_SIZE)
+def _parse_client_hello(body: bytes) -> ClientHello:
+    """The ClientHello in one handshake body; raises :class:`TlsError`."""
+    return ClientHello.from_body(body)
+
+
+def _handshake_failure(sock: StreamSocket) -> None:
+    sock.send(Alert(2, codec.ALERT_HANDSHAKE_FAILURE).encode_record())
+    sock.close()
 
 
 class TlsCertServer(Protocol):
@@ -87,8 +104,7 @@ class TlsCertServer(Protocol):
         try:
             records, self._buffer = codec.decode_records(self._buffer)
         except TlsError:
-            sock.send(Alert(2, codec.ALERT_HANDSHAKE_FAILURE).encode_record())
-            sock.close()
+            _handshake_failure(sock)
             return
         for record in records:
             if record.content_type == codec.CONTENT_ALERT:
@@ -101,13 +117,16 @@ class TlsCertServer(Protocol):
     def _handle_handshake_payload(self, sock: StreamSocket, record: Record) -> None:
         try:
             messages, _ = codec.decode_handshakes(record.payload)
+            hellos = [
+                _parse_client_hello(message.body)
+                for message in messages
+                if message.msg_type == codec.HS_CLIENT_HELLO
+            ]
         except TlsError:
-            sock.send(Alert(2, codec.ALERT_HANDSHAKE_FAILURE).encode_record())
-            sock.close()
+            _handshake_failure(sock)
             return
-        for message in messages:
-            if message.msg_type == codec.HS_CLIENT_HELLO:
-                self._answer_client_hello(sock, ClientHello.from_body(message.body))
+        for hello in hellos:
+            self._answer_client_hello(sock, hello)
 
     def _answer_client_hello(self, sock: StreamSocket, hello: ClientHello) -> None:
         offered_max = hello.max_offered_version

@@ -13,10 +13,8 @@ over, and each would otherwise decode them afresh.
 
 from __future__ import annotations
 
-import functools
-
 from repro.asn1 import oids
-from repro.asn1.der import Asn1Error
+from repro.asn1.der import CLASS_CONTEXT, CONSTRUCTED, Asn1Error
 from repro.asn1.types import (
     Asn1Value,
     BitString,
@@ -33,6 +31,7 @@ from repro.asn1.types import (
     UtcTime,
     decode,
 )
+from repro.util import MEMO_KEY_BYTES, content_memo
 from repro.x509.model import (
     Certificate,
     Extension,
@@ -58,10 +57,10 @@ def _expect(value: Asn1Value, kind: type, what: str):
 #: reuse; past the bound the least recently used is dropped.
 PARSE_CACHE_SIZE = 1024
 
-#: Longest DER the parse cache keeps, so it holds at most
-#: ``PARSE_CACHE_SIZE * PARSE_CACHE_MAX_DER`` bytes (16 MiB) of DER
-#: however large the certificates in a hostile report.
-PARSE_CACHE_MAX_DER = 16 * 1024
+#: Longest DER the parse cache keeps (16 KiB), so it holds at most
+#: :data:`~repro.util.MEMO_KEY_BYTES` (16 MiB) of DER however large
+#: the certificates in a hostile report.
+PARSE_CACHE_MAX_DER = MEMO_KEY_BYTES // PARSE_CACHE_SIZE
 
 
 def parse_certificate(data: bytes) -> Certificate:
@@ -72,10 +71,7 @@ def parse_certificate(data: bytes) -> Certificate:
     afresh on every call.  Input that fails to parse is never cached:
     every hostile blob pays a full (linear) parse and raises again.
     """
-    der = bytes(data)
-    if len(der) > PARSE_CACHE_MAX_DER:
-        return _parse_der.__wrapped__(der)
-    return _parse_der(der)
+    return _parse_der(bytes(data))
 
 
 def parse_cache_info():
@@ -83,7 +79,7 @@ def parse_cache_info():
     return _parse_der.cache_info()
 
 
-@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+@content_memo("x509.parse_cache", PARSE_CACHE_SIZE)
 def _parse_der(data: bytes) -> Certificate:
     try:
         top, rest = decode(data)
@@ -107,6 +103,10 @@ def _parse_der(data: bytes) -> Certificate:
     )
 
 
+# extensions [3] EXPLICIT, and the primitive [3] tag no valid TBS has.
+_EXTENSIONS_TAGS = (CLASS_CONTEXT | CONSTRUCTED | 3, CLASS_CONTEXT | 3)
+
+
 def _parse_tbs(seq: Sequence) -> TbsCertificate:
     items = list(seq.items)
     index = 0
@@ -125,8 +125,12 @@ def _parse_tbs(seq: Sequence) -> TbsCertificate:
     public_key = _parse_spki(items[index + 5])
     extensions: tuple[Extension, ...] = ()
     for extra in items[index + 6 :]:
-        if isinstance(extra, ContextExplicit) and extra.number == 3:
-            extensions = _parse_extensions(extra.inner)
+        if extra.tag in _EXTENSIONS_TAGS:
+            # A [3] whose content failed to decode arrives as Raw, not
+            # ContextExplicit; skipping it would drop every extension.
+            extensions = _parse_extensions(
+                _expect(extra, ContextExplicit, "extensions [3]").inner
+            )
     return TbsCertificate(
         serial_number=serial,
         signature_oid=signature_oid,

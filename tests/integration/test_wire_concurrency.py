@@ -10,7 +10,10 @@ import json
 
 import pytest
 
+from repro.measure import server, tool
+from repro.policy import server as policy_server
 from repro.study import StudyConfig, StudyRunner
+from repro.tls import server as tls_server
 from repro.x509 import parse
 
 
@@ -114,3 +117,33 @@ def test_parse_cache_warmth_changes_no_output():
     assert warm_counts["x509.parse_cache.hits"] > cold_counts["x509.parse_cache.hits"]
     assert warm_counts["x509.parse_cache.misses"] < cold_counts["x509.parse_cache.misses"]
     assert cold_counts["x509.chain_memo.hits"] > 0
+
+
+#: The content memos on the wire leg, besides the parse cache.
+WIRE_MEMOS = {
+    "tool.pem_cache": tool._pem_body,
+    "report.decode_cache": server._decode_report,
+    "policy.parse_cache": policy_server._parse_policy,
+    "tls.hello_cache": tls_server._parse_client_hello,
+}
+
+
+def test_memo_warmth_changes_no_output():
+    # Every memo is process-global: a second serial run of the same
+    # study derives nothing afresh on the wire leg.  Outputs must not care.
+    parse._parse_der.cache_clear()
+    for memo in WIRE_MEMOS.values():
+        memo.cache_clear()
+    cold, cold_logs = _run(1)
+    warm, warm_logs = _run(1)
+    assert cold.database.aggregate_signature() == warm.database.aggregate_signature()
+    assert json.dumps(cold.metrics["deterministic"], sort_keys=True) == json.dumps(
+        warm.metrics["deterministic"], sort_keys=True
+    )
+    assert cold_logs == warm_logs
+    cold_counts = cold.metrics["process"]["counters"]
+    warm_counts = warm.metrics["process"]["counters"]
+    for name in WIRE_MEMOS:
+        assert cold_counts[f"{name}.misses"] > 0, name
+        assert warm_counts[f"{name}.misses"] == 0, name
+        assert warm_counts[f"{name}.hits"] > 0, name

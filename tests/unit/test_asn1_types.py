@@ -50,6 +50,12 @@ class TestBoolean:
         with pytest.raises(Asn1Error):
             decode(b"\x01\x02\x00\x00")
 
+    @pytest.mark.parametrize("octet", [0x01, 0x7F, 0x80, 0xFE])
+    def test_der_true_is_only_ff(self, octet):
+        # BER reads any non-zero octet as TRUE; DER allows 0xFF alone.
+        with pytest.raises(Asn1Error):
+            decode(bytes([0x01, 0x01, octet]))
+
 
 class TestInteger:
     @pytest.mark.parametrize(

@@ -19,10 +19,15 @@ from repro.measure import (
     ReportDatabase,
     ReportingServer,
 )
-from repro.measure.server import CombinedPolicyHttpServer
+from repro.measure.server import (
+    REPORT_CACHE_SIZE,
+    CombinedPolicyHttpServer,
+    _decode_report,
+)
+from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
 from repro.netsim import Network
 from repro.policy.model import PolicyFile
-from repro.policy.server import PolicyServer, fetch_policy
+from repro.policy.server import PolicyServer, _parse_policy, fetch_policy
 from repro.tls.server import TlsCertServer
 from repro.x509 import Name
 from repro.x509.ca import _sign_tbs
@@ -378,6 +383,109 @@ class TestMeasurementToolWire:
         assert policy.is_permissive_for_tls
         response = HttpClient(world.client).get("tlsresearch.byu.edu", "/ad")
         assert response.ok
+
+
+def _post_twice(world, body: bytes) -> list[int]:
+    return [
+        HttpClient(world.client)
+        .request(
+            "POST",
+            "tlsresearch.byu.edu",
+            "/report",
+            body=body,
+            headers={"X-Probed-Host": "tlsresearch.byu.edu"},
+        )
+        .status
+        for _ in range(2)
+    ]
+
+
+def _rejected(world, reason: str) -> int:
+    counters = world.server.metrics.deterministic_snapshot()["counters"]
+    return counters.get(f"reports.rejected{{reason={reason}}}", 0)
+
+
+class TestReportLegMemos:
+    """The wire leg derives once per distinct input and never remembers
+    a failure: the same bad input is refused and counted every time."""
+
+    def test_non_der_intermediate_is_a_counted_rejection(
+        self, origin_chain, root_ca, non_der_intermediate
+    ):
+        world = MeasurementWorld(origin_chain, root_ca)
+        body = _pem_body((origin_chain[0].encode(), non_der_intermediate))
+        assert _post_twice(world, body) == [400, 400]
+        assert world.database.failures.report_failed == 2
+        assert _rejected(world, "x509") == 2
+
+    @pytest.mark.parametrize(
+        "body,reason",
+        [
+            (b"-----BEGIN CERTIFICATE-----\n!!!\n-----END CERTIFICATE-----\n", "pem"),
+            (b"", "empty"),
+        ],
+        ids=["garbage-pem", "empty"],
+    )
+    def test_failing_body_is_refused_every_time(
+        self, origin_chain, root_ca, body, reason
+    ):
+        world = MeasurementWorld(origin_chain, root_ca)
+        misses = _decode_report.cache_info().misses
+        assert _post_twice(world, body) == [400, 400]
+        assert world.database.failures.report_failed == 2
+        assert _rejected(world, reason) == 2
+        assert _decode_report.cache_info().misses == misses + 2
+
+    def test_bad_policy_is_denied_every_time(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        host = world.network.add_host("bad-policy.example")
+        host.listen(443, TlsCertServer(origin_chain).factory)
+
+        class Garbage(PolicyServer):
+            def data_received(self, sock, data):
+                sock.send(b"<cross-domain-policy>\x00")
+                sock.close()
+
+        host.listen(843, lambda: Garbage(PolicyFile()))
+        site = ProbeSite("bad-policy.example", "Business")
+        misses = _parse_policy.cache_info().misses
+        outcome = world.tool.run_session(world.client, [site, site])
+        assert outcome.policy_denied == 2
+        assert _parse_policy.cache_info().misses == misses + 2
+
+    def test_report_memo_stays_within_its_bound(self, origin_chain):
+        pem = _pem_body(tuple(c.encode() for c in origin_chain))
+        for index in range(REPORT_CACHE_SIZE + 3):
+            # Text outside the PEM blocks is ignored, so each body is a
+            # distinct key for the same chain.
+            _decode_report(b"report %d\n" % index + pem)
+        info = _decode_report.cache_info()
+        assert info.currsize == info.maxsize == REPORT_CACHE_SIZE
+
+    def test_oversized_body_is_decoded_but_not_cached(self, origin_chain):
+        pem = _pem_body(tuple(c.encode() for c in origin_chain))
+        oversized = b"x" * _decode_report.max_key_bytes + b"\n" + pem
+        currsize = _decode_report.cache_info().currsize
+        first = _decode_report(oversized)
+        second = _decode_report(oversized)
+        assert first == second == _decode_report(pem)
+        assert first is not second
+        assert _decode_report.cache_info().currsize == currsize
+
+    def test_pem_memo_stays_within_its_bound(self):
+        for index in range(PEM_BODY_CACHE_SIZE + 3):
+            _pem_body((b"der %d" % index,))
+        info = _pem_body.cache_info()
+        assert info.currsize == info.maxsize == PEM_BODY_CACHE_SIZE
+
+    def test_oversized_chain_is_encoded_but_not_cached(self):
+        half = _pem_body.max_key_bytes // 2
+        chain = (b"\x30" * half, b"\x31" * (half + 1))
+        currsize = _pem_body.cache_info().currsize
+        body = _pem_body(chain)
+        assert body == "".join(pem_encode(der) for der in chain).encode("ascii")
+        assert _pem_body(chain) is not body
+        assert _pem_body.cache_info().currsize == currsize
 
 
 class TestAdwords:

@@ -11,6 +11,7 @@ from repro.policy import (
     PolicyServer,
     fetch_policy,
 )
+from repro.policy.server import POLICY_CACHE_SIZE, _parse_policy
 
 
 class TestPolicyRule:
@@ -124,6 +125,24 @@ class TestPolicyServer:
         bad_host.listen(843, lambda: Garbage(PolicyFile()))
         with pytest.raises(PolicyError):
             fetch_policy(client, "bad.example")
+
+
+class TestPolicyMemo:
+    def test_memo_stays_within_its_bound(self):
+        for index in range(POLICY_CACHE_SIZE + 3):
+            _parse_policy(PolicyFile.permissive(str(1000 + index)).to_xml().encode())
+        info = _parse_policy.cache_info()
+        assert info.currsize == info.maxsize == POLICY_CACHE_SIZE
+
+    def test_oversized_document_is_parsed_but_not_cached(self):
+        padding = " " * _parse_policy.max_key_bytes
+        document = f"<cross-domain-policy>{padding}</cross-domain-policy>".encode()
+        currsize = _parse_policy.cache_info().currsize
+        first = _parse_policy(document)
+        second = _parse_policy(document)
+        assert first == second == PolicyFile()
+        assert first is not second
+        assert _parse_policy.cache_info().currsize == currsize
 
 
 class TestScanner:

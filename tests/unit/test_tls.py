@@ -16,7 +16,7 @@ from repro.tls.codec import (
     TlsError,
 )
 from repro.tls.probe import ProbeClient
-from repro.tls.server import TlsCertServer
+from repro.tls.server import HELLO_CACHE_SIZE, TlsCertServer, _parse_client_hello
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
 
@@ -164,6 +164,44 @@ class TestServerHelloAndCertificate:
         alert = Alert(2, codec.ALERT_HANDSHAKE_FAILURE)
         records, _ = codec.decode_records(alert.encode_record())
         assert Alert.from_payload(records[0].payload) == alert
+
+
+class TestHelloMemo:
+    def test_garbage_hello_draws_an_alert_every_time(self, site_chain):
+        net = Network()
+        client_host = net.add_host("client.example")
+        net.add_host("probe-target.example").listen(
+            443, TlsCertServer(site_chain).factory
+        )
+        garbage = HandshakeMessage(codec.HS_CLIENT_HELLO, b"garbage").encode()
+        record = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, garbage).encode()
+        misses = _parse_client_hello.cache_info().misses
+        alerts = []
+        for _ in range(2):
+            sock = client_host.connect("probe-target.example", 443)
+            sock.send(record)
+            records, _ = codec.decode_records(sock.recv())
+            alerts.append(Alert.from_payload(records[0].payload))
+        assert alerts == [Alert(2, codec.ALERT_HANDSHAKE_FAILURE)] * 2
+        assert _parse_client_hello.cache_info().misses == misses + 2
+
+    def test_memo_stays_within_its_bound(self):
+        for seed in range(HELLO_CACHE_SIZE + 3):
+            hello = ClientHello(_rand32(seed), server_name="memo.example")
+            _parse_client_hello(hello.to_handshake().body)
+        info = _parse_client_hello.cache_info()
+        assert info.currsize == info.maxsize == HELLO_CACHE_SIZE
+
+    def test_oversized_hello_is_parsed_but_not_cached(self):
+        padding = (codec.EXT_PADDING, bytes(_parse_client_hello.max_key_bytes))
+        hello = ClientHello(_rand32(), extensions=(padding,))
+        body = hello.to_handshake().body
+        currsize = _parse_client_hello.cache_info().currsize
+        first = _parse_client_hello(body)
+        second = _parse_client_hello(body)
+        assert first == second == hello
+        assert first is not second
+        assert _parse_client_hello.cache_info().currsize == currsize
 
 
 class TestVersionAwareRecords:

@@ -158,6 +158,23 @@ class TestParse:
             parse_certificate(Integer(5).encode())
 
 
+class TestStrictDer:
+    """Fields BER accepts and DER forbids are refused, not re-encoded."""
+
+    def test_non_der_intermediate_is_refused(self, non_der_intermediate):
+        # The CA flag's BOOLEAN sits in an extension value, which
+        # decodes on first access; the rest fail the certificate parse.
+        with pytest.raises(X509Error):
+            parse_certificate(non_der_intermediate).is_ca
+
+    def test_primitive_extensions_tag_is_refused(self, intermediate_ca):
+        der = intermediate_ca.certificate.encode()
+        block = intermediate_ca.certificate.tbs.to_asn1().items[-1].encode()
+        assert block[0] == 0xA3 and der.count(block) == 1
+        with pytest.raises(X509Error, match=r"extensions \[3\]"):
+            parse_certificate(der.replace(block, b"\x83" + block[1:]))
+
+
 class TestPem:
     def test_round_trip(self, site_cert):
         pem = pem_encode(site_cert.encode())
