@@ -9,7 +9,7 @@ one sitting and proves the on-disk path is lossless:
   tables, ~0.5% certificate mismatches, sprinkled failure rows)
   appended one report at a time through :class:`ReportStore`, with
   reports/sec, batch and segment counters recorded;
-* **lossless check** — the live :class:`StreamingAggregator`, a cold
+* **lossless check** — the store's live :class:`ReportTally`, a cold
   ``scan_store`` of the segments, and an in-memory
   :class:`ReportDatabase` replay must all land on one byte-identical
   ``aggregate_signature()`` with zero torn segments;

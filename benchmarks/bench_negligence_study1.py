@@ -50,10 +50,11 @@ def test_negligence_study1(benchmark, study1, study2, scale, output_dir):
     if scale >= 0.2:
         # IopFail's shared 512-bit key becomes detectable with volume;
         # check over both studies (21 + 18 connections at full scale).
+        from repro.faults import database_ops, deliver
         from repro.measure.database import ReportDatabase
 
         merged = ReportDatabase()
-        merged.merge(study1.database)
-        merged.merge(study2.database)
+        for study in (study1, study2):
+            deliver(database_ops(study.database), merged)
         combined = analyze_negligence(merged, shared_key_min_connections=3)
         assert any(g.key_bits == 512 for g in combined.shared_key_groups)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from repro.analysis.classifier import IssuerClassifier
 from repro.audit.scorecard import ProductScorecard
-from repro.measure.database import ReportDatabase
+from repro.measure.database import ReportDatabase, ReportTally
 from repro.proxy.profile import ProxyCategory
 from repro.tls.codec import version_name
 
@@ -54,7 +54,7 @@ class CountryBreakdown:
 
 
 def country_breakdown(
-    database: ReportDatabase, top_n: int = 20, order_by: str = "proxied"
+    database: ReportTally, top_n: int = 20, order_by: str = "proxied"
 ) -> CountryBreakdown:
     """Per-country proxied/total counts.
 
@@ -156,7 +156,7 @@ class HostTypeRow:
         return 100.0 * self.proxied / self.connections if self.connections else 0.0
 
 
-def host_type_table(database: ReportDatabase) -> list[HostTypeRow]:
+def host_type_table(database: ReportTally) -> list[HostTypeRow]:
     """Table 8: proxied-connection breakdown by host type."""
     order = ("Popular", "Business", "Pornographic", "Authors'")
     totals = database.totals_by_host_type()
@@ -355,7 +355,7 @@ def server_leg_table(scorecards: Sequence[ProductScorecard]) -> list[ServerLegRo
     return rows
 
 
-def heatmap_series(database: ReportDatabase) -> dict[str, float]:
+def heatmap_series(database: ReportTally) -> dict[str, float]:
     """Figure 7: per-country proxy rate (fraction, 0..~0.12)."""
     return {
         country: proxied / total

@@ -385,22 +385,18 @@ def _run_study(study: int, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.report_store:
-        # The streaming path: Tables 3/7/8 come straight from the scan
-        # aggregator (no records materialised); record-level tables read
-        # the mismatch rows back out of the segments.
-        from repro.measure.store import SegmentedStore, load_store, scan_store
+        # The streaming path: one pass over the segments rebuilds the
+        # database, records and tally both, for every table below.
+        from repro.measure.store import SegmentedStore, load_store
 
-        totals = scan_store(args.report_store)
-        db = load_store(
-            args.report_store, matched_sample_limit=config.matched_sample_limit
-        )
+        db = load_store(args.report_store)
         n_segments = len(SegmentedStore(args.report_store).segment_paths())
         print(
             f"\nreport store: {args.report_store} ({n_segments} segments)"
-            f"\naggregate signature: {totals.aggregate_signature()}"
+            f"\naggregate signature: {db.aggregate_signature()}"
         )
     else:
-        totals = db = result.database
+        db = result.database
     faults_note = result.notes.get("faults")
     if faults_note:
         injected = ", ".join(
@@ -421,13 +417,13 @@ def _run_study(study: int, args) -> int:
         if injected or crashes:
             print(f"injected: {'; '.join(filter(None, [injected, crashes]))}")
     print(
-        f"\nmeasurements: {totals.total_measurements:,}  proxied: "
-        f"{totals.mismatch_count:,}  rate: "
-        f"{totals.proxied_rate * 100:.2f}% (paper: 0.41%)"
+        f"\nmeasurements: {db.total_measurements:,}  proxied: "
+        f"{db.mismatch_count:,}  rate: "
+        f"{db.proxied_rate * 100:.2f}% (paper: 0.41%)"
     )
     order_by = "proxied" if study == 1 else "total"
     print(f"\n== Table {3 if study == 1 else 7}: connections by country ==")
-    print(render_country_table(country_breakdown(totals, top_n=20, order_by=order_by)))
+    print(render_country_table(country_breakdown(db, top_n=20, order_by=order_by)))
     print("\n== Table 4: Issuer Organization values ==")
     rows, other = issuer_organization_table(db, top_n=20)
     print(render_issuer_table(rows, other))
@@ -435,9 +431,9 @@ def _run_study(study: int, args) -> int:
     print(render_classification_table(classification_table(db)))
     if study == 2:
         print("\n== Table 8: proxied connections by host type ==")
-        print(render_host_type_table(host_type_table(totals)))
+        print(render_host_type_table(host_type_table(db)))
         print("\n== Figure 7: prevalence heat map ==")
-        print(render_heatmap(heatmap_series(totals), columns=5))
+        print(render_heatmap(heatmap_series(db), columns=5))
     negligence = analyze_negligence(db)
     print(
         f"\nnegligence: {negligence.downgraded_1024:,} x 1024-bit "

@@ -9,25 +9,28 @@ Mirrors §3 of the paper end to end:
 * :class:`ReportingServer` — receives reports, geolocates the client
   IP (the MaxMind step), compares the reported chain against the
   authoritative one, and stores the result.
-* :class:`ReportDatabase` — the analysis substrate: detailed records
-  for every mismatch, aggregate counters for matched traffic (at
-  paper scale, 99.6 % of measurements are matched and boring).
+* :class:`ReportTally` — the counts every table of §5–6 reads
+  (aggregate counters for matched traffic — at paper scale, 99.6 % of
+  measurements are matched and boring — per-country and per-host-type
+  totals, proxied IPs, the failure ledger) and the aggregate
+  signature over them.
+* :class:`ReportDatabase` — the analysis substrate: a tally plus the
+  detailed record of every mismatch.
 * :class:`ReportStore` — the paper-scale sibling: an append-only
-  segmented on-disk store with streaming aggregation
-  (:class:`StreamingAggregator`), batched writes and back-pressure,
-  driven concurrently by :class:`IngestLoop`.
+  segmented on-disk store that keeps a tally beside its segments, with
+  batched writes and back-pressure, driven concurrently by
+  :class:`IngestLoop`.
 
-Both are a :class:`ReportSink`, the one interface every report reaches
-its destination through.
+Both sinks are a :class:`ReportSink`, the one interface every report
+reaches its destination through.
 """
 
-from repro.measure.database import ReportDatabase, ReportSink
+from repro.measure.database import ReportDatabase, ReportSink, ReportTally
 from repro.measure.ingest import IngestLoop, ReportSubmission
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
 from repro.measure.store import (
     ReportStore,
-    StreamingAggregator,
     iter_store_mismatches,
     load_store,
     scan_store,
@@ -44,9 +47,9 @@ __all__ = [
     "ReportSink",
     "ReportStore",
     "ReportSubmission",
+    "ReportTally",
     "ReportingServer",
     "SessionOutcome",
-    "StreamingAggregator",
     "iter_store_mismatches",
     "load_store",
     "scan_store",

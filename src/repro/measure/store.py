@@ -1,8 +1,8 @@
-"""Append-only segmented on-disk report store with streaming aggregation.
+"""Append-only segmented on-disk report store.
 
 The paper's collection phase banked 12.3M reports; holding that many
 records in a Python process is exactly the wrong shape.  This module
-splits ingest into two cooperating halves:
+keeps them on disk:
 
 * :class:`SegmentedStore` — the disk format.  One directory per
   country shard, append-only JSONL segments inside it.  The active
@@ -12,23 +12,21 @@ splits ingest into two cooperating halves:
   active one.  A torn tail — the half-written line a crash leaves
   behind — is detected on scan and healed by truncating to the last
   complete row, counted under ``reports.rejected{reason=torn-segment}``.
-* :class:`StreamingAggregator` — the query surface of
-  :class:`~repro.measure.database.ReportDatabase` (Tables 3/7
-  breakdowns, failure ledger, distinct proxied IPs,
-  ``aggregate_signature``) computed incrementally at ingest time.  It
-  keeps counters and mismatch *signature keys*, never records, so its
-  memory is bounded by the key universe rather than the report volume
-  — and its signature is byte-identical to the in-memory database's
-  for the same report stream.
+* :class:`ReportStore` — batched ingest into it, with a
+  :class:`~repro.measure.database.ReportTally` beside the segments:
+  the same counts and query surface (Tables 3/7 breakdowns, failure
+  ledger, distinct proxied IPs, ``aggregate_signature``) as the
+  in-memory database, kept at ingest time without holding a record.
+  :func:`scan_store` rebuilds that tally from the segments, and
+  :func:`load_store` a full database.
 
-:class:`ReportStore` glues them together and adds the throughput
-story: appends land in a bounded write buffer, matched increments are
-coalesced per (host type, hostname) cell, and one batched ``write()``
-per shard flushes the lot (``reports.batches``).  When flushing is
-deferred (the ingest loop batches across connections) and the pending
-buffer crosses ``max_pending``, the store reports itself overloaded —
-the reporting server then answers 429 and the event is counted under
-``store.backpressure_events``.
+The throughput story: appends land in a bounded write buffer, matched
+increments are coalesced per (host type, hostname) cell, and one
+batched ``write()`` per shard flushes the lot (``reports.batches``).
+When flushing is deferred (the ingest loop batches across connections)
+and the pending buffer crosses ``max_pending``, the store reports
+itself overloaded — the reporting server then answers 429 and the
+event is counted under ``store.backpressure_events``.
 
 Row kinds, one JSON object per line:
 
@@ -46,19 +44,17 @@ Row kinds, one JSON object per line:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import pathlib
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Callable, Iterator
 
 from repro.measure.database import (
-    FailureCounters,
+    FAILURE_NAMES,
     ReportDatabase,
     ReportSink,
-    combine_signature,
-    record_signature_key,
+    ReportTally,
 )
 from repro.measure.persist import record_from_dict, record_to_dict
 from repro.measure.records import MeasurementRecord
@@ -157,11 +153,6 @@ def _decode_row(raw: bytes) -> dict | None:
     return row
 
 
-# A tuple, not a set: membership compares, so an unhashable name is
-# simply absent instead of raising TypeError.
-_FAILURE_NAMES = tuple(field.name for field in dataclasses.fields(FailureCounters))
-
-
 def _is_mismatch_payload(payload: object) -> bool:
     """Whether a mismatch row holds every field the aggregate keys on."""
     if type(payload) is not dict:
@@ -197,7 +188,7 @@ def _row_kind(row: dict) -> str:
     elif kind == "m":
         valid = _is_mismatch_payload(row.get("r"))
     elif kind == "f":
-        valid = counted and row.get("k") in _FAILURE_NAMES
+        valid = counted and row.get("k") in FAILURE_NAMES
     else:
         raise StoreError(f"unknown row type {kind!r}")
     if not valid:
@@ -223,112 +214,6 @@ def _mismatch_signature_key(country: str, payload: dict) -> tuple:
         payload["leaf"]["serial_number"],
         tuple(c["fingerprint"] for c in payload["chain"]),
     )
-
-
-def _zero_totals() -> list[int]:
-    return [0, 0]
-
-
-class StreamingAggregator:
-    """Tables 3/7 and the aggregate signature, without the records.
-
-    Mirrors the :class:`ReportDatabase` query surface the analysis
-    breakdowns read, so ``country_breakdown``/``host_type_table`` work
-    on either; ``aggregate_signature()`` uses the shared
-    :func:`combine_signature` and therefore matches the in-memory
-    database byte for byte for the same report stream.
-    """
-
-    def __init__(self) -> None:
-        self.matched_counts: Counter[tuple[str, str, str]] = Counter()
-        self.mismatch_keys: list[tuple] = []
-        self.failures = FailureCounters()
-        # [proxied, total] per country and per host type.
-        self._country_totals: defaultdict[str, list[int]] = defaultdict(_zero_totals)
-        self._host_type_totals: defaultdict[str, list[int]] = defaultdict(_zero_totals)
-        self._proxied_ips: set[str] = set()
-
-    # -- ingest ----------------------------------------------------------
-
-    def observe_matched(
-        self, country: str, host_type: str, hostname: str, count: int
-    ) -> None:
-        if count:
-            self.matched_counts[(country, host_type, hostname)] += count
-            self._country_totals[country][1] += count
-            self._host_type_totals[host_type][1] += count
-
-    def observe_mismatch_record(self, record: MeasurementRecord) -> None:
-        self._observe_mismatch(
-            record.country or "??",
-            record.host_type,
-            record.client_ip,
-            record_signature_key(record),
-        )
-
-    def observe_mismatch_row(self, country: str, payload: dict) -> None:
-        self._observe_mismatch(
-            country,
-            payload["host_type"],
-            payload["client_ip"],
-            _mismatch_signature_key(country, payload),
-        )
-
-    def _observe_mismatch(
-        self, country: str, host_type: str, client_ip: str, key: tuple
-    ) -> None:
-        self.mismatch_keys.append(key)
-        entry = self._country_totals[country]
-        entry[0] += 1
-        entry[1] += 1
-        entry = self._host_type_totals[host_type]
-        entry[0] += 1
-        entry[1] += 1
-        self._proxied_ips.add(client_ip)
-
-    def observe_failure(self, name: str, count: int = 1) -> None:
-        setattr(self.failures, name, getattr(self.failures, name) + count)
-
-    # -- the ReportDatabase query surface --------------------------------
-
-    @property
-    def mismatch_count(self) -> int:
-        return len(self.mismatch_keys)
-
-    @property
-    def matched_count(self) -> int:
-        return sum(self.matched_counts.values())
-
-    @property
-    def total_measurements(self) -> int:
-        return self.matched_count + self.mismatch_count
-
-    @property
-    def proxied_rate(self) -> float:
-        total = self.total_measurements
-        return self.mismatch_count / total if total else 0.0
-
-    def totals_by_country(self) -> dict[str, tuple[int, int]]:
-        return {
-            country: (proxied, total)
-            for country, (proxied, total) in sorted(self._country_totals.items())
-        }
-
-    def totals_by_host_type(self) -> dict[str, tuple[int, int]]:
-        return {
-            host_type: (proxied, total)
-            for host_type, (proxied, total) in sorted(
-                self._host_type_totals.items()
-            )
-        }
-
-    def distinct_proxied_ips(self) -> int:
-        return len(self._proxied_ips)
-
-    def aggregate_signature(self) -> str:
-        return combine_signature(
-            self.matched_counts, self.mismatch_keys, self.failures
-        )
 
 
 class _Shard:
@@ -540,9 +425,10 @@ class ReportStore(ReportSink):
     Appends are buffered per shard — mismatches as encoded lines,
     matched measurements coalesced into per-(host type, hostname)
     counters — and written with one ``write()`` per shard per flush.
-    A :class:`StreamingAggregator` shadows every append, so Tables 3/7
-    and the aggregate signature are available the moment ingest stops,
-    without reading anything back.
+    A :class:`~repro.measure.database.ReportTally` (``aggregator``)
+    counts every append first, so a bad one raises before anything is
+    buffered, and Tables 3/7 and the aggregate signature are available
+    the moment ingest stops, without reading anything back.
 
     ``auto_flush`` (the default) flushes whenever ``batch_rows``
     reports are pending.  The ingest front end instead defers flushing
@@ -582,7 +468,7 @@ class ReportStore(ReportSink):
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
         self.segments = SegmentedStore(path)
-        self.aggregator = StreamingAggregator()
+        self.aggregator = ReportTally()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.batch_rows = batch_rows
         self.max_pending = max_pending if max_pending is not None else 4 * batch_rows
@@ -628,45 +514,30 @@ class ReportStore(ReportSink):
         self._c_backpressure.inc()
 
     def add_mismatch(self, record: MeasurementRecord) -> None:
-        if not record.mismatch:
-            raise ValueError("add_mismatch() requires a mismatch record")
+        self.aggregator.add_mismatch(record)
         line = json.dumps(
             {"t": "m", "r": record_to_dict(record)}, separators=(",", ":")
         ).encode("utf-8")
         self.segments.country_shard(record.country or "??").pending_lines.append(line)
-        self.aggregator.observe_mismatch_record(record)
         self._appended()
-
-    def add_matched(self, record: MeasurementRecord) -> None:
-        if record.mismatch:
-            raise ValueError("add_matched() requires a non-mismatch record")
-        self.add_matched_bulk(
-            record.country or "??", record.host_type, record.hostname, 1
-        )
 
     def add_matched_bulk(
         self, country: str, host_type: str, hostname: str, count: int
     ) -> None:
-        if count < 0:
-            raise ValueError("negative bulk count")
-        if not count:
-            return
-        shard = self.segments.country_shard(country)
-        shard.pending_matched[(host_type, hostname)] += count
-        self.aggregator.observe_matched(country, host_type, hostname, count)
-        self._appended()
+        self.aggregator.add_matched_bulk(country, host_type, hostname, count)
+        if count:
+            shard = self.segments.country_shard(country)
+            shard.pending_matched[(host_type, hostname)] += count
+            self._appended()
 
     def add_failure(self, name: str, count: int = 1) -> None:
-        if not count:
-            return
-        if not hasattr(self.aggregator.failures, name):
-            raise ValueError(f"unknown failure counter {name!r}")
-        self.aggregator.observe_failure(name, count)
-        line = json.dumps(
-            {"t": "f", "k": name, "n": count}, separators=(",", ":")
-        ).encode("utf-8")
-        self.segments.shard(_META_SHARD).pending_lines.append(line)
-        self._appended()
+        self.aggregator.add_failure(name, count)
+        if count:
+            line = json.dumps(
+                {"t": "f", "k": name, "n": count}, separators=(",", ":")
+            ).encode("utf-8")
+            self.segments.shard(_META_SHARD).pending_lines.append(line)
+            self._appended()
 
     def _appended(self) -> None:
         if self._closed:
@@ -903,19 +774,18 @@ def scan_store(
     path: str | pathlib.Path,
     registry: MetricsRegistry | None = None,
     heal: bool = False,
-) -> StreamingAggregator:
-    """One streaming pass over every segment → a fresh aggregator.
+) -> ReportTally:
+    """One streaming pass over every segment → a fresh tally.
 
     Torn segments are counted under
     ``reports.rejected{reason=torn-segment}`` (and truncated away with
-    ``heal=True``); everything up to the torn tail still counts.  The
-    result's ``aggregate_signature()`` equals the in-memory database's
-    for the same report stream — the equality the ingest benchmark and
-    CI smoke pin.
+    ``heal=True``); everything up to the torn tail still counts.  No
+    record is materialised: each mismatch row enters as its signature
+    key.
     """
     metrics = registry if registry is not None else MetricsRegistry()
     segments = SegmentedStore(path)
-    aggregator = StreamingAggregator()
+    tally = ReportTally()
     torn = metrics.counter("reports.rejected", reason="torn-segment")
     with metrics.span("ingest.scan"):
         for name in segments.shard_names():
@@ -925,12 +795,16 @@ def scan_store(
             ):
                 kind = _row_kind(row)
                 if kind == "c":
-                    aggregator.observe_matched(country, row["ht"], row["h"], row["n"])
+                    tally.add_matched_bulk(country, row["ht"], row["h"], row["n"])
                 elif kind == "m":
-                    aggregator.observe_mismatch_row(country, row["r"])
+                    payload = row["r"]
+                    tally.add_mismatch_key(
+                        _mismatch_signature_key(country, payload),
+                        payload["host_type"],
+                    )
                 else:
-                    aggregator.observe_failure(row["k"], row["n"])
-    return aggregator
+                    tally.add_failure(row["k"], row["n"])
+    return tally
 
 
 def iter_store_mismatches(path: str | pathlib.Path) -> Iterator[MeasurementRecord]:
@@ -943,21 +817,20 @@ def iter_store_mismatches(path: str | pathlib.Path) -> Iterator[MeasurementRecor
 
 
 def load_store(
-    path: str | pathlib.Path,
-    matched_sample_limit: int = 1000,
-    registry: MetricsRegistry | None = None,
+    path: str | pathlib.Path, registry: MetricsRegistry | None = None
 ) -> ReportDatabase:
     """Materialise a full :class:`ReportDatabase` from the segments.
 
     The record-level analysis tables (issuer organizations,
     classification, negligence) read ``database.records``; this is the
-    bridge from a streamed collection run back to them.  The rebuilt
-    database's ``aggregate_signature()`` matches the aggregator's (the
-    matched-sample reservoir is intentionally not persisted).
+    bridge from a streamed collection run back to them.  The database
+    is a tally too, so the same pass also yields :func:`scan_store`'s
+    totals and signature.  The matched-sample reservoir stays empty:
+    the segments hold counters, not matched records.
     """
     metrics = registry if registry is not None else MetricsRegistry()
     segments = SegmentedStore(path)
-    database = ReportDatabase(matched_sample_limit=matched_sample_limit)
+    database = ReportDatabase()
     torn = metrics.counter("reports.rejected", reason="torn-segment")
     for name in segments.shard_names():
         country = _shard_country(name)

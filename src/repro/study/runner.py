@@ -661,7 +661,7 @@ class StudyRunner:
         config = self.config
         plan = population.plan(shard.code)
         n_country = shard.sessions
-        database = ReportDatabase(matched_sample_limit=config.matched_sample_limit)
+        database = ReportDatabase()
         obs = MetricsRegistry()
         np_rng = np.random.default_rng(stable_hash(*shard.seed_parts(config.seed)))
         forged_before = self.forger.certificates_forged

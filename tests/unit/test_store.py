@@ -117,6 +117,37 @@ class TestRoundTrip:
             store.add_matched_bulk("US", "Popular", "h", 1)
 
 
+# Ledger entries neither sink may accept: a negative count, a name that
+# is not a FailureCounters field, and a name that is not even a string.
+BAD_FAILURES = [("policy_denied", -3), ("no_such_counter", 1), (["probe_failed"], 1)]
+
+
+class TestFailureLedgerCheck:
+    @pytest.mark.parametrize(
+        "name, count", BAD_FAILURES, ids=["negative", "unknown", "not-a-string"]
+    )
+    def test_database_rejects_bad_failure(self, name, count):
+        db = ReportDatabase()
+        with pytest.raises(ValueError):
+            db.add_failure(name, count)
+        assert db.aggregate_signature() == ReportDatabase().aggregate_signature()
+
+    def test_store_rejects_bad_failures_before_buffering(self, tmp_path):
+        store = ReportStore(tmp_path / "s")
+        db = ReportDatabase()
+        fill(store, db)
+        for name, count in BAD_FAILURES:
+            with pytest.raises(ValueError):
+                store.add_failure(name, count)
+        store.close()
+        expected = db.aggregate_signature()
+        assert store.aggregator.aggregate_signature() == expected
+        assert scan_store(tmp_path / "s").aggregate_signature() == expected
+        assert load_store(tmp_path / "s").aggregate_signature() == expected
+        ReportStore(tmp_path / "s").compact()
+        assert scan_store(tmp_path / "s").aggregate_signature() == expected
+
+
 class TestSegmentsAndBatching:
     def test_segments_rotate_at_threshold(self, tmp_path):
         registry = MetricsRegistry()
