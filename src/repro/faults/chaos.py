@@ -1,13 +1,14 @@
 """The ``repro chaos`` fault matrix: inject, recover, prove it.
 
-Runs one drill per fault kind against a real (small) world — ingest
-loop, reporting server, report store — each in a fresh temporary
-store, and checks the two invariants the chaos layer promises:
+Runs one drill per fault kind against a real (small) world — reports
+submitted through the measurement tool on the wire scheduler, the
+reporting server, a report store — each in a fresh temporary store,
+and checks the two invariants the chaos layer promises:
 
 * **exact loss accounting** — every drill holds
   ``submitted == delivered + failed`` exactly;
 * **byte-identical recovery** — drills whose faults are recoverable
-  (connection-level, back-pressure, server errors, store crashes)
+  (connection-level, stalls, 429s, server errors, store crashes)
   reproduce the fault-free ``aggregate_signature()`` byte for byte.
   Truncation and corruption are deliberately visible (the server's
   failure ledger records them), so those drills check accounting only.
@@ -27,10 +28,11 @@ from repro.faults.plan import CRASH_POINTS, FaultPlan
 from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
 from repro.faults.wire import FaultRelay, server_fault_hook
 from repro.measure.database import ReportDatabase
-from repro.measure.ingest import IngestLoop, ReportSubmission
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.server import ReportingServer
-from repro.measure.store import scan_store
+from repro.measure.store import ReportStore, scan_store
+from repro.measure.tool import MeasurementTool
+from repro.netsim.loop import WireScheduler
 from repro.netsim.network import Network, PathHop
 from repro.obs.metrics import SECTION_DETERMINISTIC, MetricsRegistry
 from repro.x509.ca import CertificateAuthority, SelfSignedParams
@@ -108,9 +110,7 @@ class _ChaosWorld:
         plan: FaultPlan | None,
         reports: int,
     ) -> dict:
-        from repro.faults.plan import Backoff
-        from repro.measure.store import ReportStore
-
+        """Submit ``reports`` reports, 8 in flight, each from its own client."""
         store = ReportStore(store_dir, registry, batch_rows=8)
         server = ReportingServer(store, None, study=1, registry=registry)
         server.expect(_COLLECTOR, self.expected, "Popular")
@@ -125,32 +125,33 @@ class _ChaosWorld:
                 hop.add_interceptor(
                     FaultRelay(plan, registry, hostname=_COLLECTOR, port=80)
                 )
-        loop = IngestLoop(
-            _COLLECTOR,
-            store=store,
-            registry=registry,
-            max_connections=8,
-            backoff=Backoff(plan.seed if plan else 0),
-            deadline_ticks=plan.deadline if plan else None,
-        )
+        tool = MeasurementTool(_COLLECTOR, registry=registry, fault_plan=plan)
+        scheduler = WireScheduler(network, max_active=8)
+        outcomes = []
+
+        def submit(client, index):
+            def task():
+                outcome = yield from tool.report_task(
+                    client, _COLLECTOR, self.body, session_ordinal=index
+                )
+                outcomes.append(outcome)
+
+            return task
+
         for index in range(reports):
             client = network.add_host(
                 f"client-{index}.chaos", ip=f"10.77.{index // 256}.{index % 256}"
             )
             if hop is not None:
                 client.access_path.append(hop)
-            stall = plan.stall_ticks("ingest", index) if plan is not None else 0
-            loop.submit(
-                ReportSubmission(
-                    client=client,
-                    hostname=_COLLECTOR,
-                    body=self.body,
-                    stall_ticks=stall,
-                )
-            )
-        stats = loop.run()
+            scheduler.spawn(submit(client, index))
+        scheduler.run()
         store.close()
-        return stats
+        return {
+            "submitted": reports,
+            "delivered": sum(o.reports_delivered for o in outcomes),
+            "failed": sum(o.report_failed for o in outcomes),
+        }
 
 
 def _synthetic_database(n: int) -> ReportDatabase:
@@ -217,11 +218,7 @@ def run_chaos_matrix(
                 for key, value in counters.items()
                 if key.startswith("faults.injected{")
             }
-            retries = sum(
-                value
-                for key, value in counters.items()
-                if key.startswith("ingest.retries{")
-            )
+            retries = counters.get("tool.report_retries{leg=report}", 0)
             fold(drill_registry)
             outcomes.append(
                 DrillOutcome(

@@ -6,6 +6,7 @@ Mirrors §3 of the paper end to end:
   file, runs the partial-handshake probe against each target, and POSTs
   the received PEM chain to the reporting server.  It enforces the
   same constraint the Flash runtime did: no policy file, no socket.
+  It is the one report client: the chaos drills submit through it too.
 * :class:`ReportingServer` — receives reports, geolocates the client
   IP (the MaxMind step), compares the reported chain against the
   authoritative one, and stores the result.
@@ -18,15 +19,13 @@ Mirrors §3 of the paper end to end:
   detailed record of every mismatch.
 * :class:`ReportStore` — the paper-scale sibling: an append-only
   segmented on-disk store that keeps a tally beside its segments, with
-  batched writes and back-pressure, driven concurrently by
-  :class:`IngestLoop`.
+  batched writes.
 
 Both sinks are a :class:`ReportSink`, the one interface every report
 reaches its destination through.
 """
 
 from repro.measure.database import ReportDatabase, ReportSink, ReportTally
-from repro.measure.ingest import IngestLoop, ReportSubmission
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
 from repro.measure.store import (
@@ -40,13 +39,11 @@ from repro.measure.tool import MeasurementTool, SessionOutcome
 __all__ = [
     "CertSummary",
     "CombinedPolicyHttpServer",
-    "IngestLoop",
     "MeasurementRecord",
     "MeasurementTool",
     "ReportDatabase",
     "ReportSink",
     "ReportStore",
-    "ReportSubmission",
     "ReportTally",
     "ReportingServer",
     "SessionOutcome",

@@ -62,14 +62,11 @@ class ReportSink:
     """Where reports land: the interface every report destination shares.
 
     The reporting server writes one report at a time through
-    ``add_mismatch``/``add_matched``/``add_failure`` and honours
-    :attr:`overloaded`; merges and exports feed an op stream
-    (:func:`repro.faults.recovery.database_ops`) through :meth:`apply`,
-    finish with :meth:`close` and report :meth:`stats`.
+    ``add_mismatch``/``add_matched``/``add_failure``; merges and exports
+    feed an op stream (:func:`repro.faults.recovery.database_ops`)
+    through :meth:`apply`, finish with :meth:`close` and report
+    :meth:`stats`.
     """
-
-    #: Back-pressure: while True the reporting server answers 429.
-    overloaded = False
 
     def add_matched(self, record: MeasurementRecord) -> None:
         """One matched measurement: a bulk count of one."""

@@ -60,10 +60,7 @@ class ReportingServer:
 
     Reports land in one :class:`~repro.measure.database.ReportSink`:
     the in-memory :class:`~repro.measure.database.ReportDatabase` or an
-    on-disk :class:`~repro.measure.store.ReportStore`.  While the sink
-    is overloaded, submissions are turned away with 429 +
-    ``Retry-After`` until someone flushes — the back-pressure contract
-    the ingest loop leans on.
+    on-disk :class:`~repro.measure.store.ReportStore`.
     """
 
     def __init__(
@@ -132,13 +129,6 @@ class ReportingServer:
             injected = self.fault_hook(request, remote)
             if injected is not None:
                 return injected
-        if self.sink.overloaded:
-            # Deferred accept: the pending write buffer is full, so the
-            # client must come back after the next flush drains it.
-            self.sink.defer()
-            return HttpResponse(
-                429, headers={"Retry-After": "1"}, body=b"ingest backlog"
-            )
         hostname = request.headers.get("x-probed-host", "")
         if not hostname or hostname not in self.expected_leaves:
             return self._reject("unknown-host", b"unknown probed host")

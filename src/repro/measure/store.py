@@ -22,11 +22,8 @@ keeps them on disk:
 
 The throughput story: appends land in a bounded write buffer, matched
 increments are coalesced per (host type, hostname) cell, and one
-batched ``write()`` per shard flushes the lot (``reports.batches``).
-When flushing is deferred (the ingest loop batches across connections)
-and the pending buffer crosses ``max_pending``, the store reports
-itself overloaded — the reporting server then answers 429 and the
-event is counted under ``store.backpressure_events``.
+batched ``write()`` per shard flushes the lot (``reports.batches``)
+every ``batch_rows`` appends.
 
 Row kinds, one JSON object per line:
 
@@ -430,12 +427,8 @@ class ReportStore(ReportSink):
     buffered, and Tables 3/7 and the aggregate signature are available
     the moment ingest stops, without reading anything back.
 
-    ``auto_flush`` (the default) flushes whenever ``batch_rows``
-    reports are pending.  The ingest front end instead defers flushing
-    to batch across connections; if the pending buffer then reaches
-    ``max_pending`` the store is *overloaded* — the reporting server
-    answers 429 until someone flushes, and every deferral is counted
-    under ``store.backpressure_events``.
+    The store flushes whenever ``batch_rows`` appends are pending, so
+    its buffer never holds more than one batch.
 
     **Crash points.**  ``crash_hook(point)`` — when given — is invoked
     at four named points: ``"flush"`` (entry of a non-empty flush,
@@ -459,9 +452,7 @@ class ReportStore(ReportSink):
         registry: MetricsRegistry | None = None,
         *,
         batch_rows: int = 4096,
-        max_pending: int | None = None,
         segment_bytes: int = 8 * 1024 * 1024,
-        auto_flush: bool = True,
         crash_hook: Callable[[str], None] | None = None,
         crash_tear: bool = True,
     ) -> None:
@@ -471,9 +462,7 @@ class ReportStore(ReportSink):
         self.aggregator = ReportTally()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.batch_rows = batch_rows
-        self.max_pending = max_pending if max_pending is not None else 4 * batch_rows
         self.segment_bytes = segment_bytes
-        self.auto_flush = auto_flush
         self.crash_hook = crash_hook
         self.crash_tear = crash_tear
         self._pending = 0
@@ -488,7 +477,6 @@ class ReportStore(ReportSink):
         self._c_batches = self.metrics.counter("reports.batches")
         self._c_segments = self.metrics.counter("store.segments_written")
         self._c_bytes = self.metrics.counter("store.bytes_written")
-        self._c_backpressure = self.metrics.counter("store.backpressure_events")
         self._h_batch = self.metrics.histogram("store.batch_rows", INGEST_BATCH_BUCKETS)
         # Heal whatever a previous (possibly crashed) writer left
         # behind: torn tails truncated and counted, leftover .open
@@ -504,14 +492,6 @@ class ReportStore(ReportSink):
     @property
     def pending(self) -> int:
         return self._pending
-
-    @property
-    def overloaded(self) -> bool:
-        return self._pending >= self.max_pending
-
-    def defer(self) -> None:
-        """Record one deferred-accept (429) caused by back-pressure."""
-        self._c_backpressure.inc()
 
     def add_mismatch(self, record: MeasurementRecord) -> None:
         self.aggregator.add_mismatch(record)
@@ -544,7 +524,7 @@ class ReportStore(ReportSink):
             raise StoreError("append on a closed store")
         self._pending += 1
         self.ops_appended += 1
-        if self.auto_flush and self._pending >= self.batch_rows:
+        if self._pending >= self.batch_rows:
             self.flush()
 
     # -- crash simulation ------------------------------------------------

@@ -33,6 +33,14 @@ from repro.x509.pem import pem_encode
 #: POST the same few chains over and over.
 PEM_BODY_CACHE_SIZE = 256
 
+#: Retry budget and per-session backoff deadline (in cooperative
+#: ticks) of a tool run without a fault plan; its backoff seed is 0.
+DEFAULT_RETRIES = 4
+DEFAULT_DEADLINE_TICKS = 256
+
+#: Where the Flash runtime looks for a socket policy, in order.
+POLICY_PORTS = (843, 80)
+
 
 @content_memo(
     "tool.pem_cache", PEM_BODY_CACHE_SIZE, size=lambda chain: sum(map(len, chain))
@@ -59,33 +67,37 @@ class SessionOutcome:
 
 
 class MeasurementTool:
-    """Runs measurement sessions from client hosts (wire mode)."""
+    """Runs measurement sessions, and submits reports, from client hosts.
+
+    The one report client: a wire session (:meth:`session_task`) and a
+    lone report (:meth:`report_task`, what the chaos drills submit)
+    share one retry loop.  Its retry budget, backoff seed and
+    per-session deadline come from ``fault_plan`` (``retries``,
+    ``seed``, ``deadline``), or are :data:`DEFAULT_RETRIES`, 0 and
+    :data:`DEFAULT_DEADLINE_TICKS` without one.
+    """
 
     def __init__(
         self,
         reporting_host: str = "tlsresearch.byu.edu",
         report_port: int = 80,
-        policy_ports: tuple[int, ...] = (843, 80),
-        sim_product_header: bool = True,
         registry: MetricsRegistry | None = None,
-        report_retry_limit: int = 4,
-        backoff: Backoff | None = None,
-        session_deadline_ticks: int = 256,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.reporting_host = reporting_host
         self.report_port = report_port
-        self.policy_ports = policy_ports
-        self.sim_product_header = sim_product_header
-        # How many retryable failures (429 back-pressure, transient
-        # transport or 5xx) a client rides through before giving the
-        # report up as failed.
-        self.report_retry_limit = report_retry_limit
-        # Deterministic jittered backoff between attempts, accounted in
-        # cooperative ticks (nothing sleeps); a session that spends its
-        # deadline budget waiting gives up instead of retrying forever.
-        self.backoff = backoff if backoff is not None else Backoff(0)
-        self.session_deadline_ticks = session_deadline_ticks
+        # How many retryable failures (429, transient transport or 5xx)
+        # a client rides through before giving the report up as failed;
+        # the jittered backoff between attempts is accounted in
+        # cooperative ticks (nothing sleeps), and a session that spends
+        # its deadline budget waiting gives up instead of retrying
+        # forever.
+        planned = fault_plan is not None
+        self.report_retry_limit = fault_plan.retries if planned else DEFAULT_RETRIES
+        self.backoff = Backoff(fault_plan.seed if planned else 0)
+        self.session_deadline_ticks = (
+            fault_plan.deadline if planned else DEFAULT_DEADLINE_TICKS
+        )
         # Seeded fault plan for client-side stall injections: under a
         # scheduler a stall is a real delay (the session holds its
         # admission slot while others run); driven serially it only
@@ -172,23 +184,35 @@ class MeasurementTool:
                 outcome.probe_failed += 1
             outcome.errors.append(f"{site.hostname}: {result.error}")
             return
-        body = _pem_body(result.der_chain)
-        headers = {
-            "X-Probed-Host": site.hostname,
-            "Content-Type": "application/x-pem-file",
-        }
-        if self.sim_product_header and product_key:
-            headers["X-Sim-Product"] = product_key
-        plan = self.fault_plan
-        if plan is not None:
-            stall = plan.stall_ticks("wire", site.hostname, session_ordinal)
-            if stall:
-                # Injected client-side stall: under a scheduler these
-                # are real delay ticks holding the session slot.
-                self.metrics.inc("faults.injected", kind="stall")
-                for _ in range(stall):
-                    yield
-        yield from self._submit_report(http, site.hostname, body, headers, outcome)
+        yield from self._submit_report(
+            http,
+            site.hostname,
+            _pem_body(result.der_chain),
+            product_key,
+            session_ordinal,
+            outcome,
+        )
+
+    def report_task(
+        self,
+        client: Host,
+        hostname: str,
+        body: bytes,
+        product_key: str | None = None,
+        session_ordinal: int = 0,
+    ):
+        """POST one report about ``hostname`` from ``client``, as a task.
+
+        The report leg of a session on its own, with the same headers,
+        stall injection and retries, and a deadline budget of its own.
+        A generator like :meth:`session_task`; returns the report's
+        :class:`SessionOutcome` via ``StopIteration``.
+        """
+        outcome = SessionOutcome()
+        yield from self._submit_report(
+            HttpClient(client), hostname, body, product_key, session_ordinal, outcome
+        )
+        return outcome
 
     def _backoff_tick(
         self,
@@ -223,17 +247,34 @@ class MeasurementTool:
         http: HttpClient,
         site_hostname: str,
         body: bytes,
-        headers: dict[str, str],
+        product_key: str | None,
+        session_ordinal: int,
         outcome: SessionOutcome,
     ):
         """POST one report, retrying transient failures with backoff.
 
-        Retryable: connection refused/reset, incomplete responses, 429
-        back-pressure and 5xx — honouring the server's ``Retry-After``
-        as a floor on the backoff delay.  Any other 4xx is a permanent
-        rejection.  Every terminal path counts exactly once against
+        A planned client-side stall comes first.  Retryable:
+        connection refused/reset, incomplete responses, 429 and 5xx —
+        honouring the server's ``Retry-After`` as a floor on the
+        backoff delay.  Any other 4xx is a permanent rejection.  Every
+        terminal path counts exactly once against
         ``reports_delivered`` or ``report_failed``.
         """
+        headers = {
+            "X-Probed-Host": site_hostname,
+            "Content-Type": "application/x-pem-file",
+        }
+        if product_key:
+            headers["X-Sim-Product"] = product_key
+        plan = self.fault_plan
+        if plan is not None:
+            stall = plan.stall_ticks("wire", site_hostname, session_ordinal)
+            if stall:
+                # Injected client-side stall: under a scheduler these
+                # are real delay ticks holding the session slot.
+                self.metrics.inc("faults.injected", kind="stall")
+                for _ in range(stall):
+                    yield
         attempt = 0
         while True:
             retry_after = None
@@ -280,7 +321,7 @@ class MeasurementTool:
 
     def _policy_permits(self, client: Host, hostname: str, outcome: SessionOutcome):
         """The Flash runtime's mandatory socket-policy check."""
-        for port in self.policy_ports:
+        for port in POLICY_PORTS:
             try:
                 policy = yield from fetch_policy_task(client, hostname, port)
             except ConnectionRefused:

@@ -12,8 +12,8 @@ Execution model: delivery is synchronous by default — ``socket.send``
 immediately invokes the peer protocol's ``data_received``, so anything
 the peer sends back lands in the client's receive buffer before
 ``send`` returns, and an entire TLS handshake is one deterministic
-call stack.  For concurrent wire runs a scheduler
-(:class:`~repro.netsim.loop.WireScheduler`) activates the network's
+call stack.  For concurrent runs the one task loop,
+:class:`~repro.netsim.loop.WireScheduler`, activates the network's
 :class:`~repro.netsim.events.DeliveryQueue`: sends then enqueue FIFO
 delivery events that are drained between cooperative ticks, letting
 one process multiplex thousands of client state machines while every
@@ -21,7 +21,7 @@ individual connection still observes synchronous semantics.
 """
 
 from repro.netsim.events import DeliveryQueue, drive, settle
-from repro.netsim.loop import CooperativeLoop, LoopStarvation, WireScheduler
+from repro.netsim.loop import LoopStarvation, WireScheduler
 from repro.netsim.network import (
     ConnectionRefused,
     ConnectionReset,
@@ -37,7 +37,6 @@ from repro.netsim.network import (
 __all__ = [
     "ConnectionRefused",
     "ConnectionReset",
-    "CooperativeLoop",
     "DeliveryQueue",
     "Host",
     "Interceptor",

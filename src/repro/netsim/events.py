@@ -14,7 +14,7 @@ Inactive (the default, and the permanent state of any network no
 scheduler touches) the queue is invisible: delivery stays synchronous
 and byte-for-byte identical to the historical behaviour, which is what
 keeps the serial wire path and every non-study consumer (audit
-harness, ingest loop, unit tests) unchanged.
+harness, unit tests) unchanged.
 
 Two tiny driver helpers round out the model: client state machines are
 written once as generators that ``yield`` while awaiting bytes

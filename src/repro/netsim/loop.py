@@ -1,22 +1,14 @@
-"""A cooperative task loop over the simulated network.
+"""The cooperative task loop over the simulated network.
 
 "Concurrency" here means interleaving progress across many client
 state machines, the same job a selector loop does for real sockets.
-:class:`CooperativeLoop` round-robins a set of generator tasks: each
-task yields whenever it has handed bytes to the network and is willing
-to let other connections run, and finishes by returning.
-
-Two consumers build on it:
-
-* the ingest front end (:mod:`repro.measure.ingest`) drives many
-  reporting clients against one server host on the historical
-  synchronous transport, with the admission cap standing in for the
-  listen backlog;
-* :class:`WireScheduler` pairs the loop with a network's
-  :class:`~repro.netsim.events.DeliveryQueue`, draining queued
-  transport events between ticks — the substrate that multiplexes
-  thousands of concurrent wire-mode measurement sessions in one
-  process.
+:class:`WireScheduler` round-robins a set of generator tasks: each task
+yields whenever it has handed bytes to the network and is willing to
+let other connections run, and finishes by returning.  Between ticks
+the scheduler drains the network's
+:class:`~repro.netsim.events.DeliveryQueue`, which is how one process
+multiplexes thousands of concurrent wire-mode measurement sessions, or
+a crowd of reporting clients in the chaos drills.
 """
 
 from __future__ import annotations
@@ -48,13 +40,21 @@ class LoopStarvation(RuntimeError):
         )
 
 
-class CooperativeLoop:
-    """Round-robin scheduler for generator tasks.
+class WireScheduler:
+    """Runs client tasks over a network's scheduled-delivery transport.
 
     Tasks are generators: each ``next()`` advances one to its next
     yield point.  At most ``max_active`` tasks are in flight; the rest
     wait in an admission queue and are started as slots free up, which
     is what bounds per-tick memory (and models a listen backlog).
+
+    For the duration of :meth:`run` the network's
+    :class:`~repro.netsim.events.DeliveryQueue` is active: sends on
+    schedulable sockets enqueue instead of recursing, and the queue is
+    drained to quiescence after every tick.  Because every server
+    protocol answers within the drain, a client task that yields once
+    after sending is guaranteed the complete reply (or the close) on
+    resume — synchronous semantics, concurrent execution.
 
     ``shuffle`` (a seeded :class:`random.Random`) randomises the order
     tasks are stepped within each tick — the determinism tests use it
@@ -63,12 +63,14 @@ class CooperativeLoop:
 
     def __init__(
         self,
+        network: "Network",
         max_active: int = 32,
         on_task_error: Callable[[Iterator, BaseException], None] | None = None,
         shuffle: random.Random | None = None,
     ) -> None:
         if max_active < 1:
             raise ValueError("max_active must be >= 1")
+        self.network = network
         self.max_active = max_active
         self.on_task_error = on_task_error
         self.shuffle = shuffle
@@ -83,14 +85,6 @@ class CooperativeLoop:
         """Queue a task; ``factory()`` is called when it is admitted."""
         self._pending.append((factory, label))
 
-    @property
-    def idle(self) -> bool:
-        return not self._pending and not self._active
-
-    def active_labels(self) -> list[str]:
-        """Labels of in-flight tasks (spawn order, unlabelled as ``?``)."""
-        return [label if label is not None else "?" for _, label in self._active]
-
     def _admit(self) -> None:
         while self._pending and len(self._active) < self.max_active:
             factory, label = self._pending.popleft()
@@ -98,8 +92,8 @@ class CooperativeLoop:
         if len(self._active) > self.peak_active:
             self.peak_active = len(self._active)
 
-    def tick(self) -> int:
-        """Step every active task once; returns tasks still in flight."""
+    def _tick(self) -> None:
+        """Step every active task once."""
         self._admit()
         self.ticks += 1
         batch = list(self._active)
@@ -128,71 +122,25 @@ class CooperativeLoop:
                 continue
             self._active.append(entry)
         self._admit()
-        return len(self._active)
-
-    def run(
-        self,
-        max_ticks: int | None = None,
-        on_tick: Callable[["CooperativeLoop"], None] | None = None,
-        deadline_ticks: int | None = None,
-    ) -> int:
-        """Tick until idle; returns ticks executed.
-
-        ``max_ticks`` bounds this call and returns quietly (callers
-        slicing work into chunks).  ``deadline_ticks`` is the
-        starvation guard: exceeding it raises :class:`LoopStarvation`
-        naming the stuck tasks, which is what turns a task that spawns
-        new work every tick — ``idle`` never goes true — from a hang
-        into a diagnosis.
-        """
-        start = self.ticks
-        while not self.idle:
-            if max_ticks is not None and self.ticks - start >= max_ticks:
-                break
-            if deadline_ticks is not None and self.ticks - start >= deadline_ticks:
-                raise LoopStarvation(self.ticks - start, self.active_labels())
-            self.tick()
-            if on_tick is not None:
-                on_tick(self)
-        return self.ticks - start
-
-
-class WireScheduler:
-    """Runs client tasks over a network's scheduled-delivery transport.
-
-    For the duration of :meth:`run` the network's
-    :class:`~repro.netsim.events.DeliveryQueue` is active: sends on
-    schedulable sockets enqueue instead of recursing, and the queue is
-    drained to quiescence after every loop tick.  Because every server
-    protocol answers within the drain, a client task that yields once
-    after sending is guaranteed the complete reply (or the close) on
-    resume — synchronous semantics, concurrent execution.
-    """
-
-    def __init__(
-        self,
-        network: "Network",
-        max_active: int = 32,
-        on_task_error: Callable[[Iterator, BaseException], None] | None = None,
-        shuffle: random.Random | None = None,
-    ) -> None:
-        self.network = network
-        self.loop = CooperativeLoop(
-            max_active=max_active, on_task_error=on_task_error, shuffle=shuffle
-        )
-
-    def spawn(self, factory: Callable[[], Iterator], label: str | None = None) -> None:
-        self.loop.spawn(factory, label)
 
     def run(self, deadline_ticks: int | None = None) -> int:
-        """Drive all tasks to completion; returns loop ticks executed."""
+        """Drive all tasks to completion; returns loop ticks executed.
+
+        ``deadline_ticks`` is the starvation guard: exceeding it raises
+        :class:`LoopStarvation` naming the stuck tasks, which is what
+        turns a task that spawns new work every tick from a hang into
+        a diagnosis.
+        """
         queue = self.network.queue
         queue.active = True
+        start = self.ticks
         try:
-            ticks = self.loop.run(
-                on_tick=lambda loop: queue.drain(), deadline_ticks=deadline_ticks
-            )
-            queue.drain()
+            while self._pending or self._active:
+                if deadline_ticks is not None and self.ticks - start >= deadline_ticks:
+                    stuck = [label or "?" for _, label in self._active]
+                    raise LoopStarvation(self.ticks - start, stuck)
+                self._tick()
+                queue.drain()
         finally:
             queue.active = False
-        return ticks
+        return self.ticks - start

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.adwords.campaign import AdCampaign, CampaignOutcome, run_study2_campaigns
 from repro.crypto.keystore import KeyStore
-from repro.faults.plan import Backoff, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
 from repro.faults.wire import FaultRelay, server_fault_hook
 from repro.data import countries as country_data
@@ -347,14 +347,8 @@ class StudyRunner:
         rng = random.Random(stable_hash(config.seed, "wire-sessions"))
         plan = config.fault_plan()
         self._fault_hop = None
+        tool = MeasurementTool(registry=self.obs, fault_plan=plan)
         if plan is not None:
-            tool = MeasurementTool(
-                registry=self.obs,
-                backoff=Backoff(plan.seed),
-                report_retry_limit=plan.retries,
-                session_deadline_ticks=plan.deadline,
-                fault_plan=plan,
-            )
             if plan.has_wire_faults():
                 # One shared on-path hop: every client's route to the
                 # reporting server crosses the fault relay.
@@ -365,8 +359,6 @@ class StudyRunner:
                 self._fault_hop.add_interceptor(relay)
             if plan.has_server_faults():
                 server.fault_hook = server_fault_hook(plan, self.obs)
-        else:
-            tool = MeasurementTool(registry=self.obs)
         client_hosts: dict[tuple[str, int], object] = {}
 
         n_sessions = self.total_sessions()
@@ -464,11 +456,10 @@ class StudyRunner:
         # in-flight high-water) depends on the admission cap by
         # definition, so it lands in the process section — the
         # deterministic section stays invariant across concurrency.
-        loop = scheduler.loop
-        self.obs.process_counter("loop.ticks").inc(loop.ticks)
-        self.obs.process_counter("loop.completed").inc(loop.completed)
+        self.obs.process_counter("loop.ticks").inc(scheduler.ticks)
+        self.obs.process_counter("loop.completed").inc(scheduler.completed)
         self.obs.process_gauge("wire.sessions_inflight").set(inflight["peak"])
-        self.obs.process_gauge("wire.chains_peak_active").set(loop.peak_active)
+        self.obs.process_gauge("wire.chains_peak_active").set(scheduler.peak_active)
         self.obs.process_gauge("wire.queue_depth_peak").set(
             network.queue.max_depth
         )
@@ -476,7 +467,7 @@ class StudyRunner:
             network.queue.delivered
         )
         self.obs.process_counter("wire.queue_dropped").inc(network.queue.dropped)
-        return loop.task_failures
+        return scheduler.task_failures
 
     def _build_wire_network(self, network: Network, result: StudyResult):
         """Sites, policy servers and the reporting stack."""

@@ -137,6 +137,11 @@ class TestChaosMatrix:
             # Both failure regimes are represented in the matrix.
             assert any(o.signature_ok is True and o.recoveries for o in outcomes)
             assert any(o.signature_ok is None for o in outcomes)
+            # Every wire drill's own fault kind actually fired.
+            for outcome in outcomes:
+                if outcome.name.startswith("wire:"):
+                    kind = outcome.name.split(":", 1)[1]
+                    assert outcome.injected.get(kind, 0) > 0, outcome
             snapshots.append(
                 json.dumps(registry.deterministic_snapshot(), sort_keys=True)
             )

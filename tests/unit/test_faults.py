@@ -16,14 +16,13 @@ from repro.faults.plan import (
 )
 from repro.faults.recovery import CrashSchedule, FaultGate
 from repro.faults.wire import server_fault_hook
-from repro.httpmin.client import HttpClient
 from repro.httpmin.codec import HttpRequest
 from repro.measure.database import ReportDatabase
 from repro.measure.server import ReportingServer
 from repro.measure.store import InjectedCrash
-from repro.measure.tool import MeasurementTool, SessionOutcome
+from repro.measure.tool import MeasurementTool
 from repro.netsim.events import drive
-from repro.netsim.loop import CooperativeLoop
+from repro.netsim.loop import WireScheduler
 from repro.netsim.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.x509.model import Name, SubjectPublicKeyInfo
@@ -194,8 +193,10 @@ class TestServerFaultHook:
 
 
 class TestCooperativeLoopIsolation:
+    """A failing task on the scheduler is counted, closed and contained."""
+
     def test_task_exception_is_counted_not_fatal(self):
-        loop = CooperativeLoop(max_active=4)
+        loop = WireScheduler(Network(), max_active=4)
         progress = []
 
         def broken():
@@ -215,8 +216,10 @@ class TestCooperativeLoopIsolation:
 
     def test_on_task_error_callback_and_cleanup(self):
         seen = []
-        loop = CooperativeLoop(
-            max_active=4, on_task_error=lambda task, exc: seen.append(str(exc))
+        loop = WireScheduler(
+            Network(),
+            max_active=4,
+            on_task_error=lambda task, exc: seen.append(str(exc)),
         )
         closed = []
 
@@ -259,26 +262,17 @@ def report_world(keystore, intermediate_ca):
 
 
 class TestToolSubmitRetries:
-    HEADERS = {
-        "X-Probed-Host": "origin.chaos",
-        "Content-Type": "application/x-pem-file",
-    }
-
     def test_rides_through_injected_5xx_and_429(self, report_world):
         server, database, client, body, registry = report_world
         server.fault_hook = server_fault_hook(
             FaultPlan.parse("server-5xx=0.5,429=0.3", seed=2), registry
         )
-        tool = MeasurementTool(registry=registry, report_retry_limit=8)
-        http = HttpClient(client)
+        tool = MeasurementTool(
+            registry=registry, fault_plan=FaultPlan.parse("retries=8")
+        )
         delivered = 0
         for _ in range(12):
-            outcome = SessionOutcome()
-            drive(
-                tool._submit_report(
-                    http, "origin.chaos", body, dict(self.HEADERS), outcome
-                )
-            )
+            outcome = drive(tool.report_task(client, "origin.chaos", body))
             delivered += outcome.reports_delivered
             assert outcome.reports_delivered + outcome.report_failed == 1
         assert delivered == 12  # every injected error was retried through
@@ -298,13 +292,8 @@ class TestToolSubmitRetries:
             return HttpResponse(503, headers={"Retry-After": "40"}, body=b"later")
 
         server.fault_hook = always_503
-        tool = MeasurementTool(report_retry_limit=8, session_deadline_ticks=100)
-        outcome = SessionOutcome()
-        drive(
-            tool._submit_report(
-                HttpClient(client), "origin.chaos", body, dict(self.HEADERS), outcome
-            )
-        )
+        tool = MeasurementTool(fault_plan=FaultPlan.parse("retries=8,deadline=100"))
+        outcome = drive(tool.report_task(client, "origin.chaos", body))
         # Every wait is >= the served Retry-After (40), so the 100-tick
         # deadline admits exactly two waits before the session gives up.
         assert outcome.report_failed == 1
@@ -314,10 +303,8 @@ class TestToolSubmitRetries:
 
     def test_permanent_4xx_fails_without_retry(self, report_world):
         _server, database, client, body, _registry = report_world
-        tool = MeasurementTool(report_retry_limit=8)
-        outcome = SessionOutcome()
-        headers = dict(self.HEADERS, **{"X-Probed-Host": "unknown.example"})
-        drive(tool._submit_report(HttpClient(client), "x", body, headers, outcome))
+        tool = MeasurementTool(fault_plan=FaultPlan.parse("retries=8"))
+        outcome = drive(tool.report_task(client, "unknown.example", body))
         assert outcome.report_failed == 1
         assert outcome.report_retries == 0
         assert database.total_measurements == 0

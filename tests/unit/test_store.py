@@ -195,22 +195,6 @@ class TestSegmentsAndBatching:
         ]
         assert histogram["count"] == 3
 
-    def test_backpressure_overloaded_and_defer(self, tmp_path):
-        registry = MetricsRegistry()
-        store = ReportStore(
-            tmp_path / "s", registry, batch_rows=4, max_pending=6, auto_flush=False
-        )
-        for i in range(6):
-            store.add_matched_bulk("US", "Popular", f"h{i}", 1)
-        assert store.overloaded
-        store.defer()
-        store.defer()
-        store.flush()
-        assert not store.overloaded
-        counters = registry.deterministic_snapshot()["counters"]
-        assert counters["store.backpressure_events"] == 2
-        store.close()
-
 
 class TestRecoveryAndCompaction:
     def test_recover_heals_torn_open_segment(self, tmp_path):

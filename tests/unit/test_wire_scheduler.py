@@ -6,7 +6,6 @@ import pytest
 
 from repro.netsim import (
     ConnectionReset,
-    CooperativeLoop,
     LoopStarvation,
     Network,
     Protocol,
@@ -214,12 +213,33 @@ class TestSettleAndDrive:
 
 
 class TestCooperativeLoopGuards:
+    """The scheduler's task loop: order, admission, isolation, starvation."""
+
+    def test_round_robin_interleaves(self):
+        trace = []
+
+        def task(name, steps):
+            for step in range(steps):
+                trace.append((name, step))
+                yield
+
+        loop = WireScheduler(Network(), max_active=4)
+        loop.spawn(lambda: task("a", 2))
+        loop.spawn(lambda: task("b", 2))
+        loop.run()
+        assert trace == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+        assert loop.completed == 2
+
+    def test_rejects_bad_cap(self):
+        with pytest.raises(ValueError):
+            WireScheduler(Network(), max_active=0)
+
     def test_deadline_raises_diagnosable_starvation(self):
         def stuck():
             while True:
                 yield
 
-        loop = CooperativeLoop()
+        loop = WireScheduler(Network())
         loop.spawn(stuck, label="client-7.example")
         loop.spawn(stuck)  # unlabelled shows as "?"
         with pytest.raises(LoopStarvation) as excinfo:
@@ -235,23 +255,13 @@ class TestCooperativeLoopGuards:
             while True:
                 yield
 
-        loop = CooperativeLoop(max_active=16)
+        loop = WireScheduler(Network(), max_active=16)
         for i in range(12):
             loop.spawn(stuck, label=f"t{i}")
         with pytest.raises(LoopStarvation) as excinfo:
             loop.run(deadline_ticks=3)
         assert "..." in str(excinfo.value)
         assert len(excinfo.value.stuck) == 12
-
-    def test_max_ticks_breaks_quietly(self):
-        def stuck():
-            while True:
-                yield
-
-        loop = CooperativeLoop()
-        loop.spawn(stuck, label="s")
-        assert loop.run(max_ticks=5) == 5
-        assert not loop.idle  # still in flight, no exception
 
     def test_admission_cap_and_peak(self):
         done = []
@@ -263,7 +273,7 @@ class TestCooperativeLoopGuards:
 
             return gen
 
-        loop = CooperativeLoop(max_active=3)
+        loop = WireScheduler(Network(), max_active=3)
         for i in range(10):
             loop.spawn(task(i), label=f"t{i}")
         loop.run()
@@ -282,7 +292,9 @@ class TestCooperativeLoopGuards:
             yield
             yield
 
-        loop = CooperativeLoop(on_task_error=lambda task, exc: seen.append(exc))
+        loop = WireScheduler(
+            Network(), on_task_error=lambda task, exc: seen.append(exc)
+        )
         loop.spawn(bad, label="bad")
         loop.spawn(good, label="good")
         loop.run()
@@ -301,7 +313,7 @@ class TestCooperativeLoopGuards:
 
             return gen
 
-        loop = CooperativeLoop(max_active=8, shuffle=random.Random(1234))
+        loop = WireScheduler(Network(), max_active=8, shuffle=random.Random(1234))
         for i in range(8):
             loop.spawn(task(i))
         loop.run()
@@ -337,7 +349,7 @@ class TestWireScheduler:
             sched.spawn(client(name), label=name)
         sched.run()
         assert results == {name: name.upper().encode() for name in names}
-        assert sched.loop.completed == 10
+        assert sched.completed == 10
         assert not net.queue.active  # deactivated after the run
         assert net.queue.delivered >= 10
 
