@@ -41,9 +41,14 @@ class HttpServer(Protocol):
         self._routes[(method.upper(), path)] = handler
 
     def factory(self) -> "HttpServer":
-        connection = HttpServer(registry=self.metrics)
-        connection._routes = self._routes
-        connection.on_abandoned = self.on_abandoned
+        """A fresh connection sharing this template's routes, hook and
+        counter handles; only the parse buffer is its own."""
+        connection = object.__new__(HttpServer)
+        # Attribute by attribute, not copy.copy: a copied __dict__ makes
+        # every later attribute read on the connection slower.
+        for name, value in vars(self).items():
+            setattr(connection, name, value)
+        connection._buffer = b""
         return connection
 
     @property

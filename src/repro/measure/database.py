@@ -106,8 +106,8 @@ class ReportTally(ReportSink):
     the proxied IPs, the failure ledger and one signature key per
     mismatch — never the records, so memory is bounded by the key
     universe rather than the report volume.  The breakdowns are kept
-    at ingest time (``add_matched_bulk`` runs once per report on the
-    store's ingest path), not rebuilt per query.
+    at ingest time (on the store's ingest path ``add_matched_bulk``
+    runs once per distinct cell of each batch), not rebuilt per query.
     """
 
     def __init__(self) -> None:

@@ -20,10 +20,15 @@ keeps them on disk:
   :func:`scan_store` rebuilds that tally from the segments, and
   :func:`load_store` a full database.
 
-The throughput story: appends land in a bounded write buffer, matched
-increments are coalesced per (host type, hostname) cell, and one
-batched ``write()`` per shard flushes the lot (``reports.batches``)
-every ``batch_rows`` appends.
+The throughput story: the store pays per distinct cell, not per
+report.  A matched append is one increment of a write-combining
+counter keyed by (country, host type, hostname); a flush folds each
+buffered cell once into the tally and its shard's counter rows, and
+one batched ``write()`` per shard writes the lot (``reports.batches``)
+every ``batch_rows`` appends.  On the way back, a bounded memo
+(``store.counter_rows``) decodes and checks each distinct counter line
+once, and the readers sum a shard's counter rows before adding each
+cell to their tally once.
 
 Row kinds, one JSON object per line:
 
@@ -56,6 +61,7 @@ from repro.measure.database import (
 from repro.measure.persist import record_from_dict, record_to_dict
 from repro.measure.records import MeasurementRecord
 from repro.obs.metrics import INGEST_BATCH_BUCKETS, MetricsRegistry
+from repro.util import content_memo
 
 
 class StoreError(Exception):
@@ -191,6 +197,55 @@ def _row_kind(row: dict) -> str:
     if not valid:
         raise StoreError(f"malformed {kind!r} row")
     return kind
+
+
+#: Distinct counter lines ``store.counter_rows`` keeps decoded; a line
+#: over 4 KiB is decoded afresh each time.
+COUNTER_ROW_CACHE_SIZE = 4096
+
+_COUNTER_HEAD = b'{"t":"c",'
+
+
+def _counter_cell(row: dict) -> tuple[str, str, int] | None:
+    """A decoded row's ``(host type, hostname, count)`` if it is a
+    counter row, checked by :func:`_row_kind`; ``None`` otherwise."""
+    if row.get("t") != "c":
+        return None
+    _row_kind(row)
+    return row["ht"], row["h"], row["n"]
+
+
+@content_memo("store.counter_rows", COUNTER_ROW_CACHE_SIZE)
+def _counter_row(raw: bytes) -> tuple[str, str, int] | None:
+    """:func:`_counter_cell` of a segment line that opens like a counter row.
+
+    Raises what :func:`_decode_row` raises for a torn line and
+    :func:`_row_kind` for a malformed counter row; neither is cached.
+    ``None`` means the line decodes to another kind (a repeated ``"t"``
+    key, where the last one wins).
+    """
+    return _counter_cell(_decode_row(raw))
+
+
+def _segment_row(raw: bytes) -> tuple[str, str, int] | dict | None:
+    """One segment line as the readers take it.
+
+    A counter row is its checked ``(host type, hostname, count)`` cell,
+    through the memo for the lines this module writes, so each distinct
+    line is decoded and checked once.  Any other data row is its dict,
+    and a blank line or a ``seal`` header is ``None``.  Raises
+    :class:`ValueError` for a torn line and :class:`StoreError` for a
+    malformed counter row.
+    """
+    if raw.startswith(_COUNTER_HEAD):
+        cell = _counter_row(raw)
+        if cell is not None:
+            return cell
+    row = _decode_row(raw)
+    if row is None or row.get("t") == "seal":
+        return None
+    cell = _counter_cell(row)
+    return row if cell is None else cell
 
 
 def _mismatch_record(row: dict) -> MeasurementRecord:
@@ -354,19 +409,22 @@ class SegmentedStore:
         path: pathlib.Path,
         on_torn: Callable[[pathlib.Path], None] | None = None,
         heal: bool = False,
-    ) -> Iterator[dict]:
-        """Stream one segment's rows, stopping at (and optionally
-        healing) a torn tail.  ``seal`` header rows are not yielded."""
+        decode: Callable[[bytes], object] = _segment_row,
+    ) -> Iterator:
+        """Stream one segment's lines through ``decode``, stopping at
+        (and optionally healing) the first line it finds torn.  Lines it
+        maps to ``None`` are not yielded: with :func:`_segment_row`,
+        blank lines and ``seal`` headers."""
         offset = 0
         torn_at = None
         with open(path, "rb") as handle:
             for raw in handle:
                 try:
-                    row = _decode_row(raw)
+                    row = decode(raw)
                 except ValueError:
                     torn_at = offset
                     break
-                if row is not None and row.get("t") != "seal":
+                if row is not None:
                     yield row
                 offset += len(raw)
         if torn_at is not None:
@@ -380,8 +438,10 @@ class SegmentedStore:
         name: str,
         on_torn: Callable[[pathlib.Path], None] | None = None,
         heal: bool = False,
-    ) -> Iterator[dict]:
-        """Yield every row of one shard in (segment, line) order.
+    ) -> Iterator[tuple[str, str, int] | dict]:
+        """Yield every row of one shard in (segment, line) order, as
+        :func:`_segment_row` returns it: a counter row as its checked
+        cell tuple, any other row as its dict.
 
         Detects torn tails (trailing bytes with no newline, or a line
         that does not decode to a JSON object): the torn tail and
@@ -419,16 +479,24 @@ class SegmentedStore:
 class ReportStore(ReportSink):
     """Batched, metric-instrumented ingest into a :class:`SegmentedStore`.
 
-    Appends are buffered per shard — mismatches as encoded lines,
-    matched measurements coalesced into per-(host type, hostname)
-    counters — and written with one ``write()`` per shard per flush.
-    A :class:`~repro.measure.database.ReportTally` (``aggregator``)
-    counts every append first, so a bad one raises before anything is
-    buffered, and Tables 3/7 and the aggregate signature are available
-    the moment ingest stops, without reading anything back.
+    Mismatches and failures are counted in a
+    :class:`~repro.measure.database.ReportTally` and buffered as
+    encoded lines in their shard.  A matched append is one increment
+    of a write-combining counter keyed by (country, host type,
+    hostname); ``_fold()`` adds each buffered cell once to the tally
+    and to its shard's per-(host type, hostname) counters.  Every
+    flush folds, and so does every read of ``aggregator``, so the
+    tally counts each accepted append whenever it is read, and Tables
+    3/7 and the aggregate signature are there the moment ingest stops,
+    without reading anything back.  A read mid-batch changes no
+    segment byte: the shard counters still coalesce per cell until the
+    flush writes them, one ``write()`` per shard.
 
-    The store flushes whenever ``batch_rows`` appends are pending, so
-    its buffer never holds more than one batch.
+    Every append is checked before anything is counted or buffered: a
+    closed (or crashed) store raises :class:`StoreError`, and a
+    negative count or unknown failure ``ValueError``.  The store
+    flushes whenever ``batch_rows`` appends are pending, so its buffer
+    never holds more than one batch.
 
     **Crash points.**  ``crash_hook(point)`` — when given — is invoked
     at four named points: ``"flush"`` (entry of a non-empty flush,
@@ -459,7 +527,9 @@ class ReportStore(ReportSink):
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
         self.segments = SegmentedStore(path)
-        self.aggregator = ReportTally()
+        self._tally = ReportTally()
+        # Matched appends not yet folded into the tally and the shards.
+        self._matched: Counter[tuple[str, str, str]] = Counter()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.batch_rows = batch_rows
         self.segment_bytes = segment_bytes
@@ -493,8 +563,16 @@ class ReportStore(ReportSink):
     def pending(self) -> int:
         return self._pending
 
+    @property
+    def aggregator(self) -> ReportTally:
+        """The tally of every append this store accepted."""
+        self._fold()
+        return self._tally
+
     def add_mismatch(self, record: MeasurementRecord) -> None:
-        self.aggregator.add_mismatch(record)
+        if self._closed:
+            raise StoreError("append on a closed store")
+        self._tally.add_mismatch(record)
         line = json.dumps(
             {"t": "m", "r": record_to_dict(record)}, separators=(",", ":")
         ).encode("utf-8")
@@ -504,14 +582,22 @@ class ReportStore(ReportSink):
     def add_matched_bulk(
         self, country: str, host_type: str, hostname: str, count: int
     ) -> None:
-        self.aggregator.add_matched_bulk(country, host_type, hostname, count)
+        # The per-report hot path, with _appended() inlined.
+        if self._closed:
+            raise StoreError("append on a closed store")
+        if count < 0:
+            raise ValueError("negative bulk count")
         if count:
-            shard = self.segments.country_shard(country)
-            shard.pending_matched[(host_type, hostname)] += count
-            self._appended()
+            self._matched[country, host_type, hostname] += count
+            self._pending += 1
+            self.ops_appended += 1
+            if self._pending >= self.batch_rows:
+                self.flush()
 
     def add_failure(self, name: str, count: int = 1) -> None:
-        self.aggregator.add_failure(name, count)
+        if self._closed:
+            raise StoreError("append on a closed store")
+        self._tally.add_failure(name, count)
         if count:
             line = json.dumps(
                 {"t": "f", "k": name, "n": count}, separators=(",", ":")
@@ -520,12 +606,24 @@ class ReportStore(ReportSink):
             self._appended()
 
     def _appended(self) -> None:
-        if self._closed:
-            raise StoreError("append on a closed store")
         self._pending += 1
         self.ops_appended += 1
         if self._pending >= self.batch_rows:
             self.flush()
+
+    def _fold(self) -> None:
+        """Add each write-combined matched cell once to the tally and to
+        its shard's pending counters."""
+        if not self._matched:
+            return
+        add = self._tally.add_matched_bulk
+        country_shard = self.segments.country_shard
+        for (country, host_type, hostname), count in self._matched.items():
+            add(country, host_type, hostname, count)
+            pending = country_shard(country).pending_matched
+            cell = host_type, hostname
+            pending[cell] = pending.get(cell, 0) + count
+        self._matched = Counter()
 
     # -- crash simulation ------------------------------------------------
 
@@ -547,8 +645,10 @@ class ReportStore(ReportSink):
         — and the instance closes.  Durable state on disk is exactly
         the last successful flush; ``recover()`` on the next instance
         heals the torn tails and counts them under
-        ``reports.rejected{reason=torn-segment}``.
+        ``reports.rejected{reason=torn-segment}``.  The tally keeps
+        counting every append the store accepted.
         """
+        self._fold()
         torn = 0
         for shard in self.segments._shards.values():
             handle = shard.handle
@@ -577,6 +677,7 @@ class ReportStore(ReportSink):
         if not self._pending:
             return
         with self.metrics.span("ingest.flush"):
+            self._fold()
             self._crash_point("flush")
             # Build every shard's blob before writing any of them, so
             # the rotate crash point can fire while disk state is still
@@ -647,8 +748,9 @@ class ReportStore(ReportSink):
                     continue
                 path = shard_path / segment
                 torn_paths: list[pathlib.Path] = []
+                # Only torn lines matter here; checking rows is the readers' job.
                 for _row in self.segments._iter_segment(
-                    path, on_torn=torn_paths.append, heal=True
+                    path, on_torn=torn_paths.append, heal=True, decode=_decode_row
                 ):
                     pass
                 if torn_paths:
@@ -694,10 +796,10 @@ class ReportStore(ReportSink):
                 mismatch_lines: list[bytes] = []
                 for row in self.segments.iter_shard_rows(name):
                     rows_before += 1
-                    kind = _row_kind(row)
-                    if kind == "c":
-                        counters[(row["ht"], row["h"])] += row["n"]
-                    elif kind == "f":
+                    if type(row) is tuple:
+                        host_type, hostname, count = row
+                        counters[host_type, hostname] += count
+                    elif _row_kind(row) == "f":
                         failures[row["k"]] += row["n"]
                     else:
                         mismatch_lines.append(
@@ -761,7 +863,7 @@ def scan_store(
     ``reports.rejected{reason=torn-segment}`` (and truncated away with
     ``heal=True``); everything up to the torn tail still counts.  No
     record is materialised: each mismatch row enters as its signature
-    key.
+    key, and each shard's counter rows are summed per cell first.
     """
     metrics = registry if registry is not None else MetricsRegistry()
     segments = SegmentedStore(path)
@@ -770,13 +872,14 @@ def scan_store(
     with metrics.span("ingest.scan"):
         for name in segments.shard_names():
             country = _shard_country(name)
+            cells: Counter[tuple[str, str]] = Counter()
             for row in segments.iter_shard_rows(
                 name, on_torn=lambda _path: torn.inc(), heal=heal
             ):
-                kind = _row_kind(row)
-                if kind == "c":
-                    tally.add_matched_bulk(country, row["ht"], row["h"], row["n"])
-                elif kind == "m":
+                if type(row) is tuple:
+                    host_type, hostname, count = row
+                    cells[host_type, hostname] += count
+                elif _row_kind(row) == "m":
                     payload = row["r"]
                     tally.add_mismatch_key(
                         _mismatch_signature_key(country, payload),
@@ -784,6 +887,8 @@ def scan_store(
                     )
                 else:
                     tally.add_failure(row["k"], row["n"])
+            for (host_type, hostname), count in cells.items():
+                tally.add_matched_bulk(country, host_type, hostname, count)
     return tally
 
 
@@ -792,7 +897,7 @@ def iter_store_mismatches(path: str | pathlib.Path) -> Iterator[MeasurementRecor
     segments = SegmentedStore(path)
     for name in segments.shard_names():
         for row in segments.iter_shard_rows(name):
-            if _row_kind(row) == "m":
+            if type(row) is not tuple and _row_kind(row) == "m":
                 yield _mismatch_record(row)
 
 
@@ -814,12 +919,15 @@ def load_store(
     torn = metrics.counter("reports.rejected", reason="torn-segment")
     for name in segments.shard_names():
         country = _shard_country(name)
+        cells: Counter[tuple[str, str]] = Counter()
         for row in segments.iter_shard_rows(name, on_torn=lambda _path: torn.inc()):
-            kind = _row_kind(row)
-            if kind == "c":
-                database.add_matched_bulk(country, row["ht"], row["h"], row["n"])
-            elif kind == "m":
+            if type(row) is tuple:
+                host_type, hostname, count = row
+                cells[host_type, hostname] += count
+            elif _row_kind(row) == "m":
                 database.add_mismatch(_mismatch_record(row))
             else:
                 database.add_failure(row["k"], row["n"])
+        for (host_type, hostname), count in cells.items():
+            database.add_matched_bulk(country, host_type, hostname, count)
     return database

@@ -10,15 +10,20 @@ Two invariants the paper-scale ingest path rests on:
   before the tear, counts exactly one torn segment, and healing makes
   the store clean again.
 
+Reading the live tally mid-batch folds the write-combined matched
+cells early, and must change no segment byte.
+
 The row codec's fast paths are checked against the general code they
-replace: counter rows against ``json.dumps``, and the row decoder
-against the reader's historical rule, ``json.loads(raw.strip())`` on
-each complete line.
+replace: counter rows against ``json.dumps``, the row decoder against
+the reader's historical rule, ``json.loads(raw.strip())`` on each
+complete line, and the memoised counter-row path against that rule
+plus ``_row_kind``.
 """
 
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 from hypothesis import given, settings
@@ -26,7 +31,15 @@ from hypothesis import strategies as st
 
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-from repro.measure.store import ReportStore, _decode_row, _Shard, scan_store
+from repro.measure.store import (
+    ReportStore,
+    StoreError,
+    _decode_row,
+    _row_kind,
+    _segment_row,
+    _Shard,
+    scan_store,
+)
 from repro.obs.metrics import MetricsRegistry
 
 _COUNTRIES = ["US", "BR", "??", "DE"]
@@ -166,6 +179,44 @@ class TestStoreProperties:
             )
             assert again.aggregate_signature() == aggregator.aggregate_signature()
 
+    @given(
+        ops=st.lists(_op, max_size=40),
+        reads=st.sets(st.integers(0, 40)),
+        batch_rows=st.integers(1, 16),
+        segment_bytes=st.integers(64, 4096),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reading_the_tally_changes_no_byte(
+        self, ops, reads, batch_rows, segment_bytes
+    ):
+        """One op stream written twice: reading ``aggregator`` before the
+        ops numbered in ``reads``, then never."""
+        with tempfile.TemporaryDirectory() as tmp:
+            trees, signatures = [], []
+            for read_before in (reads, set()):
+                path = pathlib.Path(tmp) / f"s{len(trees)}"
+                store = ReportStore(
+                    path, batch_rows=batch_rows, segment_bytes=segment_bytes
+                )
+                db = ReportDatabase()
+                for index, op in enumerate(ops):
+                    if index in read_before:
+                        assert store.aggregator.total_measurements == (
+                            db.total_measurements
+                        )
+                    _apply([op], store, db)
+                store.close()
+                trees.append(
+                    {
+                        str(file.relative_to(path)): file.read_bytes()
+                        for file in sorted(path.rglob("*"))
+                        if file.is_file()
+                    }
+                )
+                signatures.append(store.aggregator.aggregate_signature())
+            assert trees[0] == trees[1]
+            assert signatures[0] == signatures[1] == db.aggregate_signature()
+
 
 # Text that stresses JSON escaping: quotes, backslashes, control
 # characters, non-ASCII and lone surrogates, mixed with anything else.
@@ -190,7 +241,7 @@ _rows = st.one_of(
             "t": st.just("c"),
             "ht": _tricky_text,
             "h": _tricky_text,
-            "n": st.integers(1, 2**63),
+            "n": st.one_of(st.integers(1, 2**63), st.sampled_from([0, -1, 1.0])),
         }
     ),
     st.fixed_dictionaries(
@@ -226,10 +277,20 @@ def _lines(draw) -> list[bytes]:
         st.sampled_from(
             ("none", "pad", "crlf", "blank", "truncate")
             + ("flip", "two", "split", "foreign")
+            + ("space", "zeros", "retype")
         )
     )
     if alteration == "pad":
         return [draw(_padding) + body + draw(_padding) + b"\n"]
+    if alteration == "space":
+        return [body + b" \n"]
+    if alteration == "zeros":
+        # Leading zeros on the count: "n":007 is not JSON.
+        return [re.sub(rb'("n": ?)', rb"\g<1>00", body, count=1) + b"\n"]
+    if alteration == "retype":
+        # A repeated "t" key: the last one wins.
+        kind = draw(st.sampled_from([b'"c"', b'"m"', b'"f"', b'"seal"']))
+        return [body[:-1] + b',"t":' + kind + b"}\n"]
     if alteration == "crlf":
         return [body + b"\r\n"]
     if alteration == "blank":
@@ -274,6 +335,37 @@ def _decoded(raw: bytes):
     return "blank" if row is None else row
 
 
+def _read_reference(raw: bytes):
+    """What a reader took from one line before the counter-row memo:
+    the historical rule, then ``_row_kind`` on every data row."""
+    row = _historical(raw)
+    if row == "torn":
+        return "torn"
+    if row == "blank" or row.get("t") == "seal":
+        return "skipped"
+    try:
+        kind = _row_kind(row)
+    except StoreError as exc:
+        return ("error", str(exc))
+    return (row["ht"], row["h"], row["n"]) if kind == "c" else row
+
+
+def _read(raw: bytes):
+    """What a reader takes from one line: ``_segment_row``, then
+    ``_row_kind`` on the rows that are not counter cells."""
+    try:
+        row = _segment_row(raw)
+        if row is None:
+            return "skipped"
+        if type(row) is dict:
+            _row_kind(row)
+    except ValueError:
+        return "torn"
+    except StoreError as exc:
+        return ("error", str(exc))
+    return row
+
+
 class TestRowCodecReference:
     @given(
         host_type=_tricky_text,
@@ -299,3 +391,16 @@ class TestRowCodecReference:
             actual = _decoded(raw)
             assert type(actual) is type(expected)
             assert actual == expected
+
+    @given(lines=_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_counter_row_path_agrees_with_the_historical_rule(self, lines):
+        for raw in lines:
+            expected = _read_reference(raw)
+            # Twice: the first read may fill the memo, the second hits it.
+            for _ in range(2):
+                actual = _read(raw)
+                assert type(actual) is type(expected)
+                assert actual == expected
+                if type(expected) is tuple:
+                    assert [type(v) for v in actual] == [type(v) for v in expected]

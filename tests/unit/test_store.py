@@ -9,8 +9,11 @@ from repro.faults.recovery import database_ops, deliver
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.store import (
+    COUNTER_ROW_CACHE_SIZE,
+    InjectedCrash,
     ReportStore,
     StoreError,
+    _counter_row,
     iter_store_mismatches,
     load_store,
     scan_store,
@@ -115,6 +118,114 @@ class TestRoundTrip:
         store.close()
         with pytest.raises(StoreError):
             store.add_matched_bulk("US", "Popular", "h", 1)
+
+
+def _crash(point):
+    raise InjectedCrash(point)
+
+
+# One append of each kind, as a (method name, args) pair.
+APPENDS = [
+    ("add_mismatch", (make_record(ip="10.9.9.9"),)),
+    ("add_matched_bulk", ("US", "Popular", "a.example", 5)),
+    ("add_failure", ("probe_failed", 3)),
+]
+
+
+class TestRefusedAppends:
+    """A store that is closed, cleanly or by a crash, refuses an append
+    before the append touches the tally or a shard buffer."""
+
+    @pytest.mark.parametrize("method, args", APPENDS, ids=[m for m, _ in APPENDS])
+    def test_after_close(self, tmp_path, method, args):
+        store = ReportStore(tmp_path / "s")
+        db = ReportDatabase()
+        fill(store, db)
+        store.close()
+        before = store.aggregator.aggregate_signature()
+        with pytest.raises(StoreError):
+            getattr(store, method)(*args)
+        assert store.aggregator.aggregate_signature() == before
+        assert before == scan_store(tmp_path / "s").aggregate_signature()
+        assert before == db.aggregate_signature()
+        assert not any(
+            shard.pending_lines or shard.pending_matched
+            for shard in store.segments._shards.values()
+        )
+
+    @pytest.mark.parametrize("method, args", APPENDS, ids=[m for m, _ in APPENDS])
+    def test_after_injected_crash(self, tmp_path, method, args):
+        store = ReportStore(tmp_path / "s", crash_hook=_crash)
+        db = ReportDatabase()
+        fill(store, db)
+        with pytest.raises(InjectedCrash):
+            store.flush()
+        # The tally still counts every append the store accepted.
+        before = store.aggregator.aggregate_signature()
+        assert before == db.aggregate_signature()
+        with pytest.raises(StoreError):
+            getattr(store, method)(*args)
+        assert store.aggregator.aggregate_signature() == before
+        assert not any(
+            shard.pending_lines or shard.pending_matched
+            for shard in store.segments._shards.values()
+        )
+
+
+class TestCounterRowMemo:
+    """``store.counter_rows``: content-keyed, bounded, failures never kept."""
+
+    def test_same_torn_row_is_torn_in_every_segment(self, tmp_path):
+        store = ReportStore(tmp_path / "s")
+        db = ReportDatabase()
+        fill(store, db)
+        store.close()
+        line = b'{"t":"c","ht":"Popular","h":"s1","n":007}\n'
+        for shard in ("US", "BR"):
+            segment = tmp_path / "s" / shard / "seg-000001.jsonl"
+            segment.write_bytes(segment.read_bytes() + line)
+        registry = MetricsRegistry()
+        assert scan_store(tmp_path / "s", registry).aggregate_signature() == (
+            db.aggregate_signature()
+        )
+        counters = registry.deterministic_snapshot()["counters"]
+        assert counters["reports.rejected{reason=torn-segment}"] == 2
+        misses = _counter_row.cache_info().misses
+        with pytest.raises(ValueError):
+            _counter_row(line)
+        assert _counter_row.cache_info().misses == misses + 1
+
+    def test_malformed_row_is_refused_every_time(self):
+        line = b'{"t":"c","ht":"Popular","h":"x","n":-1}\n'
+        currsize = _counter_row.cache_info().currsize
+        for _ in range(2):
+            misses = _counter_row.cache_info().misses
+            with pytest.raises(StoreError, match="'c' row"):
+                _counter_row(line)
+            assert _counter_row.cache_info().misses == misses + 1
+        assert _counter_row.cache_info().currsize == currsize
+
+    def test_memo_stays_within_its_bound(self):
+        for index in range(COUNTER_ROW_CACHE_SIZE + 3):
+            assert _counter_row(b'{"t":"c","ht":"P","h":"x","n":%d}\n' % index) == (
+                "P",
+                "x",
+                index,
+            )
+        info = _counter_row.cache_info()
+        assert info.currsize == info.maxsize == COUNTER_ROW_CACHE_SIZE
+
+    def test_oversized_row_is_decoded_but_not_cached(self):
+        hostname = "h" * _counter_row.max_key_bytes
+        line = json.dumps(
+            {"t": "c", "ht": "Popular", "h": hostname, "n": 4}, separators=(",", ":")
+        ).encode() + b"\n"
+        currsize = _counter_row.cache_info().currsize
+        first = _counter_row(line)
+        second = _counter_row(line)
+        assert first == second == ("Popular", hostname, 4)
+        assert first is not second
+        assert _counter_row.cache_info().currsize == currsize
 
 
 # Ledger entries neither sink may accept: a negative count, a name that
