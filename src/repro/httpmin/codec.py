@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.util import content_memo
+
 
 class HttpError(ValueError):
     """Raised on malformed HTTP framing."""
@@ -12,15 +14,32 @@ class HttpError(ValueError):
 _CRLF = b"\r\n"
 _HEADER_END = b"\r\n\r\n"
 
+#: Distinct heads each memo keeps: the report leg sends the same few
+#: requests and answers over and over.
+HEAD_CACHE_SIZE = 256
 
-def _encode_headers(headers: dict[str, str], body: bytes) -> list[str]:
-    lines = []
-    seen = {name.lower() for name in headers}
-    for name, value in headers.items():
-        lines.append(f"{name}: {value}")
-    if "content-length" not in seen:
-        lines.append(f"Content-Length: {len(body)}")
-    return lines
+HeaderItems = tuple[tuple[str, str], ...]
+
+
+def _head_bytes(key: tuple[str, HeaderItems, int]) -> int:
+    """The text in one ``(start line, header items, body length)`` key."""
+    start_line, items, _ = key
+    return len(start_line) + sum(len(name) + len(value) for name, value in items)
+
+
+@content_memo("http.head_frame", HEAD_CACHE_SIZE, size=_head_bytes)
+def _encode_head(key: tuple[str, HeaderItems, int]) -> bytes:
+    """The head for ``(start line, header items, body length)``, blank line included."""
+    start_line, items, length = key
+    lines = [start_line, *(f"{name}: {value}" for name, value in items)]
+    if all(name.lower() != "content-length" for name, _ in items):
+        lines.append(f"Content-Length: {length}")
+    return "\r\n".join(lines).encode("latin-1") + _HEADER_END
+
+
+def _encode(start_line: str, headers: dict[str, str], body: bytes) -> bytes:
+    """One message: the memoised head for its start line and headers, then ``body``."""
+    return _encode_head((start_line, tuple(headers.items()), len(body))) + body
 
 
 def _content_length(headers: dict[str, str]) -> int:
@@ -37,6 +56,11 @@ def _content_length(headers: dict[str, str]) -> int:
 
 
 def _parse_headers(block: bytes) -> dict[str, str]:
+    """Header names (lowercased) to values; a repeated name keeps the last.
+
+    A repeated ``Content-Length`` is refused instead: two lengths leave
+    the end of the body ambiguous (RFC 9112 §6.3).
+    """
     headers: dict[str, str] = {}
     for line in block.split(_CRLF):
         if not line:
@@ -44,10 +68,41 @@ def _parse_headers(block: bytes) -> dict[str, str]:
         if b":" not in line:
             raise HttpError(f"bad header line {line!r}")
         name, _, value = line.partition(b":")
-        headers[name.decode("latin-1").strip().lower()] = value.decode(
-            "latin-1"
-        ).strip()
+        name = name.decode("latin-1").strip().lower()
+        if name == "content-length" and name in headers:
+            raise HttpError("repeated Content-Length")
+        headers[name] = value.decode("latin-1").strip()
     return headers
+
+
+@content_memo("http.request_heads", HEAD_CACHE_SIZE)
+def _parse_request_head(head: bytes) -> tuple[str, str, HeaderItems, int]:
+    """``(method, path, header items, body length)``; raises :class:`HttpError`."""
+    line, _, block = head.partition(_CRLF)
+    parts = line.decode("latin-1").split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise HttpError(f"bad request line {line!r}")
+    headers = _parse_headers(block)
+    return parts[0], parts[1], tuple(headers.items()), _content_length(headers)
+
+
+@content_memo("http.response_heads", HEAD_CACHE_SIZE)
+def _parse_response_head(head: bytes) -> tuple[int, str, HeaderItems, int]:
+    """``(status, reason, header items, body length)``; raises :class:`HttpError`.
+
+    The status code is exactly three ASCII digits (RFC 9112 §4); a bare
+    ``int()`` would also take ``2_00``, ``+200`` and ``2000``.
+    """
+    line, _, block = head.partition(_CRLF)
+    parts = line.decode("latin-1").split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise HttpError(f"bad status line {line!r}")
+    code = parts[1]
+    if not (len(code) == 3 and code.isascii() and code.isdigit()):
+        raise HttpError(f"bad status code {code!r}")
+    headers = _parse_headers(block)
+    reason = parts[2] if len(parts) == 3 else ""
+    return int(code), reason, tuple(headers.items()), _content_length(headers)
 
 
 @dataclass
@@ -60,10 +115,7 @@ class HttpRequest:
     body: bytes = b""
 
     def encode(self) -> bytes:
-        lines = [f"{self.method} {self.path} HTTP/1.1"]
-        lines.extend(_encode_headers(self.headers, self.body))
-        head = "\r\n".join(lines).encode("latin-1") + _HEADER_END
-        return head + self.body
+        return _encode(f"{self.method} {self.path} HTTP/1.1", self.headers, self.body)
 
     @classmethod
     def try_decode(cls, data: bytes) -> tuple["HttpRequest | None", bytes]:
@@ -71,17 +123,12 @@ class HttpRequest:
         end = data.find(_HEADER_END)
         if end < 0:
             return None, data
-        head, rest = data[:end], data[end + 4 :]
-        lines = head.split(_CRLF)
-        parts = lines[0].decode("latin-1").split(" ")
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise HttpError(f"bad request line {lines[0]!r}")
-        headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = _content_length(headers)
+        method, path, items, length = _parse_request_head(data[:end])
+        rest = data[end + 4 :]
         if len(rest) < length:
             return None, data
         return (
-            cls(method=parts[0], path=parts[1], headers=headers, body=rest[:length]),
+            cls(method=method, path=path, headers=dict(items), body=rest[:length]),
             rest[length:],
         )
 
@@ -107,32 +154,19 @@ class HttpResponse:
 
     def encode(self) -> bytes:
         reason = self.reason or self._REASONS.get(self.status, "Unknown")
-        lines = [f"HTTP/1.1 {self.status} {reason}"]
-        lines.extend(_encode_headers(self.headers, self.body))
-        head = "\r\n".join(lines).encode("latin-1") + _HEADER_END
-        return head + self.body
+        return _encode(f"HTTP/1.1 {self.status} {reason}", self.headers, self.body)
 
     @classmethod
     def try_decode(cls, data: bytes) -> tuple["HttpResponse | None", bytes]:
         end = data.find(_HEADER_END)
         if end < 0:
             return None, data
-        head, rest = data[:end], data[end + 4 :]
-        lines = head.split(_CRLF)
-        parts = lines[0].decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise HttpError(f"bad status line {lines[0]!r}")
-        try:
-            status = int(parts[1])
-        except ValueError as exc:
-            raise HttpError(f"bad status code {parts[1]!r}") from exc
-        headers = _parse_headers(_CRLF.join(lines[1:]))
-        length = _content_length(headers)
+        status, reason, items, length = _parse_response_head(data[:end])
+        rest = data[end + 4 :]
         if len(rest) < length:
             return None, data
-        reason = parts[2] if len(parts) == 3 else ""
         return (
-            cls(status=status, reason=reason, headers=headers, body=rest[:length]),
+            cls(status=status, reason=reason, headers=dict(items), body=rest[:length]),
             rest[length:],
         )
 

@@ -17,11 +17,48 @@ from repro.netsim.network import ConnectionRefused, ConnectionReset, Host
 from repro.obs.metrics import MetricsRegistry
 from repro.tls import codec
 from repro.tls.codec import Alert, ClientHello, ServerHello, TlsError
+from repro.util import content_memo
 from repro.x509.model import Certificate
 from repro.x509.parse import X509Error, parse_certificate
 
 if TYPE_CHECKING:
     from repro.tls.fingerprint import BrowserProfile
+
+
+#: Distinct (browser profile, hostname, session id) hello records the
+#: probe keeps: it sends each site the same hello on every visit.  A
+#: key whose hostname and session id are over 4 KiB (no DNS name is)
+#: is framed afresh each time.  The profile is not counted: profiles
+#: come from the fixed registry in :mod:`repro.tls.fingerprint`.
+HELLO_FRAME_CACHE_SIZE = 4096
+
+#: Where the client random sits in a hello record: after the record
+#: header (5 bytes), the handshake header (4) and the legacy version (2).
+_RANDOM_AT = 11
+
+
+@content_memo(
+    "tls.hello_frame", HELLO_FRAME_CACHE_SIZE, size=lambda key: len(key[1]) + len(key[2])
+)
+def _hello_frame(key: "tuple[BrowserProfile | None, str, bytes]") -> bytes:
+    """The hello record for ``(browser profile, hostname, session id)``, random zeroed.
+
+    With no profile it is the SNI-only hello.
+    """
+    browser, hostname, session_id = key
+    if browser is None:
+        hello = ClientHello(bytes(32), server_name=hostname, session_id=session_id)
+    else:
+        hello = browser.client_hello(bytes(32), hostname, session_id)
+    return codec.encode_handshake_record(hello, version=hello.version)
+
+
+def _hello_record(
+    browser: "BrowserProfile | None", hostname: str, session_id: bytes, client_random: bytes
+) -> bytes:
+    """The probe's hello record: the memoised frame, random spliced in."""
+    frame = _hello_frame((browser, hostname, session_id))
+    return frame[:_RANDOM_AT] + client_random + frame[_RANDOM_AT + 32 :]
 
 
 @dataclass(frozen=True)
@@ -103,16 +140,9 @@ class ProbeClient:
         self, sock, hostname: str, port: int, session_id: bytes = b""
     ) -> ProbeResult:
         client_random = self._rng.getrandbits(256).to_bytes(32, "big")
-        if self.browser is not None:
-            hello = self.browser.client_hello(client_random, hostname, session_id)
-        else:
-            hello = ClientHello(
-                client_random=client_random,
-                server_name=hostname,
-                session_id=session_id,
-            )
+        record = _hello_record(self.browser, hostname, session_id, client_random)
         try:
-            sock.send(codec.encode_handshake_record(hello, version=hello.version))
+            sock.send(record)
         except ConnectionReset as exc:
             return self._failed(hostname, port, "send", f"send: {exc}")
 

@@ -10,9 +10,12 @@ import json
 
 import pytest
 
+from repro.httpmin import codec as http_codec
 from repro.measure import server, tool
 from repro.policy import server as policy_server
 from repro.study import StudyConfig, StudyRunner
+from repro.tls import codec as tls_codec
+from repro.tls import probe
 from repro.tls import server as tls_server
 from repro.x509 import parse
 
@@ -125,6 +128,11 @@ WIRE_MEMOS = {
     "report.decode_cache": server._decode_report,
     "policy.parse_cache": policy_server._parse_policy,
     "tls.hello_cache": tls_server._parse_client_hello,
+    "tls.flight_cache": tls_codec._flight_tail,
+    "tls.hello_frame": probe._hello_frame,
+    "http.head_frame": http_codec._encode_head,
+    "http.request_heads": http_codec._parse_request_head,
+    "http.response_heads": http_codec._parse_response_head,
 }
 
 

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.httpmin import HttpClient, HttpError, HttpRequest, HttpResponse, HttpServer
+from repro.httpmin.codec import (
+    HEAD_CACHE_SIZE,
+    _encode_head,
+    _parse_request_head,
+    _parse_response_head,
+)
 from repro.netsim import Network
 
 
@@ -77,6 +83,110 @@ class TestCodec:
         with pytest.raises(HttpError, match="Content-Length"):
             HttpResponse.try_decode(b"HTTP/1.1 200 OK\r\nContent-Length: -3\r\n\r\nabc")
 
+    @pytest.mark.parametrize("code", [b"2_00", b"+200", b"2000", b"20"])
+    def test_status_code_is_three_digits(self, code):
+        # RFC 9112 §4: status-code = 3DIGIT; int() takes the first two.
+        response = b"HTTP/1.1 " + code + b" OK\r\nContent-Length: 0\r\n\r\n"
+        with pytest.raises(HttpError, match="status code"):
+            HttpResponse.try_decode(response)
+
+    def test_status_line_without_reason(self):
+        decoded, rest = HttpResponse.try_decode(b"HTTP/1.1 200\r\n\r\n")
+        assert (decoded.status, decoded.reason, rest) == (200, "", b"")
+
+    def test_repeated_content_length_request_refused(self):
+        # RFC 9112 §6.3: the last value would frame "abcde" and leave
+        # "XYZ" as the start of a smuggled pipelined request.
+        data = (
+            b"POST /report HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 3\r\nContent-Length: 5\r\n\r\nabcdeXYZ"
+        )
+        with pytest.raises(HttpError, match="repeated Content-Length"):
+            HttpRequest.try_decode(data)
+
+    def test_repeated_content_length_response_refused(self):
+        data = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\nok"
+        with pytest.raises(HttpError, match="repeated Content-Length"):
+            HttpResponse.try_decode(data)
+
+
+class TestHeadMemos:
+    def test_decoded_headers_are_fresh_per_message(self):
+        data = HttpRequest("POST", "/x", headers={"Host": "h"}, body=b"b").encode()
+        first, _ = HttpRequest.try_decode(data)
+        first.headers["host"] = "mutated"
+        first.headers["x-new"] = "1"
+        second, _ = HttpRequest.try_decode(data)
+        assert second.headers == {"host": "h", "content-length": "1"}
+        response = HttpResponse(200, headers={"X-A": "b"}).encode()
+        first, _ = HttpResponse.try_decode(response)
+        first.headers.clear()
+        second, _ = HttpResponse.try_decode(response)
+        assert second.headers == {"x-a": "b", "content-length": "0"}
+
+    def test_head_frame_memo_stays_within_its_bound(self):
+        for index in range(HEAD_CACHE_SIZE + 3):
+            HttpRequest("GET", f"/{index}").encode()
+        info = _encode_head.cache_info()
+        assert info.currsize == info.maxsize == HEAD_CACHE_SIZE
+
+    def test_oversized_head_is_encoded_but_not_cached(self):
+        value = "v" * _encode_head.max_key_bytes
+        key = ("GET / HTTP/1.1", (("X-Pad", value),), 0)
+        currsize = _encode_head.cache_info().currsize
+        first = _encode_head(key)
+        expected = f"GET / HTTP/1.1\r\nX-Pad: {value}\r\nContent-Length: 0\r\n\r\n"
+        assert first == expected.encode()
+        assert _encode_head(key) is not first
+        assert _encode_head.cache_info().currsize == currsize
+
+    @pytest.mark.parametrize(
+        "memo, head",
+        [
+            (_parse_request_head, "GET /{} HTTP/1.1"),
+            (_parse_response_head, "HTTP/1.1 200 reason {}"),
+        ],
+    )
+    def test_parse_memo_stays_within_its_bound(self, memo, head):
+        for index in range(HEAD_CACHE_SIZE + 3):
+            memo(head.format(index).encode())
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == HEAD_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "memo, start_line",
+        [
+            (_parse_request_head, b"GET / HTTP/1.1"),
+            (_parse_response_head, b"HTTP/1.1 200 OK"),
+        ],
+    )
+    def test_oversized_head_is_parsed_but_not_cached(self, memo, start_line):
+        head = start_line + b"\r\nX-Pad: " + b"v" * memo.max_key_bytes
+        currsize = memo.cache_info().currsize
+        first = memo(head)
+        assert first[2] == (("x-pad", "v" * memo.max_key_bytes),)
+        assert memo(head) is not first
+        assert memo.cache_info().currsize == currsize
+
+    @pytest.mark.parametrize(
+        "memo, head",
+        [
+            (
+                _parse_request_head,
+                b"POST / HTTP/1.1\r\nContent-Length: 1\r\ncontent-length: 1",
+            ),
+            (_parse_request_head, b"NONSENSE"),
+            (_parse_response_head, b"HTTP/1.1 2_00 OK"),
+            (_parse_response_head, b"HTTP/1.1 200 OK\r\nbadheader"),
+        ],
+    )
+    def test_bad_head_raises_every_time(self, memo, head):
+        misses = memo.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(HttpError):
+                memo(head)
+        assert memo.cache_info().misses == misses + 2
+
 
 class TestClientServer:
     def test_get(self, web):
@@ -118,6 +228,21 @@ class TestClientServer:
             response, _ = HttpResponse.try_decode(sock.recv())
             assert response.status == 400
             assert server.parse_errors == count
+
+    def test_repeated_content_length_gets_400(self, web):
+        net, client, server = web
+        handled = []
+        server.route("POST", "/smuggle", lambda req, remote: handled.append(req))
+        sock = client.host.connect("www.example", 80)
+        sock.send(
+            b"POST /smuggle HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 3\r\nContent-Length: 5\r\n\r\nabcdeXYZ"
+        )
+        response, _ = HttpResponse.try_decode(sock.recv())
+        assert response.status == 400
+        assert server.parse_errors == 1
+        assert handled == []
+        assert server.requests_handled == 0
 
     def test_keep_alive_multiple_requests(self, web):
         net, client, server = web

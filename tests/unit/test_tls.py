@@ -7,6 +7,7 @@ import pytest
 from repro.netsim import Network
 from repro.tls import codec
 from repro.tls.codec import (
+    FLIGHT_CACHE_SIZE,
     Alert,
     Certificate as CertificateMessage,
     ClientHello,
@@ -14,8 +15,9 @@ from repro.tls.codec import (
     Record,
     ServerHello,
     TlsError,
+    _flight_tail,
 )
-from repro.tls.probe import ProbeClient
+from repro.tls.probe import HELLO_FRAME_CACHE_SIZE, ProbeClient, _hello_frame
 from repro.tls.server import HELLO_CACHE_SIZE, TlsCertServer, _parse_client_hello
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
@@ -202,6 +204,69 @@ class TestHelloMemo:
         assert first == second == hello
         assert first is not second
         assert _parse_client_hello.cache_info().currsize == currsize
+
+
+class TestFrameMemos:
+    """The probe's hello frame, the flight tail and the Certificate decode."""
+
+    DONE = HandshakeMessage(codec.HS_SERVER_HELLO_DONE, b"")
+
+    def test_flight_memo_stays_within_its_bound(self):
+        for index in range(FLIGHT_CACHE_SIZE + 3):
+            chain = CertificateMessage((b"der %d" % index,))
+            _flight_tail(((chain, self.DONE), codec.TLS_1_2))
+        info = _flight_tail.cache_info()
+        assert info.currsize == info.maxsize == FLIGHT_CACHE_SIZE
+
+    def test_oversized_flight_is_framed_but_not_cached(self):
+        half = _flight_tail.max_key_bytes // 2
+        chain = CertificateMessage((b"\x30" * half, b"\x31" * (half + 1)))
+        key = ((chain, self.DONE), codec.TLS_1_2)
+        currsize = _flight_tail.cache_info().currsize
+        tail = _flight_tail(key)
+        records, rest = codec.decode_records(tail)
+        assert rest == b"" and len(records) == 5
+        stream = b"".join(record.payload for record in records)
+        messages, _ = codec.decode_handshakes(stream)
+        assert messages == [chain.to_handshake(), self.DONE]
+        again = _flight_tail(key)
+        assert again == tail and again is not tail
+        assert _flight_tail.cache_info().currsize == currsize
+
+    def test_hello_frame_memo_stays_within_its_bound(self):
+        for index in range(HELLO_FRAME_CACHE_SIZE + 3):
+            _hello_frame((None, f"site{index}.example", b""))
+        info = _hello_frame.cache_info()
+        assert info.currsize == info.maxsize == HELLO_FRAME_CACHE_SIZE
+
+    def test_oversized_hello_frame_is_framed_but_not_cached(self):
+        hostname = "a" * (_hello_frame.max_key_bytes + 1)
+        currsize = _hello_frame.cache_info().currsize
+        frame = _hello_frame((None, hostname, b""))
+        hello = ClientHello(bytes(32), server_name=hostname)
+        assert frame == codec.encode_handshake_record(hello, version=hello.version)
+        assert _hello_frame((None, hostname, b"")) is not frame
+        assert _hello_frame.cache_info().currsize == currsize
+
+    def test_bad_certificate_message_fails_every_probe(self):
+        from repro.netsim.network import Protocol
+
+        class BadCertificateServer(Protocol):
+            def factory(self):
+                return BadCertificateServer()
+
+            def data_received(self, sock, data):
+                hello = ServerHello(server_random=_rand32(4), cipher_suite=0x002F)
+                bad = HandshakeMessage(codec.HS_CERTIFICATE, b"\x00\x00\x09")
+                sock.send(codec.encode_server_flight(hello, [bad], codec.TLS_1_2))
+
+        net = Network()
+        client_host = net.add_host("client.example")
+        net.add_host("probe-target.example").listen(443, BadCertificateServer().factory)
+        client = ProbeClient(client_host)
+        results = [client.probe("probe-target.example") for _ in range(2)]
+        errors = [result.error for result in results]
+        assert errors == ["tls: truncated handshake body"] * 2
 
 
 class TestVersionAwareRecords:
