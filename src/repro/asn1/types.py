@@ -263,6 +263,11 @@ class IA5String(_StringValue):
     tag = der.TAG_IA5_STRING
 
 
+def _digits(text: str) -> bool:
+    """True if ``text`` is all ASCII digits (``int()`` also takes ``' 4'``, ``'+4'``)."""
+    return text.isascii() and text.isdigit()
+
+
 class UtcTime(Asn1Value):
     """ASN.1 UTCTime (two-digit year, as used by certificate validity)."""
 
@@ -288,7 +293,7 @@ class UtcTime(Asn1Value):
     @classmethod
     def from_content(cls, content: bytes) -> "UtcTime":
         text = content.decode("ascii", errors="replace")
-        if len(text) != 13 or not text.endswith("Z"):
+        if len(text) != 13 or not text.endswith("Z") or not _digits(text[:12]):
             raise Asn1Error(f"bad UTCTime {text!r}")
         year = int(text[0:2])
         # RFC 5280: YY >= 50 means 19YY, else 20YY.
@@ -333,7 +338,7 @@ class GeneralizedTime(Asn1Value):
     @classmethod
     def from_content(cls, content: bytes) -> "GeneralizedTime":
         text = content.decode("ascii", errors="replace")
-        if len(text) != 15 or not text.endswith("Z"):
+        if len(text) != 15 or not text.endswith("Z") or not _digits(text[:14]):
             raise Asn1Error(f"bad GeneralizedTime {text!r}")
         try:
             value = _dt.datetime(

@@ -117,20 +117,11 @@ class SubstituteCertForger:
         number, derived from profile/host/bucket) are deterministic, so
         the same interception decision always yields the same bytes —
         the property the wire≡fast equivalence tests rely on, and what
-        makes paper-scale runs affordable.
+        makes paper-scale runs affordable.  The cache keys on what
+        issuance reads, not on the upstream leaf's bytes, so upstream
+        leaves that differ only in fields the profile ignores share
+        one substitute.
         """
-        cache_key = (
-            profile,  # frozen dataclass — hashes all behaviour knobs
-            hostname,
-            site_ip,
-            client_bucket,
-            upstream_leaf.fingerprint(),
-        )
-        cached = self._forge_cache.get(cache_key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-
         issuer_override: Name | None = None
         if profile.copies_upstream_issuer:
             # The §5.2 finding: substitute claims the original's issuer
@@ -138,9 +129,23 @@ class SubstituteCertForger:
             issuer_override = upstream_leaf.issuer
         elif profile.issuer_variants:
             issuer_override = profile.issuer_for_bucket(client_bucket)
-        ca = self.authority_for(profile, issuer_override)
-
         subject, dns_names = self._subject_for(profile, upstream_leaf, hostname, site_ip)
+        validity = upstream_leaf.validity
+        cache_key = (
+            profile,  # frozen dataclass — hashes all behaviour knobs
+            hostname,
+            client_bucket,
+            issuer_override,
+            subject,
+            tuple(dns_names),
+            validity,
+        )
+        cached = self._forge_cache.get(cache_key)
+        if cached is not None:
+            self.cache_hits += 1
+            return cached
+
+        ca = self.authority_for(profile, issuer_override)
         n, e = self._leaf_key(
             profile.leaf_key_label(hostname, client_bucket), profile.leaf_key_bits
         )
@@ -162,8 +167,8 @@ class SubstituteCertForger:
             SubjectPublicKeyInfo(n, e),
             hash_name=profile.hash_name,
             dns_names=dns_names,
-            not_before=upstream_leaf.validity.not_before,
-            not_after=upstream_leaf.validity.not_after,
+            not_before=validity.not_before,
+            not_after=validity.not_after,
             serial_number=stable_hash(
                 self._seed, profile.key, hostname, client_bucket, bits=63
             )

@@ -15,6 +15,8 @@ import datetime as _dt
 import random
 from dataclasses import dataclass
 
+from repro.asn1.der import TAG_SEQUENCE, encode_tlv
+from repro.asn1.types import BitString, Null, ObjectIdentifier, Sequence
 from repro.crypto.hashes import HashAlgorithm, hash_by_name
 from repro.crypto.rsa import RsaKeyPair, pkcs1_sign
 from repro.x509.model import (
@@ -154,14 +156,18 @@ class CertificateAuthority:
 def _sign_tbs(
     tbs: TbsCertificate, key: RsaKeyPair, hash_alg: HashAlgorithm
 ) -> Certificate:
-    signature = pkcs1_sign(key, hash_alg, tbs.encode())
+    tbs_der = tbs.encode()
+    signature = pkcs1_sign(key, hash_alg, tbs_der)
+    # Frame .raw around the signed bytes (the layout of
+    # Certificate.to_asn1), so an issued certificate encodes its TBS once.
+    algorithm = Sequence([ObjectIdentifier(hash_alg.signature_oid), Null()])
     certificate = Certificate(
-        tbs=tbs, signature_oid=hash_alg.signature_oid, signature=signature
-    )
-    # Freeze the DER now so .raw is always populated for issued certs too.
-    return Certificate(
         tbs=tbs,
         signature_oid=hash_alg.signature_oid,
         signature=signature,
-        raw=certificate.to_asn1().encode(),
+        raw=encode_tlv(
+            TAG_SEQUENCE, tbs_der + algorithm.encode() + BitString(signature).encode()
+        ),
     )
+    certificate.__dict__["tbs_der"] = tbs_der  # seed the cached property
+    return certificate

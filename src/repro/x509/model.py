@@ -442,6 +442,15 @@ class Certificate:
         return self.to_asn1().encode()
 
     @cached_property
+    def tbs_der(self) -> bytes:
+        """The bytes the signature covers: the TBSCertificate's DER.
+
+        Issuance seeds this with the bytes it signed; any other
+        certificate encodes its TBS once, on first use.
+        """
+        return self.tbs.encode()
+
+    @cached_property
     def _sha256_hex(self) -> str:
         return hashlib.sha256(self._der).hexdigest()
 

@@ -48,7 +48,8 @@ class X509Error(ValueError):
 
 
 def _expect(value: Asn1Value, kind: type, what: str):
-    if not isinstance(value, kind):
+    # The exact type: a SET (a Sequence subclass) is never a SEQUENCE.
+    if type(value) is not kind:
         raise X509Error(f"expected {kind.__name__} for {what}, got {type(value).__name__}")
     return value
 

@@ -11,7 +11,6 @@ that a proxy, not the real PKI, vouched for the connection.
 from __future__ import annotations
 
 import datetime as _dt
-import threading
 from dataclasses import dataclass, field
 
 from repro.crypto.hashes import hash_by_signature_oid
@@ -81,7 +80,7 @@ def verify_certificate_signature(
         certificate_signer_n(signer), certificate_signer_e(signer)
     )
     return pkcs1_verify(
-        public_key, hash_alg, certificate.tbs.encode(), certificate.signature
+        public_key, hash_alg, certificate.tbs_der, certificate.signature
     )
 
 
@@ -141,14 +140,12 @@ def collect_chain_defects(
     return _check_chain(chain, store, hostname, at_time)[0]
 
 
-_memo_lock = threading.Lock()
 _memo_counts = {"hits": 0, "misses": 0}
 
 
 def chain_memo_info() -> tuple[int, int]:
     """``(hits, misses)`` of the chain-verdict memos, over the whole process."""
-    with _memo_lock:
-        return _memo_counts["hits"], _memo_counts["misses"]
+    return _memo_counts["hits"], _memo_counts["misses"]
 
 
 def _check_chain(
@@ -169,8 +166,7 @@ def _check_chain(
     at_time = at_time or _dt.datetime(2014, 6, 1, tzinfo=_dt.timezone.utc)
     key = (tuple(certificate.fingerprint() for certificate in chain), hostname, at_time)
     verdict = store.recall(key)
-    with _memo_lock:
-        _memo_counts["misses" if verdict is None else "hits"] += 1
+    _memo_counts["misses" if verdict is None else "hits"] += 1
     if verdict is not None:
         return verdict
     defects: list[ChainDefect] = []

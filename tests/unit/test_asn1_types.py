@@ -188,6 +188,23 @@ class TestTimes:
         with pytest.raises(Asn1Error):
             decode(b"\x17\x0d" + b"991301000000Z")
 
+    # int() reads " 4" and "+4" as 4 and raised a bare ValueError on "A4".
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            b"\x17\x0dA40101000000Z",
+            b"\x17\x0d 40101000000Z",
+            b"\x17\x0d+40101000000Z",
+            b"\x17\x0d1401 1000000Z",
+            b"\x18\x0f+0140101000000Z",
+            b"\x18\x0f 0140101000000Z",
+        ],
+        ids=["utc-A4", "utc-space", "utc-plus", "utc-space-day", "gen-plus", "gen-space"],
+    )
+    def test_non_digit_time_field_is_an_asn1_error(self, encoded):
+        with pytest.raises(Asn1Error):
+            decode(encoded)
+
     def test_naive_datetime_becomes_utc(self):
         value = UtcTime(dt.datetime(2014, 6, 1, 12, 0, 0))
         assert value.value.tzinfo is dt.timezone.utc

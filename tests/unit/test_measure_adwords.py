@@ -220,6 +220,14 @@ def _bad_san_leaf(origin_chain, root_ca):
     return [leaf.raw]
 
 
+def _non_digit_year_leaf(origin_chain, root_ca):
+    # notBefore's UTCTime year "A4": int() raised a plain ValueError,
+    # which no report handler caught, and the post drew a 500.
+    raw = origin_chain[0].raw
+    year = raw.index(b"\x17\x0d") + 2
+    return [raw[:year] + b"A" + raw[year + 1 :], origin_chain[1].raw]
+
+
 def _bad_basic_constraints_intermediate(origin_chain, root_ca):
     intermediate = origin_chain[1]
     extensions = tuple(
@@ -326,8 +334,8 @@ class TestMeasurementToolWire:
 
     @pytest.mark.parametrize(
         "hostile_chain",
-        [_nested_der, _bad_san_leaf, _bad_basic_constraints_intermediate],
-        ids=["nested-der", "bad-subject-alt-name", "bad-basic-constraints"],
+        [_nested_der, _bad_san_leaf, _bad_basic_constraints_intermediate, _non_digit_year_leaf],
+        ids=["nested-der", "bad-subject-alt-name", "bad-basic-constraints", "utctime-year-A4"],
     )
     def test_deeply_nested_der_is_a_counted_rejection(
         self, origin_chain, root_ca, hostile_chain

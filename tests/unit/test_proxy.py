@@ -1,8 +1,13 @@
 """Unit tests for proxy profiles, the forger and the MitM engine."""
 
+import datetime as dt
+from dataclasses import replace
+
 import pytest
 
+from repro.audit.scenarios import AUDIT_HOSTNAME, SCENARIOS, AuditPki
 from repro.crypto.keystore import KeyStore
+from repro.data.products import catalog
 from repro.netsim import Network
 from repro.proxy import (
     ForgedUpstreamPolicy,
@@ -162,6 +167,88 @@ class TestForger:
         verdict = validate_chain(list(forged.chain), infected, at_time=now)
         assert verdict.valid
         assert verdict.trusted_via_injected_root
+
+
+def _chain_der(forged):
+    return [certificate.encode() for certificate in forged.chain]
+
+
+# Which changes to the upstream leaf each kind of profile reads, and so
+# must forge afresh for; any other change shares one substitute.
+_FORGE_READS = {
+    "plain": {"subject", "san", "validity"},
+    "copies-issuer": {"subject", "san", "validity", "issuer"},
+    "wrong-domain": {"validity"},
+}
+
+
+class TestForgeCache:
+    """The forge cache keys on what issuance reads, not on the leaf's bytes."""
+
+    @pytest.fixture(scope="class")
+    def forge_keystore(self):
+        return KeyStore(seed=8)
+
+    def test_warm_forger_matches_cold_forger(self, forge_keystore):
+        pki = AuditPki(forge_keystore, seed=8, key_bits=512)
+        leaves = [scenario.build(pki, AUDIT_HOSTNAME).chain[0] for scenario in SCENARIOS]
+        # 512-bit CA keys keep keygen cheap; every forging quirk stays.
+        profiles = [replace(spec.profile, ca_key_bits=512) for spec in catalog()]
+        warm = SubstituteCertForger(forge_keystore, seed=8)
+        for profile in profiles:
+            for leaf in leaves:
+                warm.forge(profile, leaf, AUDIT_HOSTNAME)
+        assert warm.cache_hits > 0
+        for profile in profiles:
+            for leaf in leaves:
+                cold = SubstituteCertForger(forge_keystore, seed=8)
+                assert _chain_der(warm.forge(profile, leaf, AUDIT_HOSTNAME)) == _chain_der(
+                    cold.forge(profile, leaf, AUDIT_HOSTNAME)
+                ), (profile.key, leaf.subject)
+
+    @pytest.mark.parametrize("kind", sorted(_FORGE_READS))
+    @pytest.mark.parametrize(
+        "change", ["reissue", "subject", "san", "validity", "issuer"]
+    )
+    def test_forge_is_shared_unless_a_read_field_changes(
+        self, forge_keystore, intermediate_ca, root_ca, kind, change
+    ):
+        profile = make_profile(
+            key=f"keyed-{kind}",
+            ca_key_bits=512,
+            copies_upstream_issuer=kind == "copies-issuer",
+            subject_rewrite=(
+                SubjectRewrite.WRONG_DOMAIN if kind == "wrong-domain" else SubjectRewrite.NONE
+            ),
+        )
+        key = forge_keystore.key("keyed-origin", 512)
+
+        def upstream(ca=intermediate_ca, cn="secure.example", serial=11, **fields):
+            fields.setdefault("dns_names", ["secure.example"])
+            return ca.issue(
+                Name.build(common_name=cn),
+                SubjectPublicKeyInfo(key.n, key.e),
+                serial_number=serial,
+                **fields,
+            )
+
+        changed = {
+            "reissue": lambda: upstream(serial=12),  # new bytes, same fields
+            "subject": lambda: upstream(cn="other.example"),
+            "san": lambda: upstream(dns_names=["secure.example", "www.secure.example"]),
+            "validity": lambda: upstream(
+                not_after=dt.datetime(2017, 1, 1, tzinfo=dt.timezone.utc)
+            ),
+            "issuer": lambda: upstream(ca=root_ca),
+        }[change]()
+        base = upstream()
+        assert changed.fingerprint() != base.fingerprint()
+        forger = SubstituteCertForger(forge_keystore, seed=8)
+        first = forger.forge(profile, base, "secure.example")
+        second = forger.forge(profile, changed, "secure.example")
+        fresh = change in _FORGE_READS[kind]
+        assert forger.certificates_forged == 1 + fresh
+        assert (second is first) is not fresh
 
 
 class ProxiedWorld:

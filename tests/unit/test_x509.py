@@ -157,6 +157,21 @@ class TestParse:
         with pytest.raises(X509Error, match="expected Sequence"):
             parse_certificate(Integer(5).encode())
 
+    # asn1.types.Set subclasses Sequence; a SET outer tag (0x31) parsed,
+    # and the fingerprint covered bytes no CA signed.
+    def test_set_is_not_a_certificate(self, site_cert):
+        der = site_cert.encode()
+        assert der[0] == 0x30
+        with pytest.raises(X509Error, match="expected Sequence for Certificate"):
+            parse_certificate(b"\x31" + der[1:])
+
+    def test_set_is_not_a_tbs_certificate(self, site_cert):
+        der = site_cert.encode()
+        start = der.index(site_cert.tbs_der)
+        assert der[start] == 0x30
+        with pytest.raises(X509Error, match="expected Sequence for TBSCertificate"):
+            parse_certificate(der[:start] + b"\x31" + der[start + 1 :])
+
 
 class TestStrictDer:
     """Fields BER accepts and DER forbids are refused, not re-encoded."""
