@@ -10,6 +10,7 @@ certificates exactly as received.
 from __future__ import annotations
 
 import datetime as _dt
+import re
 from dataclasses import dataclass, field
 
 from repro.asn1 import der
@@ -141,6 +142,11 @@ class Null(Asn1Value):
         return cls()
 
 
+#: A canonical dotted OID: arcs of ASCII digits without leading zeros
+#: (``int()`` would also read ``"-0"``, ``" 5"``, ``"02"`` and ``"٣"``).
+_DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))*")
+
+
 @dataclass(frozen=True)
 class ObjectIdentifier(Asn1Value):
     """ASN.1 OBJECT IDENTIFIER held as a dotted string, e.g. ``2.5.4.3``."""
@@ -149,6 +155,8 @@ class ObjectIdentifier(Asn1Value):
     tag: int = field(default=der.TAG_OID, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if _DOTTED_OID.fullmatch(self.dotted) is None:
+            raise Asn1Error(f"bad OID {self.dotted!r}")
         arcs = self.arcs()
         if len(arcs) < 2:
             raise Asn1Error(f"OID needs at least two arcs: {self.dotted!r}")
@@ -156,10 +164,7 @@ class ObjectIdentifier(Asn1Value):
             raise Asn1Error(f"invalid OID root arcs: {self.dotted!r}")
 
     def arcs(self) -> tuple[int, ...]:
-        try:
-            return tuple(int(part) for part in self.dotted.split("."))
-        except ValueError as exc:
-            raise Asn1Error(f"bad OID {self.dotted!r}") from exc
+        return tuple(int(part) for part in self.dotted.split("."))
 
     @property
     def name(self) -> str:

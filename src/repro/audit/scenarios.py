@@ -79,10 +79,15 @@ class AuditPki:
                 key=keystore.key("audit:attacker", key_bits),
             )
         )
+        self._proxy_store = RootStore([self.root.certificate])
 
     def proxy_store(self) -> RootStore:
-        """The root store the audited proxy judges upstream chains with."""
-        return RootStore([self.root.certificate])
+        """The root store the audited proxy judges upstream chains with.
+
+        One store per kit: no engine changes its roots, so a chain
+        verdict reached in one rig serves every later rig.
+        """
+        return self._proxy_store
 
     def issue_leaf(
         self,

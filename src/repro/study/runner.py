@@ -347,6 +347,9 @@ class StudyRunner:
         rng = random.Random(stable_hash(config.seed, "wire-sessions"))
         plan = config.fault_plan()
         self._fault_hop = None
+        # One store for every client's engine: no engine changes its
+        # roots, so a chain verdict reached for one client serves all.
+        self._upstream_trust = self.pki.root_store()
         tool = MeasurementTool(registry=self.obs, fault_plan=plan)
         if plan is not None:
             if plan.has_wire_faults():
@@ -516,7 +519,7 @@ class StudyRunner:
                 spec.profile,
                 self.forger,
                 upstream_host=host,
-                upstream_trust=self.pki.root_store(),
+                upstream_trust=self._upstream_trust,
                 client_bucket=profile.client_bucket,
                 rng=random.Random(
                     stable_hash(self.config.seed, "engine", profile.country, profile.client_index)

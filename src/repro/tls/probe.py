@@ -9,7 +9,7 @@ what an on-path proxy wanted the client to see.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.netsim.events import drive, settle
@@ -32,9 +32,14 @@ if TYPE_CHECKING:
 #: come from the fixed registry in :mod:`repro.tls.fingerprint`.
 HELLO_FRAME_CACHE_SIZE = 4096
 
-#: Where the client random sits in a hello record: after the record
-#: header (5 bytes), the handshake header (4) and the legacy version (2).
+#: Where the random sits in a hello record, client or server: after the
+#: record header (5 bytes), the handshake header (4) and the version (2).
 _RANDOM_AT = 11
+
+#: Distinct received flights, server random blanked, whose decode the
+#: probe keeps: a site answers every probe with the same flight but for
+#: its random.  A flight over 64 KiB is decoded afresh each time.
+FLIGHT_DECODE_CACHE_SIZE = 256
 
 
 @content_memo(
@@ -59,6 +64,117 @@ def _hello_record(
     """The probe's hello record: the memoised frame, random spliced in."""
     frame = _hello_frame((browser, hostname, session_id))
     return frame[:_RANDOM_AT] + client_random + frame[_RANDOM_AT + 32 :]
+
+
+class _Refused(Exception):
+    """A flight the probe fails: its stage, error text and what it captured."""
+
+    def __init__(self, stage: str, error: str, **captured) -> None:
+        super().__init__(error)
+        self.stage = stage
+        self.captured = captured
+
+
+def _handshake_messages(flight: bytes) -> list[codec.HandshakeMessage]:
+    """The handshake messages in a received flight; an alert refuses it."""
+    try:
+        records, _ = codec.decode_records(flight)
+        # Handshake messages may span record boundaries (RFC 5246
+        # §6.2.1), so reassemble the handshake stream first.
+        handshake_stream = b""
+        for record in records:
+            if record.content_type == codec.CONTENT_ALERT:
+                alert = Alert.from_payload(record.payload)
+                raise _Refused(
+                    "alert", f"alert: level={alert.level} desc={alert.description}"
+                )
+            if record.content_type == codec.CONTENT_HANDSHAKE:
+                handshake_stream += record.payload
+        return codec.decode_handshakes(handshake_stream)[0]
+    except TlsError as exc:
+        raise _Refused("tls", f"tls: {exc}")
+
+
+def _read_messages(
+    messages: list[codec.HandshakeMessage],
+) -> tuple[ServerHello | None, tuple[bytes, ...], tuple[Certificate, ...]]:
+    """The (last) ServerHello, the DER chain and the parsed chain."""
+    server_hello: ServerHello | None = None
+    der_chain: tuple[bytes, ...] | None = None
+    try:
+        for message in messages:
+            if message.msg_type == codec.HS_SERVER_HELLO:
+                server_hello = ServerHello.from_body(message.body)
+            elif message.msg_type == codec.HS_CERTIFICATE:
+                der_chain = codec.Certificate.from_body(message.body).der_chain
+    except TlsError as exc:
+        raise _Refused("tls", f"tls: {exc}")
+    if der_chain is None:
+        # Keep whatever ServerHello did arrive: the server-leg audit
+        # grades a captured hello even when the flight is otherwise
+        # incomplete.
+        raise _Refused(
+            "no-certificate",
+            "no Certificate message received",
+            server_hello=server_hello,
+        )
+    # Parse every certificate; unparseable DER is itself a finding.
+    try:
+        chain = tuple(parse_certificate(der) for der in der_chain)
+    except X509Error as exc:
+        raise _Refused(
+            "x509", f"x509: {exc}", der_chain=der_chain, server_hello=server_hello
+        )
+    return server_hello, der_chain, chain
+
+
+@content_memo("tls.flight_decode", FLIGHT_DECODE_CACHE_SIZE)
+def _decode_flight(
+    flight: bytes,
+) -> tuple[ServerHello, tuple[bytes, ...], tuple[Certificate, ...]]:
+    """:func:`_read_messages` of a flight led by its only ServerHello.
+
+    The caller blanks that hello's random, so every visit to a site
+    shares one entry.  A flight with a second ServerHello is refused:
+    the probe keeps the last hello, whose random is not blanked.
+    """
+    messages = _handshake_messages(flight)
+    hellos = [message.msg_type for message in messages].count(codec.HS_SERVER_HELLO)
+    if hellos > 1:
+        raise _Refused("tls", "more than one ServerHello")
+    return _read_messages(messages)
+
+
+def _read_flight(
+    flight: bytes,
+) -> tuple[ServerHello | None, tuple[bytes, ...], tuple[Certificate, ...]]:
+    """What the probe keeps of a received flight; raises :class:`_Refused`.
+
+    A flight whose first record opens with a ServerHello and holds its
+    whole random goes through :func:`_decode_flight` with the random
+    blanked, and gets its own random back.  Any other flight, and any
+    the memo refuses, is read from the bytes received, uncached, so a
+    failure reports exactly what arrived.
+    """
+    end = _RANDOM_AT + 32
+    # The 32 bytes at offset 11 are the random only when the first record's
+    # payload and the ServerHello's body both reach past them.
+    if (
+        len(flight) >= end
+        and flight[0] == codec.CONTENT_HANDSHAKE
+        and int.from_bytes(flight[3:5], "big") >= end - 5
+        and flight[5] == codec.HS_SERVER_HELLO
+        and int.from_bytes(flight[6:9], "big") >= end - 9
+    ):
+        try:
+            hello, der_chain, chain = _decode_flight(
+                flight[:_RANDOM_AT] + bytes(32) + flight[end:]
+            )
+        except _Refused:
+            pass
+        else:
+            return replace(hello, server_random=flight[_RANDOM_AT:end]), der_chain, chain
+    return _read_messages(_handshake_messages(flight))
 
 
 @dataclass(frozen=True)
@@ -151,60 +267,12 @@ class ProbeClient:
         yield from settle(sock)
         buffer = sock.recv()
         self.metrics.inc("probe.bytes_received", n=len(buffer))
-        server_hello: ServerHello | None = None
-        der_chain: tuple[bytes, ...] | None = None
         try:
-            records, _ = codec.decode_records(buffer)
-            # Handshake messages may span record boundaries (RFC 5246
-            # §6.2.1), so reassemble the handshake stream first.
-            handshake_stream = b""
-            for record in records:
-                if record.content_type == codec.CONTENT_ALERT:
-                    alert = Alert.from_payload(record.payload)
-                    return self._failed(
-                        hostname,
-                        port,
-                        "alert",
-                        f"alert: level={alert.level} desc={alert.description}",
-                    )
-                if record.content_type == codec.CONTENT_HANDSHAKE:
-                    handshake_stream += record.payload
-            messages, _ = codec.decode_handshakes(handshake_stream)
-            for message in messages:
-                if message.msg_type == codec.HS_SERVER_HELLO:
-                    server_hello = ServerHello.from_body(message.body)
-                elif message.msg_type == codec.HS_CERTIFICATE:
-                    cert_msg = codec.Certificate.from_body(message.body)
-                    der_chain = cert_msg.der_chain
-        except TlsError as exc:
-            return self._failed(hostname, port, "tls", f"tls: {exc}")
-
-        if der_chain is None:
-            # Keep whatever ServerHello did arrive: the server-leg
-            # audit grades a captured hello even when the flight is
-            # otherwise incomplete.
+            server_hello, der_chain, chain = _read_flight(buffer)
+        except _Refused as refused:
             return self._failed(
-                hostname,
-                port,
-                "no-certificate",
-                "no Certificate message received",
-                server_hello=server_hello,
+                hostname, port, refused.stage, str(refused), **refused.captured
             )
-
-        # Parse every certificate; unparseable DER is itself a finding.
-        parsed: list[Certificate] = []
-        for der in der_chain:
-            try:
-                parsed.append(parse_certificate(der))
-            except X509Error as exc:
-                return self._failed(
-                    hostname,
-                    port,
-                    "x509",
-                    f"x509: {exc}",
-                    der_chain=der_chain,
-                    server_hello=server_hello,
-                )
         # Abort: the tool closes without finishing the handshake (§3.2).
         self.metrics.inc("probe.ok")
         return ProbeResult(
@@ -213,5 +281,5 @@ class ProbeClient:
             port,
             der_chain=der_chain,
             server_hello=server_hello,
-            chain=tuple(parsed),
+            chain=chain,
         )

@@ -218,12 +218,11 @@ def _parse_extensions(value: Asn1Value) -> tuple[Extension, ...]:
         if len(ext_seq) not in (2, 3):
             raise X509Error("Extension must have 2 or 3 elements")
         oid = _expect(ext_seq[0], ObjectIdentifier, "extension OID").dotted
+        # {extnID, extnValue} or {extnID, critical BOOLEAN, extnValue}.
         critical = False
-        value_index = 1
-        if isinstance(ext_seq[1], Boolean):
-            critical = ext_seq[1].value
-            value_index = 2
-        octets = _expect(ext_seq[value_index], OctetString, "extension value")
+        if len(ext_seq) == 3:
+            critical = _expect(ext_seq[1], Boolean, "extension criticality").value
+        octets = _expect(ext_seq[-1], OctetString, "extension value")
         extensions.append(Extension(oid, critical, octets.data))
     return tuple(extensions)
 

@@ -107,8 +107,12 @@ class TestWireConcurrencyEquivalence:
 def test_parse_cache_warmth_changes_no_output():
     # The parse cache is process-global: a second run of the same study
     # finds every genuine chain already parsed.  Outputs must not care.
+    # The probe's flight memo sits in front of the parse cache, so it is
+    # emptied before each run for the probe to reach the parse cache.
     parse._parse_der.cache_clear()
+    probe._decode_flight.cache_clear()
     cold, cold_logs = _run(64)
+    probe._decode_flight.cache_clear()
     warm, warm_logs = _run(64)
     assert cold.database.aggregate_signature() == warm.database.aggregate_signature()
     assert json.dumps(cold.metrics["deterministic"], sort_keys=True) == json.dumps(
@@ -130,6 +134,7 @@ WIRE_MEMOS = {
     "tls.hello_cache": tls_server._parse_client_hello,
     "tls.flight_cache": tls_codec._flight_tail,
     "tls.hello_frame": probe._hello_frame,
+    "tls.flight_decode": probe._decode_flight,
     "http.head_frame": http_codec._encode_head,
     "http.request_heads": http_codec._parse_request_head,
     "http.response_heads": http_codec._parse_response_head,

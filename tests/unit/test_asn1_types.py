@@ -135,6 +135,15 @@ class TestOid:
         with pytest.raises(Asn1Error):
             ObjectIdentifier("0.40")
 
+    @pytest.mark.parametrize(
+        "dotted", ["1.2.-0", "1.2.5 ", "1.02.3", " 1.2", "1.2.+3", "1.2.\u0663", "1.2.-5"]
+    )
+    def test_non_canonical_arcs_rejected_at_construction(self, dotted):
+        # int() reads each of these arcs, so they used to construct and
+        # encode as some other OID ("1.2.-5" failed only at encode).
+        with pytest.raises(Asn1Error, match="bad OID"):
+            ObjectIdentifier(dotted)
+
     def test_name_lookup(self):
         assert ObjectIdentifier("2.5.4.10").name == "O"
         assert ObjectIdentifier("1.2.3.4").name == "1.2.3.4"

@@ -370,6 +370,30 @@ class TestCatalogWarmup:
         assert cache_key in harness.forger._cas
 
 
+class TestSharedProxyStore:
+    def test_rigs_share_one_store_and_a_second_battery_adds_no_miss(self):
+        from repro.x509.verify import chain_memo_info
+
+        harness = AuditHarness(seed=17, pki_key_bits=512)
+        first = make_profile()
+        second = make_profile(
+            key="second-audit-product",
+            issuer=Name.build(common_name="Second Audit CA", organization="Second"),
+        )
+        stores = {
+            id(harness._make_rig(profile, scenario.key)[3].upstream_trust)
+            for profile in (first, second)
+            for scenario in SCENARIOS
+        }
+        assert stores == {id(harness.pki.proxy_store())}
+        misses = chain_memo_info()[1]
+        harness.audit_product(first)
+        after_first = chain_memo_info()[1]
+        assert after_first > misses
+        harness.audit_product(second)
+        assert chain_memo_info()[1] == after_first
+
+
 class TestServerLegObservationPaths:
     def test_captured_hello_graded_despite_probe_error(self, harness):
         """A substitute ServerHello that made it onto the wire is

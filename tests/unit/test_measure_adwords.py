@@ -228,6 +228,15 @@ def _non_digit_year_leaf(origin_chain, root_ca):
     return [raw[:year] + b"A" + raw[year + 1 :], origin_chain[1].raw]
 
 
+def _extension_without_value_leaf(origin_chain, root_ca):
+    # The critical basicConstraints Extension SEQUENCE cut from 12 to 8
+    # bytes: {OID, BOOLEAN}, the value OCTET STRING left outside.  The
+    # parser indexed past the BOOLEAN, and IndexError drew a 500.
+    raw = origin_chain[0].raw
+    at = raw.index(bytes.fromhex("300c0603551d130101ff0402")) + 1
+    return [raw[:at] + b"\x08" + raw[at + 1 :], origin_chain[1].raw]
+
+
 def _bad_basic_constraints_intermediate(origin_chain, root_ca):
     intermediate = origin_chain[1]
     extensions = tuple(
@@ -334,8 +343,20 @@ class TestMeasurementToolWire:
 
     @pytest.mark.parametrize(
         "hostile_chain",
-        [_nested_der, _bad_san_leaf, _bad_basic_constraints_intermediate, _non_digit_year_leaf],
-        ids=["nested-der", "bad-subject-alt-name", "bad-basic-constraints", "utctime-year-A4"],
+        [
+            _nested_der,
+            _bad_san_leaf,
+            _bad_basic_constraints_intermediate,
+            _non_digit_year_leaf,
+            _extension_without_value_leaf,
+        ],
+        ids=[
+            "nested-der",
+            "bad-subject-alt-name",
+            "bad-basic-constraints",
+            "utctime-year-A4",
+            "extension-without-value",
+        ],
     )
     def test_deeply_nested_der_is_a_counted_rejection(
         self, origin_chain, root_ca, hostile_chain

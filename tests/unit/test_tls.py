@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.netsim import Network
+from repro.netsim.network import Protocol
 from repro.tls import codec
 from repro.tls.codec import (
     FLIGHT_CACHE_SIZE,
@@ -17,7 +18,13 @@ from repro.tls.codec import (
     TlsError,
     _flight_tail,
 )
-from repro.tls.probe import HELLO_FRAME_CACHE_SIZE, ProbeClient, _hello_frame
+from repro.tls.probe import (
+    FLIGHT_DECODE_CACHE_SIZE,
+    HELLO_FRAME_CACHE_SIZE,
+    ProbeClient,
+    _decode_flight,
+    _hello_frame,
+)
 from repro.tls.server import HELLO_CACHE_SIZE, TlsCertServer, _parse_client_hello
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
@@ -36,6 +43,27 @@ def site_chain(intermediate_ca, keystore):
 
 def _rand32(seed=1):
     return random.Random(seed).getrandbits(256).to_bytes(32, "big")
+
+
+def _probe_flights(*flights):
+    """Probe a site that answers the i-th connection with ``flights[i]``."""
+    replies = iter(flights)
+
+    class FlightServer(Protocol):
+        def data_received(self, sock, data):
+            sock.send(next(replies))
+
+    net = Network()
+    client = ProbeClient(net.add_host("client.example"))
+    net.add_host("probe-target.example").listen(443, FlightServer)
+    results = [client.probe("probe-target.example") for _ in flights]
+    return results, client.metrics.deterministic_snapshot()["counters"]
+
+
+def _flight(chain_der, server_random=bytes(32), session_id=b""):
+    hello = ServerHello(server_random, 0x002F, session_id=session_id)
+    message = CertificateMessage(tuple(chain_der))
+    return codec.encode_server_flight(hello, [message], codec.TLS_1_2)
 
 
 class TestRecordCodec:
@@ -267,6 +295,110 @@ class TestFrameMemos:
         results = [client.probe("probe-target.example") for _ in range(2)]
         errors = [result.error for result in results]
         assert errors == ["tls: truncated handshake body"] * 2
+
+
+class TestFlightMemo:
+    """The probe decodes each distinct flight once, random blanked."""
+
+    def test_probes_of_one_site_share_an_entry_and_keep_their_random(self, site_chain):
+        chain_der = [certificate.raw for certificate in site_chain]
+        randoms = [_rand32(seed) for seed in (11, 12)]
+        _decode_flight.cache_clear()
+        results, _ = _probe_flights(*(_flight(chain_der, rnd) for rnd in randoms))
+        assert [result.ok for result in results] == [True, True]
+        assert [result.server_hello.server_random for result in results] == randoms
+        assert results[0].chain == results[1].chain
+        assert _decode_flight.cache_info()[:2] == (1, 1)
+
+    def test_memo_stays_within_its_bound(self, site_chain):
+        chain_der = [certificate.raw for certificate in site_chain]
+        for index in range(FLIGHT_DECODE_CACHE_SIZE + 3):
+            _decode_flight(_flight(chain_der, session_id=index.to_bytes(2, "big")))
+        info = _decode_flight.cache_info()
+        assert info.currsize == info.maxsize == FLIGHT_DECODE_CACHE_SIZE
+
+    def test_oversized_flight_is_decoded_but_not_kept(self, site_chain):
+        leaf = site_chain[0].raw
+        copies = _decode_flight.max_key_bytes // len(leaf) + 1
+        flight = _flight([leaf] * copies)
+        assert len(flight) > _decode_flight.max_key_bytes
+        currsize = _decode_flight.cache_info().currsize
+        results, _ = _probe_flights(flight, flight)
+        assert [len(result.chain) for result in results] == [copies, copies]
+        assert results[0] == results[1] and results[0].chain is not results[1].chain
+        assert _decode_flight.cache_info().currsize == currsize
+
+    def test_refused_flight_is_decoded_again_each_time(self, site_chain):
+        bad = HandshakeMessage(codec.HS_CERTIFICATE, b"\x00\x00\x09")
+        hello = ServerHello(server_random=_rand32(4), cipher_suite=0x002F)
+        flight = codec.encode_server_flight(hello, [bad], codec.TLS_1_2)
+        info = _decode_flight.cache_info()
+        results, counters = _probe_flights(flight, flight)
+        assert [result.error for result in results] == ["tls: truncated handshake body"] * 2
+        assert counters["probe.failures{stage=tls}"] == 2
+        after = _decode_flight.cache_info()
+        assert (after.misses, after.currsize) == (info.misses + 2, info.currsize)
+
+    def test_no_certificate_flight_keeps_each_received_random(self):
+        randoms = [_rand32(seed) for seed in (21, 22)]
+        flights = [
+            codec.encode_handshake_record(ServerHello(rnd, cipher_suite=0xC02F))
+            for rnd in randoms
+        ]
+        results, counters = _probe_flights(*flights)
+        assert [result.error for result in results] == ["no Certificate message received"] * 2
+        assert [result.server_hello.server_random for result in results] == randoms
+        assert counters["probe.failures{stage=no-certificate}"] == 2
+
+    def test_hello_split_across_records_skips_the_memo(self, site_chain):
+        # The first record ends before the random, so bytes 11-42 are not
+        # the random: the flight is read as received, without a lookup.
+        hello = ServerHello(_rand32(41), 0x002F)
+        message = hello.to_handshake().encode()
+        chain = CertificateMessage(tuple(c.raw for c in site_chain)).to_handshake()
+        flight = b"".join(
+            Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, payload).encode()
+            for payload in (message[:20], message[20:], chain.encode())
+        )
+        info = _decode_flight.cache_info()
+        results, _ = _probe_flights(flight, flight)
+        assert [result.ok for result in results] == [True, True]
+        assert [result.server_hello for result in results] == [hello, hello]
+        assert _decode_flight.cache_info()[:2] == info[:2]
+
+    def test_hello_too_short_for_a_random_skips_the_memo(self, site_chain):
+        short = HandshakeMessage(codec.HS_SERVER_HELLO, b"\x03\x01" + bytes(20))
+        chain = CertificateMessage(tuple(c.raw for c in site_chain)).to_handshake()
+        payload = short.encode() + chain.encode()
+        flight = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, payload).encode()
+        info = _decode_flight.cache_info()
+        results, _ = _probe_flights(flight, flight)
+        assert [result.error for result in results] == ["tls: truncated handshake body"] * 2
+        assert _decode_flight.cache_info()[:2] == info[:2]
+
+    def test_second_server_hello_is_read_from_the_received_bytes(self, site_chain):
+        first, last = ServerHello(_rand32(31), 0x002F), ServerHello(_rand32(32), 0x0035)
+        flight = codec.encode_server_flight(
+            first,
+            [last.to_handshake(), CertificateMessage(tuple(c.raw for c in site_chain))],
+            codec.TLS_1_2,
+        )
+        results, _ = _probe_flights(flight, flight)
+        assert [result.server_hello for result in results] == [last, last]
+
+    def test_extension_without_value_fails_at_x509(self, site_chain):
+        # A critical Extension cut to {OID, BOOLEAN}: the parser used to
+        # index past the BOOLEAN, and the probe raised IndexError.
+        leaf = site_chain[0].raw
+        at = leaf.index(bytes.fromhex("300c0603551d130101ff0402")) + 1
+        chain_der = (leaf[:at] + b"\x08" + leaf[at + 1 :], site_chain[1].raw)
+        results, counters = _probe_flights(*[_flight(chain_der, _rand32(5))] * 2)
+        for result in results:
+            assert not result.ok
+            assert result.error.startswith("x509: ")
+            assert result.der_chain == chain_der
+            assert result.server_hello.server_random == _rand32(5)
+        assert counters["probe.failures{stage=x509}"] == 2
 
 
 class TestVersionAwareRecords:
