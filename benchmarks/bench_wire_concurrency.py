@@ -3,13 +3,14 @@
 ISSUE 10's tentpole turned wire mode from one synchronous session at a
 time into thousands of generator chains multiplexed on a cooperative
 loop over the scheduled-delivery transport.  This bench sweeps the
-admission cap (1 = the historical serial path, then 64 → 4096) over one
-study-2 wire plan and records, per level:
+admission cap (1, then 64 → 4096) over one study-2 wire plan and
+records, per level:
 
 * sessions executed and wall-clock sessions/s,
-* loop ticks and the in-flight session high-water mark,
+* loop ticks and the high-water mark of client chains in flight (each
+  chain runs one session at a time),
 * whether ``aggregate_signature()`` and the deterministic metrics
-  section match the serial baseline byte for byte (the refactor's bar —
+  section match the first level's byte for byte (the refactor's bar —
   concurrency must buy throughput shape, never different bytes).
 
 Scale is controlled by ``REPRO_BENCH_WIRE_SCALE`` (default 0.0008 ≈
@@ -75,7 +76,7 @@ def _run_level(concurrency: int, scale: float) -> dict:
         "loop_ticks": counters.get("loop.ticks", 0),
         "queue_delivered": counters.get("wire.queue_delivered", 0),
         "queue_depth_peak": gauges.get("wire.queue_depth_peak", 0),
-        "peak_inflight": gauges.get("wire.sessions_inflight", 0),
+        "peak_inflight": gauges.get("wire.chains_peak_active", 0),
         "signature": result.database.aggregate_signature(),
         "deterministic": result.metrics["deterministic"],
     }

@@ -51,7 +51,6 @@ from repro.crypto.hashes import hash_by_signature_oid
 from repro.crypto.keystore import KeyStore
 from repro.crypto.vault import open_vault
 from repro.data.products import catalog, catalog_by_key
-from repro.netsim.events import drive
 from repro.netsim.network import Host, Network
 from repro.obs.events import HandshakeEventLog
 from repro.obs.metrics import (
@@ -391,17 +390,7 @@ class AuditHarness:
     def run_scenario(
         self, profile: ProxyProfile, scenario: AuditScenario
     ) -> ScenarioObservation:
-        return drive(self.scenario_task(profile, scenario))
-
-    def scenario_task(self, profile: ProxyProfile, scenario: AuditScenario):
-        """Resumable form of :meth:`run_scenario`.
-
-        A generator state machine yielding at each probe's await
-        points, so a scheduler could multiplex scenario batteries the
-        same way the study runner multiplexes wire sessions; driven
-        inline it performs exactly the historical synchronous battery.
-        Returns the :class:`ScenarioObservation` via ``StopIteration``.
-        """
+        """Probe the product once against a healthy origin, then attack."""
         setup = self._setups[scenario.key]
         network, origin, victim, engine = self._make_rig(
             profile, scenario.key, revoked_serials=setup.revoked_serials
@@ -409,9 +398,7 @@ class AuditHarness:
         probe_rng = self._probe_rng(profile, scenario.key)
         with self.obs.span("audit.scenario", scenario=scenario.key):
             # Warm-up: the origin is healthy; validation caches fill here.
-            yield from ProbeClient(victim, rng=probe_rng).probe_task(
-                AUDIT_HOSTNAME, 443
-            )
+            ProbeClient(victim, rng=probe_rng).probe(AUDIT_HOSTNAME, 443)
             # The attack begins: swap in the scenario's origin.
             origin.stop_listening(443)
             origin.listen(
@@ -422,9 +409,7 @@ class AuditHarness:
                     max_version=setup.max_version,
                 ).factory,
             )
-            result = yield from ProbeClient(victim, rng=probe_rng).probe_task(
-                AUDIT_HOSTNAME, 443
-            )
+            result = ProbeClient(victim, rng=probe_rng).probe(AUDIT_HOSTNAME, 443)
         return self._classify(scenario, setup, result)
 
     @staticmethod

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="wire-mode admission cap: how many client session chains "
             "the cooperative scheduler multiplexes at once; signatures, "
             "event logs and deterministic metrics are identical for any "
-            "value (default 1 = serial)",
+            "value (default 1: one chain at a time)",
         )
         study_parser.add_argument(
             "--vault",

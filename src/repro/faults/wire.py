@@ -5,11 +5,16 @@
 the reporting server.  It models the consumer-network failure modes
 the paper's clients actually lived behind: connections that never
 reach the collector, resets mid-POST, truncated uploads, and flipped
-bytes.  Fault decisions are keyed on a per-target *report-connection
-ordinal*, and only connections whose first bytes say ``POST /report``
-are ever faulted — ad fetches and Flash policy probes pass through
+bytes.  Only connections whose first bytes say ``POST /report`` are
+ever faulted — ad fetches and Flash policy probes pass through
 untouched, which keeps the study's policy/probe ledger (and therefore
 ``aggregate_signature()``) out of the blast radius.
+
+Fault decisions, at the relay and at the server, are keyed on the
+client host's name and that client's own report ordinal.  A client
+sends its reports one at a time, so which report is faulted does not
+depend on how a scheduler interleaves clients.  (Names, not IPs:
+clients behind one egress share an IP.)
 
 Kind semantics, chosen for exact accounting:
 
@@ -30,7 +35,7 @@ handler runs so an injected error never touches the database.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from typing import Callable
 
 from repro.faults.plan import FaultPlan
@@ -62,7 +67,7 @@ class FaultRelay(Interceptor):
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.hostname = hostname
         self.port = port
-        self.report_connections = 0
+        self._report_connections: Counter[str] = Counter()
         self.faulted_connections = 0
 
     def intercepts(self, hostname: str, port: int) -> bool:
@@ -79,9 +84,10 @@ class FaultRelay(Interceptor):
             self, network, client_sock, hostname, port
         )
 
-    def next_report_ordinal(self) -> int:
-        ordinal = self.report_connections
-        self.report_connections += 1
+    def next_report_ordinal(self, client: str) -> int:
+        """``client``'s report connections through this relay so far."""
+        ordinal = self._report_connections[client]
+        self._report_connections[client] = ordinal + 1
         return ordinal
 
     def count(self, kind: str) -> None:
@@ -132,8 +138,9 @@ class _RelayConnection(Protocol):
         if not is_report:
             return  # ad/policy traffic: transparent passthrough
         plan = self.relay.plan
-        ordinal = self.relay.next_report_ordinal()
-        site = ("wire", self.hostname, self.port, ordinal)
+        client = self.client_sock.remote_host.hostname
+        ordinal = self.relay.next_report_ordinal(client)
+        site = ("wire", self.hostname, self.port, client, ordinal)
         for kind in ("connect-refused", "reset", "truncate", "corrupt"):
             if plan.fires(kind, *site):
                 self.mode = kind
@@ -242,24 +249,28 @@ def server_fault_hook(
     without touching the database or the store — the client's retry
     (which the injected ``Retry-After`` paces) delivers the report on a
     later ordinal and the end state matches the fault-free run exactly.
+    Decisions are keyed on the requesting host's name and its own
+    request ordinal (an unknown remote counts as one client, ``""``).
     """
     metrics = registry if registry is not None else MetricsRegistry()
-    requests = itertools.count()
+    requests: Counter[str] = Counter()
 
     def hook(request: HttpRequest, remote: "Host | None") -> HttpResponse | None:
-        ordinal = next(requests)
-        if plan.fires("server-5xx", "server", ordinal):
+        client = remote.hostname if remote is not None else ""
+        ordinal = requests[client]
+        requests[client] = ordinal + 1
+        if plan.fires("server-5xx", "server", client, ordinal):
             metrics.inc("faults.injected", kind="server-5xx")
             return HttpResponse(500, body=b"injected server fault")
-        if plan.fires("server-slow", "server", ordinal):
+        if plan.fires("server-slow", "server", client, ordinal):
             metrics.inc("faults.injected", kind="server-slow")
-            pause = 1 + plan.roll(4, "server-slow", ordinal)
+            pause = 1 + plan.roll(4, "server-slow", client, ordinal)
             return HttpResponse(
                 503,
                 headers={"Retry-After": str(pause)},
                 body=b"injected slow server",
             )
-        if plan.fires("429", "server", ordinal):
+        if plan.fires("429", "server", client, ordinal):
             metrics.inc("faults.injected", kind="429")
             return HttpResponse(
                 429, headers={"Retry-After": "1"}, body=b"injected backpressure"

@@ -19,7 +19,6 @@ from repro.data.sites import ProbeSite
 from repro.faults.plan import Backoff, FaultPlan
 from repro.httpmin.client import HttpClient
 from repro.httpmin.codec import HttpError
-from repro.netsim.events import drive
 from repro.netsim.network import ConnectionRefused, ConnectionReset, Host
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyError
@@ -98,27 +97,15 @@ class MeasurementTool:
         self.session_deadline_ticks = (
             fault_plan.deadline if planned else DEFAULT_DEADLINE_TICKS
         )
-        # Seeded fault plan for client-side stall injections: under a
-        # scheduler a stall is a real delay (the session holds its
-        # admission slot while others run); driven serially it only
-        # burns deadline budget.  Keyed on the planning-time session
-        # ordinal, so injections are identical at any concurrency.
+        # Seeded fault plan for client-side stall injections: a stall
+        # is a run of scheduler ticks during which the session holds
+        # its admission slot while others run.  Keyed on the
+        # planning-time session ordinal, so injections are identical
+        # at any concurrency.
         self.fault_plan = fault_plan
         # Shared with the per-session ProbeClients, so probe attempts
         # and failure stages aggregate across the whole run.
         self.metrics = registry if registry is not None else MetricsRegistry()
-
-    def run_session(
-        self,
-        client: Host,
-        sites: list[ProbeSite],
-        product_key: str | None = None,
-        session_ordinal: int = 0,
-    ) -> SessionOutcome:
-        """Fetch the tool, then probe and report every site."""
-        return drive(
-            self.session_task(client, sites, product_key, session_ordinal)
-        )
 
     def session_task(
         self,
@@ -127,13 +114,12 @@ class MeasurementTool:
         product_key: str | None = None,
         session_ordinal: int = 0,
     ):
-        """Resumable form of :meth:`run_session`.
+        """Fetch the tool, then probe and report every site.
 
-        A generator state machine that yields while awaiting bytes (and
-        for every backoff or injected-stall tick), so a scheduler can
-        multiplex thousands of sessions; driven inline via
-        :func:`repro.netsim.events.drive` it performs exactly the
-        historical synchronous work.  Returns the
+        A generator state machine that yields while awaiting bytes on a
+        scheduled transport, and for every backoff or injected-stall
+        tick, so a :class:`~repro.netsim.loop.WireScheduler` can
+        multiplex thousands of sessions.  Returns the
         :class:`SessionOutcome` via ``StopIteration``.
         """
         outcome = SessionOutcome()
@@ -226,9 +212,7 @@ class MeasurementTool:
 
         Returns the tick count the caller should wait (yield) — a pure
         function of the backoff seed and the (leg, site, attempt)
-        coordinates, accounted against the session deadline.  Under a
-        scheduler those ticks are real suspensions; driven inline they
-        cost nothing but budget, exactly the historical accounting.
+        coordinates, accounted against the session deadline.
         """
         if attempt >= self.report_retry_limit:
             return None
@@ -270,8 +254,8 @@ class MeasurementTool:
         if plan is not None:
             stall = plan.stall_ticks("wire", site_hostname, session_ordinal)
             if stall:
-                # Injected client-side stall: under a scheduler these
-                # are real delay ticks holding the session slot.
+                # Injected client-side stall: delay ticks holding the
+                # session slot.
                 self.metrics.inc("faults.injected", kind="stall")
                 for _ in range(stall):
                     yield

@@ -10,16 +10,17 @@ and closes enqueue their ``connection_lost`` notifications, all
 processed in strict FIFO order when the scheduler drains between
 cooperative ticks.
 
-Inactive (the default, and the permanent state of any network no
-scheduler touches) the queue is invisible: delivery stays synchronous
-and byte-for-byte identical to the historical behaviour, which is what
-keeps the serial wire path and every non-study consumer (audit
-harness, unit tests) unchanged.
+Inactive (the default, the permanent state of any network no
+scheduler touches, and the state a scheduler admitting one task at a
+time leaves it in) the queue is invisible: delivery stays synchronous,
+byte-for-byte identical to the recursive model, which is what keeps a
+cap-1 wire study and every non-study consumer (audit harness, unit
+tests) on direct calls.
 
 Two tiny driver helpers round out the model: client state machines are
 written once as generators that ``yield`` while awaiting bytes
 (:func:`settle`), and :func:`drive` runs such a generator to
-completion for callers that want the old blocking call shape.
+completion for callers that want the blocking call shape.
 """
 
 from __future__ import annotations

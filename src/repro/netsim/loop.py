@@ -48,13 +48,16 @@ class WireScheduler:
     wait in an admission queue and are started as slots free up, which
     is what bounds per-tick memory (and models a listen backlog).
 
-    For the duration of :meth:`run` the network's
-    :class:`~repro.netsim.events.DeliveryQueue` is active: sends on
-    schedulable sockets enqueue instead of recursing, and the queue is
-    drained to quiescence after every tick.  Because every server
-    protocol answers within the drain, a client task that yields once
-    after sending is guaranteed the complete reply (or the close) on
-    resume — synchronous semantics, concurrent execution.
+    When more than one task may be in flight (``max_active > 1``), the
+    network's :class:`~repro.netsim.events.DeliveryQueue` is active for
+    the duration of :meth:`run`: sends on schedulable sockets enqueue
+    instead of recursing, and the queue is drained to quiescence after
+    every tick.  Because every server protocol answers within the
+    drain, a client task that yields once after sending is guaranteed
+    the complete reply (or the close) on resume — synchronous
+    semantics, concurrent execution.  At ``max_active == 1`` nothing
+    can interleave, so the queue stays inactive and sends are
+    delivered synchronously.
 
     ``shuffle`` (a seeded :class:`random.Random`) randomises the order
     tasks are stepped within each tick — the determinism tests use it
@@ -132,7 +135,7 @@ class WireScheduler:
         a diagnosis.
         """
         queue = self.network.queue
-        queue.active = True
+        queue.active = self.max_active > 1
         start = self.ticks
         try:
             while self._pending or self._active:

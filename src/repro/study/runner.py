@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -99,10 +100,11 @@ class StudyConfig:
     # multiplexes the sessions instead of a pool).
     workers: int = 1
     # Wire-mode admission cap: how many client session chains the
-    # cooperative scheduler keeps in flight at once.  1 = the
-    # historical serial path; any value produces byte-identical
-    # signatures, handshake event logs and deterministic metrics —
-    # concurrency changes wall-clock and loop ticks, never results.
+    # cooperative scheduler keeps in flight at once (at 1, one chain
+    # at a time with synchronous delivery).  Any value produces
+    # byte-identical signatures, handshake event logs and
+    # deterministic metrics — concurrency changes wall-clock and loop
+    # ticks, never results.
     wire_concurrency: int = 1
     # Countries above this session count split into even sub-shards so
     # the pool's work units are comparable in size.  The split plan
@@ -324,20 +326,19 @@ class StudyRunner:
     # -- wire mode ------------------------------------------------------------------
 
     def _run_wire(self, result: StudyResult) -> None:
-        """Wire mode: plan all sessions, then execute serially or scheduled.
+        """Wire mode: plan all sessions, then run them on the scheduler.
 
         Planning and execution are strictly separated so concurrency
         cannot touch the sampling streams: every draw from the session
         rng (client sampling, per-site completion) happens in one
-        serial pass, producing an ordered session plan.  At
-        ``wire_concurrency == 1`` the plan is executed with the
-        historical inline loop; above 1 the sessions become generator
-        chains on a :class:`WireScheduler` — one chain per client host,
-        so each client's interception engine sees its connections in
-        exactly the serial order and per-engine handshake event logs
-        stay byte-identical.  Either way the report multiset, the
-        deterministic metrics and ``aggregate_signature()`` are the
-        same; only wall-clock and loop ticks change.
+        serial pass, which appends each session to its client host's
+        chain.  Each chain is one :class:`WireScheduler` task that runs
+        its client's sessions in order, so every interception engine
+        sees its connections in plan order and per-engine handshake
+        event logs are the same at any admission cap
+        (``wire_concurrency``).  So are the report multiset, the
+        deterministic metrics and ``aggregate_signature()``; only
+        wall-clock and loop ticks change.
         """
         config = self.config
         population = result.population
@@ -367,101 +368,49 @@ class StudyRunner:
         n_sessions = self.total_sessions()
         c_sessions = self.obs.counter("study.sessions", mode="wire")
         site_odds = list(zip(self.sites, self._site_probs.tolist()))
+        failures = result.database.failures
 
-        def fold(outcome) -> None:
-            result.database.failures.policy_denied += outcome.policy_denied
-            result.database.failures.connect_failed += outcome.connect_failed
-            result.database.failures.probe_failed += outcome.probe_failed
-            result.database.failures.report_failed += outcome.report_failed
-            result.sessions_run += 1
-            c_sessions.inc()
+        def chain(client, work):
+            for product_key, chosen, ordinal in work:
+                outcome = yield from tool.session_task(
+                    client,
+                    chosen,
+                    product_key=product_key,
+                    session_ordinal=ordinal,
+                )
+                failures.policy_denied += outcome.policy_denied
+                failures.connect_failed += outcome.connect_failed
+                failures.probe_failed += outcome.probe_failed
+                failures.report_failed += outcome.report_failed
+                result.sessions_run += 1
+                c_sessions.inc()
 
         with self.obs.span("study.wire_sessions"):
             # Planning pass: every rng draw, in the historical order.
-            planned: list[tuple[object, str | None, list[ProbeSite], int]] = []
+            chains: dict[object, list[tuple[str | None, list[ProbeSite], int]]] = {}
             for ordinal in range(n_sessions):
-                result.database.failures.sessions_started += 1
+                failures.sessions_started += 1
                 profile = population.sample_client(rng)
                 client = self._client_host(network, profile, client_hosts)
                 chosen = [site for site, odds in site_odds if rng.random() < odds]
-                if not chosen:
-                    continue
-                planned.append((client, profile.product_key, chosen, ordinal))
-
-            task_failures = 0
-            if config.wire_concurrency <= 1:
-                for client, product_key, chosen, ordinal in planned:
-                    fold(
-                        tool.run_session(
-                            client,
-                            chosen,
-                            product_key=product_key,
-                            session_ordinal=ordinal,
-                        )
+                if chosen:
+                    chains.setdefault(client, []).append(
+                        (profile.product_key, chosen, ordinal)
                     )
-            else:
-                task_failures = self._run_wire_scheduled(tool, planned, fold)
+            scheduler = WireScheduler(
+                network, max_active=config.wire_concurrency, shuffle=self._wire_shuffle
+            )
+            for client, work in chains.items():
+                scheduler.spawn(partial(chain, client, work), label=client.hostname)
+            scheduler.run()
         # Task failures are deterministic (a session crash is a bug,
         # not a scheduling artefact), so the counter lives in the
-        # deterministic section — created in both execution paths so
-        # serial and concurrent snapshots stay byte-identical.
-        self.obs.counter("loop.task_failures").inc(task_failures)
-        result.notes["reporting_server"] = server
-        result.notes["wire_concurrency"] = config.wire_concurrency
-        result.notes["wire_client_hosts"] = client_hosts
-
-    def _run_wire_scheduled(self, tool, planned, fold) -> int:
-        """Execute the session plan concurrently; returns task failures.
-
-        One chain task per client host runs that client's sessions
-        sequentially (``yield from``), so per-engine connection order —
-        and with it every handshake event log and engine rng stream —
-        matches the serial execution exactly.  The admission cap bounds
-        chains in flight; the delivery queue is drained between ticks.
-        """
-        chains: dict[object, list[tuple[str | None, list, int]]] = {}
-        for client, product_key, chosen, ordinal in planned:
-            chains.setdefault(client, []).append((product_key, chosen, ordinal))
-
-        inflight = {"now": 0, "peak": 0}
-
-        def chain(client, work):
-            def task():
-                inflight["now"] += 1
-                if inflight["now"] > inflight["peak"]:
-                    inflight["peak"] = inflight["now"]
-                try:
-                    for product_key, chosen, ordinal in work:
-                        outcome = yield from tool.session_task(
-                            client,
-                            chosen,
-                            product_key=product_key,
-                            session_ordinal=ordinal,
-                        )
-                        fold(outcome)
-                finally:
-                    inflight["now"] -= 1
-
-            return task
-
-        network = next(iter(chains)).network if chains else None
-        if network is None:
-            return 0
-        scheduler = WireScheduler(
-            network,
-            max_active=self.config.wire_concurrency,
-            shuffle=getattr(self, "_wire_shuffle", None),
-        )
-        for client, work in chains.items():
-            scheduler.spawn(chain(client, work), label=client.hostname)
-        scheduler.run()
-        # Concurrency-shaped telemetry (loop ticks, queue depth,
-        # in-flight high-water) depends on the admission cap by
-        # definition, so it lands in the process section — the
-        # deterministic section stays invariant across concurrency.
+        # deterministic section.  Loop ticks, queue depth and chains
+        # in flight depend on the admission cap by definition, so they
+        # land in the process section.
+        self.obs.counter("loop.task_failures").inc(scheduler.task_failures)
         self.obs.process_counter("loop.ticks").inc(scheduler.ticks)
         self.obs.process_counter("loop.completed").inc(scheduler.completed)
-        self.obs.process_gauge("wire.sessions_inflight").set(inflight["peak"])
         self.obs.process_gauge("wire.chains_peak_active").set(scheduler.peak_active)
         self.obs.process_gauge("wire.queue_depth_peak").set(
             network.queue.max_depth
@@ -470,7 +419,9 @@ class StudyRunner:
             network.queue.delivered
         )
         self.obs.process_counter("wire.queue_dropped").inc(network.queue.dropped)
-        return scheduler.task_failures
+        result.notes["reporting_server"] = server
+        result.notes["wire_concurrency"] = config.wire_concurrency
+        result.notes["wire_client_hosts"] = client_hosts
 
     def _build_wire_network(self, network: Network, result: StudyResult):
         """Sites, policy servers and the reporting stack."""

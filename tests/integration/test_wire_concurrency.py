@@ -12,6 +12,7 @@ import pytest
 
 from repro.httpmin import codec as http_codec
 from repro.measure import server, tool
+from repro.measure.tool import MeasurementTool
 from repro.policy import server as policy_server
 from repro.study import StudyConfig, StudyRunner
 from repro.tls import codec as tls_codec
@@ -20,7 +21,15 @@ from repro.tls import server as tls_server
 from repro.x509 import parse
 
 
-def _run(wire_concurrency: int):
+#: A mix of recoverable wire and server kinds plus truncation, and a
+#: lossy plan whose damaged reports reach the failure ledger.
+FAULT_PLANS = (
+    "reset=0.1,429=0.1,stall=0.2,server-5xx=0.1,truncate=0.05",
+    "corrupt=0.1",
+)
+
+
+def _run(wire_concurrency: int, faults: str | None = None):
     result = StudyRunner(
         StudyConfig(
             study=2,
@@ -28,6 +37,7 @@ def _run(wire_concurrency: int):
             scale=0.0001,
             mode="wire",
             wire_concurrency=wire_concurrency,
+            faults=faults,
         )
     ).run()
     engine_logs = {}
@@ -93,8 +103,34 @@ class TestWireConcurrencyEquivalence:
         gauges = process["gauges"]
         assert counters["loop.ticks"] > 0
         assert counters["wire.queue_delivered"] > 0
-        assert gauges["wire.sessions_inflight"] > 1
         assert gauges["wire.chains_peak_active"] > 1
+
+    def test_cap_one_runs_on_the_scheduler_without_queueing(self, runs):
+        result, _logs = runs[1]
+        process = result.metrics["process"]
+        assert process["counters"]["loop.ticks"] > 0
+        assert process["counters"]["wire.queue_delivered"] == 0
+        assert process["gauges"]["wire.chains_peak_active"] == 1
+
+    def test_session_failure_at_cap_one_is_counted(self, runs, monkeypatch):
+        clean, _logs = runs[1]
+        session_task = MeasurementTool.session_task
+        started = []
+
+        def first_session_raises(self, *args, **kwargs):
+            started.append(args[0].hostname)
+            if len(started) == 1:
+                raise RuntimeError("session blew up")
+            return (yield from session_task(self, *args, **kwargs))
+
+        monkeypatch.setattr(MeasurementTool, "session_task", first_session_raises)
+        result, _logs = _run(1)
+        counters = result.metrics["deterministic"]["counters"]
+        assert counters["loop.task_failures"] == 1
+        # Only the failed client's chain stops; every other chain runs.
+        completed = result.metrics["process"]["counters"]["loop.completed"]
+        assert completed == clean.metrics["process"]["counters"]["loop.completed"] - 1
+        assert result.sessions_run == len(started) - 1
 
     def test_workers_flag_is_lifted_into_concurrency(self):
         # The historical "wire mode is single-worker" rejection is gone:
@@ -102,6 +138,28 @@ class TestWireConcurrencyEquivalence:
         config = StudyConfig(study=2, seed=9, scale=0.0001, mode="wire", workers=8)
         assert config.workers == 1
         assert config.wire_concurrency == 8
+
+
+@pytest.fixture(scope="module")
+def faulted_runs():
+    return {plan: {n: _run(n, plan) for n in (1, 64, 1024)} for plan in FAULT_PLANS}
+
+
+@pytest.mark.parametrize("plan", FAULT_PLANS)
+def test_faulted_runs_identical_at_every_cap(faulted_runs, plan):
+    # Faults are keyed on each client's own report ordinal, so which
+    # report is faulted does not depend on how clients interleave.
+    runs = faulted_runs[plan]
+    base, base_logs = runs[1]
+    counters = base.metrics["deterministic"]["counters"]
+    assert any(name.startswith("faults.injected") for name in counters)
+    for n in (64, 1024):
+        result, logs = runs[n]
+        assert (
+            result.database.aggregate_signature() == base.database.aggregate_signature()
+        ), n
+        assert result.metrics["deterministic"] == base.metrics["deterministic"], n
+        assert logs == base_logs, n
 
 
 def test_parse_cache_warmth_changes_no_output():

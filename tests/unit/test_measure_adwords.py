@@ -26,7 +26,7 @@ from repro.measure.server import (
     _decode_report,
 )
 from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
-from repro.netsim import Network
+from repro.netsim import Network, drive
 from repro.policy.model import PolicyFile
 from repro.policy.server import PolicyServer, _parse_policy, fetch_policy
 from repro.tls.server import TlsCertServer
@@ -284,7 +284,7 @@ class MeasurementWorld:
 class TestMeasurementToolWire:
     def test_clean_session_records_match(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)
-        outcome = world.tool.run_session(world.client, [world.site])
+        outcome = drive(world.tool.session_task(world.client, [world.site]))
         assert outcome.reports_delivered == 1
         assert world.database.matched_count == 1
         assert world.database.mismatch_count == 0
@@ -297,8 +297,8 @@ class TestMeasurementToolWire:
         # A host with TLS but no policy file anywhere.
         bare = world.network.add_host("bare.example")
         bare.listen(443, TlsCertServer(origin_chain).factory)
-        outcome = world.tool.run_session(
-            world.client, [ProbeSite("bare.example", "Business")]
+        outcome = drive(
+            world.tool.session_task(world.client, [ProbeSite("bare.example", "Business")])
         )
         assert outcome.policy_denied == 1
         assert outcome.reports_delivered == 0
@@ -311,8 +311,8 @@ class TestMeasurementToolWire:
 
         restrictive = PolicyFile((PolicyRule(domain="partner.example", to_ports="443"),))
         locked.listen(843, PolicyServer(restrictive).factory)
-        outcome = world.tool.run_session(
-            world.client, [ProbeSite("locked.example", "Business")]
+        outcome = drive(
+            world.tool.session_task(world.client, [ProbeSite("locked.example", "Business")])
         )
         assert outcome.policy_denied == 1
 
@@ -450,7 +450,7 @@ class TestReportLegMemos:
         host.listen(843, lambda: Garbage(PolicyFile()))
         site = ProbeSite("bad-policy.example", "Business")
         misses = _parse_policy.cache_info().misses
-        outcome = world.tool.run_session(world.client, [site, site])
+        outcome = drive(world.tool.session_task(world.client, [site, site]))
         assert outcome.policy_denied == 2
         assert _parse_policy.cache_info().misses == misses + 2
 

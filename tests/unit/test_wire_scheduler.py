@@ -353,6 +353,40 @@ class TestWireScheduler:
         assert not net.queue.active  # deactivated after the run
         assert net.queue.delivered >= 10
 
+    def _send_once(self, max_active):
+        """Run one task that sends; report whether delivery beat the send's return."""
+        net = Network()
+        server = Recorder()
+        net.add_host("sink.example").listen(9, lambda: server)
+        client = net.add_host("client.example")
+        delivered_on_return = []
+
+        def task():
+            sock = client.connect("sink.example", 9)
+            sock.send(b"ping")
+            delivered_on_return.append(("data", b"ping") in server.calls)
+            yield from settle(sock)
+            sock.close()
+
+        sched = WireScheduler(net, max_active=max_active)
+        sched.spawn(task)
+        sched.run()
+        assert ("data", b"ping") in server.calls
+        assert not net.queue.active  # inactive after the run either way
+        return delivered_on_return, net.queue
+
+    def test_cap_one_delivers_synchronously(self):
+        # One task in flight: nothing can interleave, so the queue
+        # stays inactive and the send lands before it returns.
+        delivered_on_return, queue = self._send_once(max_active=1)
+        assert delivered_on_return == [True]
+        assert queue.delivered == 0
+
+    def test_cap_two_delivers_on_drain(self):
+        delivered_on_return, queue = self._send_once(max_active=2)
+        assert delivered_on_return == [False]
+        assert queue.delivered == 1
+
     def test_queue_deactivated_even_on_starvation(self):
         net = self._echo_world()
 
