@@ -69,7 +69,7 @@ from repro.proxy.engine import TlsProxyEngine
 from repro.proxy.forger import SubstituteCertForger
 from repro.study.webpki import WebPki, build_web_pki
 from repro.tls.probe import ProbeClient
-from repro.tls.server import TlsCertServer
+from repro.tls.server import TlsCertServer, reply_template_info
 from repro.util import memo_counts, stable_hash
 from repro.x509.verify import chain_memo_info
 
@@ -79,9 +79,12 @@ _STUDY1_SITE_SUCCESS = 0.95
 
 
 def _cache_counts() -> dict[str, int]:
-    """Hits and misses of every process-wide memo (content memos, chain verdicts)."""
+    """Process-wide hits and misses of the content memos, chain verdicts and reply templates."""
     counts = memo_counts()
     counts["x509.chain_memo.hits"], counts["x509.chain_memo.misses"] = chain_memo_info()
+    counts["tls.reply_template.hits"], counts["tls.reply_template.misses"] = (
+        reply_template_info()
+    )
     return counts
 
 

@@ -356,6 +356,10 @@ def encode_handshake_record(
     return Record(CONTENT_HANDSHAKE, version, message.encode()).encode()
 
 
+#: Where the random sits in a hello record, client or server: after the
+#: record header (5 bytes), the handshake header (4) and the version (2).
+HELLO_RANDOM_AT = 11
+
 #: Distinct flight tails (the records after the ServerHello) that
 #: ``tls.flight_cache`` keeps: an origin, or a proxy's substitute leg,
 #: serves a site the same chain on every connection.

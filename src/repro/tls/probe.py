@@ -16,7 +16,7 @@ from repro.netsim.events import drive, settle
 from repro.netsim.network import ConnectionRefused, ConnectionReset, Host
 from repro.obs.metrics import MetricsRegistry
 from repro.tls import codec
-from repro.tls.codec import Alert, ClientHello, ServerHello, TlsError
+from repro.tls.codec import HELLO_RANDOM_AT, Alert, ClientHello, ServerHello, TlsError
 from repro.util import content_memo
 from repro.x509.model import Certificate
 from repro.x509.parse import X509Error, parse_certificate
@@ -32,14 +32,17 @@ if TYPE_CHECKING:
 #: come from the fixed registry in :mod:`repro.tls.fingerprint`.
 HELLO_FRAME_CACHE_SIZE = 4096
 
-#: Where the random sits in a hello record, client or server: after the
-#: record header (5 bytes), the handshake header (4) and the version (2).
-_RANDOM_AT = 11
-
 #: Distinct received flights, server random blanked, whose decode the
 #: probe keeps: a site answers every probe with the same flight but for
 #: its random.  A flight over 64 KiB is decoded afresh each time.
 FLIGHT_DECODE_CACHE_SIZE = 256
+
+#: The seed of the client random stream of a probe client built without
+#: an rng, and the stream's first draw, which every such client sends on
+#: its first probe: computed once, so a one-probe client seeds no
+#: Mersenne Twister.
+_DEFAULT_SEED = 0xFACADE
+_FIRST_RANDOM = random.Random(_DEFAULT_SEED).getrandbits(256).to_bytes(32, "big")
 
 
 @content_memo(
@@ -63,7 +66,7 @@ def _hello_record(
 ) -> bytes:
     """The probe's hello record: the memoised frame, random spliced in."""
     frame = _hello_frame((browser, hostname, session_id))
-    return frame[:_RANDOM_AT] + client_random + frame[_RANDOM_AT + 32 :]
+    return frame[:HELLO_RANDOM_AT] + client_random + frame[HELLO_RANDOM_AT + 32 :]
 
 
 class _Refused(Exception):
@@ -156,7 +159,7 @@ def _read_flight(
     the memo refuses, is read from the bytes received, uncached, so a
     failure reports exactly what arrived.
     """
-    end = _RANDOM_AT + 32
+    end = HELLO_RANDOM_AT + 32
     # The 32 bytes at offset 11 are the random only when the first record's
     # payload and the ServerHello's body both reach past them.
     if (
@@ -168,12 +171,12 @@ def _read_flight(
     ):
         try:
             hello, der_chain, chain = _decode_flight(
-                flight[:_RANDOM_AT] + bytes(32) + flight[end:]
+                flight[:HELLO_RANDOM_AT] + bytes(32) + flight[end:]
             )
         except _Refused:
             pass
         else:
-            return replace(hello, server_random=flight[_RANDOM_AT:end]), der_chain, chain
+            return replace(hello, server_random=flight[HELLO_RANDOM_AT:end]), der_chain, chain
     return _read_messages(_handshake_messages(flight))
 
 
@@ -212,7 +215,9 @@ class ProbeClient:
     ) -> None:
         self.host = host
         self.browser = browser
-        self._rng = rng or random.Random(0xFACADE)
+        self._rng = rng
+        # No rng given and no random sent yet: the next is _FIRST_RANDOM.
+        self._fresh = rng is None
         self.metrics = registry if registry is not None else MetricsRegistry()
 
     def probe(
@@ -252,10 +257,25 @@ class ProbeClient:
         self.metrics.inc("probe.failures", stage=stage)
         return ProbeResult(False, hostname, port, error=error, **extra)
 
+    def _client_random(self) -> bytes:
+        """The next draw of this client's random stream.
+
+        Without an rng of its own, a client sends what a fresh
+        ``random.Random(0xFACADE)`` draws, in order; the stream is seeded
+        only for a second probe, past the first draw.
+        """
+        if self._fresh:
+            self._fresh = False
+            return _FIRST_RANDOM
+        if self._rng is None:
+            self._rng = random.Random(_DEFAULT_SEED)
+            self._rng.getrandbits(256)  # sent as _FIRST_RANDOM
+        return self._rng.getrandbits(256).to_bytes(32, "big")
+
     def _handshake(
         self, sock, hostname: str, port: int, session_id: bytes = b""
     ) -> ProbeResult:
-        client_random = self._rng.getrandbits(256).to_bytes(32, "big")
+        client_random = self._client_random()
         record = _hello_record(self.browser, hostname, session_id, client_random)
         try:
             sock.send(record)

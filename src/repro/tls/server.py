@@ -4,20 +4,31 @@ A netsim protocol that performs the server half of the probe's partial
 handshake: on ClientHello it answers with ServerHello, Certificate and
 ServerHelloDone.  It can hold multiple chains keyed by SNI name (a real
 server farm behind one IP), falling back to a default chain.
+
+A site answers every probe with the same flight but for its 32-byte
+server random, so a listener keeps one reply template per distinct
+ClientHello record, client random zeroed: the flight's bytes before and
+after its server random.  A hello that arrives alone, in one whole
+record, on a connection with nothing buffered and matches a template is
+answered with a freshly drawn random spliced between them, with no
+decode, parse, negotiation or framing.  Every other input is walked
+afresh, and only a walk that answered such a hello with one flight is
+kept.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 from repro.netsim.network import Protocol, StreamSocket
 from repro.tls import codec
 from repro.tls.codec import (
+    HELLO_RANDOM_AT,
     Alert,
     Certificate as CertificateMessage,
     ClientHello,
     HandshakeMessage,
-    Record,
     ServerHello,
     TlsError,
 )
@@ -27,19 +38,43 @@ from repro.tls.fingerprint import (
     negotiate_origin_cipher,
     origin_alpn_selection,
 )
-from repro.util import content_memo
+from repro.util import MEMO_KEY_BYTES
 from repro.x509.model import Certificate
 
+#: Distinct hello records whose reply one listener keeps, and the most
+#: bytes such a record may have (``MEMO_KEY_BYTES // REPLY_TEMPLATES``, the
+#: key cap of a content memo that size).  A longer hello is answered
+#: afresh every time and never kept.
+REPLY_TEMPLATES = 1024
+REPLY_TEMPLATE_KEY_BYTES = MEMO_KEY_BYTES // REPLY_TEMPLATES
 
-#: Distinct ClientHello bodies whose parse is kept: the measurement
-#: probe sends each site the same hello every time.
-HELLO_CACHE_SIZE = 1024
+_RANDOM_END = HELLO_RANDOM_AT + 32
+
+_template_counts = {"hits": 0, "misses": 0}
 
 
-@content_memo("tls.hello_cache", HELLO_CACHE_SIZE)
-def _parse_client_hello(body: bytes) -> ClientHello:
-    """The ClientHello in one handshake body; raises :class:`TlsError`."""
-    return ClientHello.from_body(body)
+def reply_template_info() -> tuple[int, int]:
+    """``(hits, misses)`` of every listener's reply templates, over the whole process."""
+    return _template_counts["hits"], _template_counts["misses"]
+
+
+def _template_key(data: bytes) -> bytes | None:
+    """``data`` with its client random zeroed, or None if it is not one hello.
+
+    It must be one whole handshake record, no longer than
+    :data:`REPLY_TEMPLATE_KEY_BYTES`, holding exactly one ClientHello
+    whose body reaches past the random.
+    """
+    size = len(data)
+    if (
+        _RANDOM_END <= size <= REPLY_TEMPLATE_KEY_BYTES
+        and data[0] == codec.CONTENT_HANDSHAKE
+        and int.from_bytes(data[3:5], "big") == size - 5
+        and data[5] == codec.HS_CLIENT_HELLO
+        and int.from_bytes(data[6:9], "big") == size - 9
+    ):
+        return data[:HELLO_RANDOM_AT] + bytes(32) + data[_RANDOM_END:]
+    return None
 
 
 def _handshake_failure(sock: StreamSocket) -> None:
@@ -60,6 +95,12 @@ class TlsCertServer(Protocol):
     answers via :func:`build_modern_server_extensions`, and RFC 7507
     fallback protection (a TLS_FALLBACK_SCSV offer below the origin's
     ceiling draws ``inappropriate_fallback``).
+
+    The listener's reply templates are shared by every clone
+    :meth:`factory` makes and are keyed on the hello alone, so the chain,
+    SNI map, cipher and version ceiling are fixed once it listens.  A
+    subclass that overrides :meth:`_answer_client_hello` or
+    :meth:`chain_for` keeps no templates and answers every hello itself.
     """
 
     def __init__(
@@ -81,15 +122,32 @@ class TlsCertServer(Protocol):
         self.max_version = max_version
         self._rng = rng or random.Random(0x5EED)
         self._buffer = b""
+        # Handshake-message reassembly across record boundaries
+        # (RFC 5246 §6.2.1): one message may span several records.
+        self._handshake = b""
         self.handshakes_served = 0
+        self._parent: TlsCertServer | None = None
+        # Hello record, client random zeroed -> the reply's bytes before
+        # and after its server random.  Every clone shares this store,
+        # so it lives as long as the configuration it was made from.
+        self._templates: dict[bytes, tuple[bytes, bytes]] = {}
+
+    # A subclass that changes the reply sees every hello.
+    _templated = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._templated = (
+            cls._answer_client_hello is TlsCertServer._answer_client_hello
+            and cls.chain_for is TlsCertServer.chain_for
+        )
 
     def factory(self) -> "TlsCertServer":
         """Return a fresh per-connection protocol sharing this config."""
-        clone = TlsCertServer(
-            self.chain, self.sni_chains, self.cipher_suite, self._rng,
-            self.max_version,
-        )
-        clone._parent = self  # type: ignore[attr-defined]
+        clone = copy.copy(self)
+        clone._buffer = clone._handshake = b""
+        clone.handshakes_served = 0
+        clone._parent = self
         return clone
 
     def chain_for(self, server_name: str | None) -> list[Certificate]:
@@ -100,35 +158,75 @@ class TlsCertServer(Protocol):
     # -- Protocol callbacks ----------------------------------------------
 
     def data_received(self, sock: StreamSocket, data: bytes) -> None:
+        if not self._templated:
+            self._walk(sock, data)
+            return
+        key = None if self._buffer or self._handshake else _template_key(data)
+        template = self._templates.get(key)
+        if template is not None:
+            _template_counts["hits"] += 1
+            prefix, suffix = template
+            sock.send(prefix + self._server_random() + suffix)
+            self._served()
+            return
+        _template_counts["misses"] += 1
+        reply = self._walk(sock, data)
+        if key is not None and reply is not None:
+            server_random, flight = reply
+            if flight[HELLO_RANDOM_AT:_RANDOM_END] == server_random:
+                templates = self._templates
+                if len(templates) >= REPLY_TEMPLATES:
+                    del templates[next(iter(templates))]
+                templates[key] = (flight[:HELLO_RANDOM_AT], flight[_RANDOM_END:])
+
+    def _walk(self, sock: StreamSocket, data: bytes) -> tuple[bytes, bytes] | None:
+        """Decode, parse and answer ``data``: ``(server random, flight)`` of the last reply.
+
+        None when the walk ended in an alert, a close or no reply.
+        """
         self._buffer += data
         try:
             records, self._buffer = codec.decode_records(self._buffer)
         except TlsError:
             _handshake_failure(sock)
-            return
+            return None
+        reply = None
         for record in records:
             if record.content_type == codec.CONTENT_ALERT:
                 sock.close()
-                return
+                return None
             if record.content_type != codec.CONTENT_HANDSHAKE:
                 continue
-            self._handle_handshake_payload(sock, record)
+            messages, self._handshake = codec.decode_handshakes(
+                self._handshake + record.payload
+            )
+            try:
+                hellos = [
+                    ClientHello.from_body(message.body)
+                    for message in messages
+                    if message.msg_type == codec.HS_CLIENT_HELLO
+                ]
+            except TlsError:
+                _handshake_failure(sock)
+                return None
+            for hello in hellos:
+                reply = self._answer_client_hello(sock, hello)
+                if sock.closed:
+                    return None
+        return reply
 
-    def _handle_handshake_payload(self, sock: StreamSocket, record: Record) -> None:
-        try:
-            messages, _ = codec.decode_handshakes(record.payload)
-            hellos = [
-                _parse_client_hello(message.body)
-                for message in messages
-                if message.msg_type == codec.HS_CLIENT_HELLO
-            ]
-        except TlsError:
-            _handshake_failure(sock)
-            return
-        for hello in hellos:
-            self._answer_client_hello(sock, hello)
+    def _server_random(self) -> bytes:
+        return self._rng.getrandbits(256).to_bytes(32, "big")
 
-    def _answer_client_hello(self, sock: StreamSocket, hello: ClientHello) -> None:
+    def _served(self) -> None:
+        self.handshakes_served += 1
+        if self._parent is not None:
+            self._parent.handshakes_served += 1
+
+    def _answer_client_hello(
+        self, sock: StreamSocket, hello: ClientHello
+    ) -> tuple[bytes, bytes] | None:
+        """Send the reply to ``hello``: ``(server random, flight)``, or None for an alert."""
         offered_max = hello.max_offered_version
         if codec.TLS_FALLBACK_SCSV in hello.cipher_suites and (
             offered_max < min(self.max_version, codec.TLS_1_2)
@@ -139,8 +237,8 @@ class TlsCertServer(Protocol):
                 Alert(2, codec.ALERT_INAPPROPRIATE_FALLBACK).encode_record()
             )
             sock.close()
-            return
-        server_random = self._rng.getrandbits(256).to_bytes(32, "big")
+            return None
+        server_random = self._server_random()
         if self.max_version >= codec.TLS_1_3 and offered_max >= codec.TLS_1_3:
             cipher = (
                 self.cipher_suite
@@ -168,12 +266,9 @@ class TlsCertServer(Protocol):
         chain = self.chain_for(hello.server_name)
         certificate = CertificateMessage(tuple(c.encode() for c in chain))
         done = HandshakeMessage(codec.HS_SERVER_HELLO_DONE, b"")
-        sock.send(
-            codec.encode_server_flight(
-                server_hello, [certificate, done], offered_version=hello.version
-            )
+        flight = codec.encode_server_flight(
+            server_hello, [certificate, done], offered_version=hello.version
         )
-        self.handshakes_served += 1
-        parent = getattr(self, "_parent", None)
-        if parent is not None:
-            parent.handshakes_served += 1
+        sock.send(flight)
+        self._served()
+        return server_random, flight

@@ -25,7 +25,13 @@ from repro.tls.probe import (
     _decode_flight,
     _hello_frame,
 )
-from repro.tls.server import HELLO_CACHE_SIZE, TlsCertServer, _parse_client_hello
+from repro.tls.server import (
+    REPLY_TEMPLATE_KEY_BYTES,
+    REPLY_TEMPLATES,
+    TlsCertServer,
+    _template_key,
+    reply_template_info,
+)
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
 
@@ -196,42 +202,241 @@ class TestServerHelloAndCertificate:
         assert Alert.from_payload(records[0].payload) == alert
 
 
-class TestHelloMemo:
+class _Walking(TlsCertServer):
+    """An origin that answers every hello on the full path, with no template."""
+
+    def _answer_client_hello(self, sock, hello):
+        return super()._answer_client_hello(sock, hello)
+
+
+def _hello(client_random, name="probe-target.example", **fields):
+    """One ClientHello record, framed as the probe frames it."""
+    hello = ClientHello(client_random, server_name=name, **fields)
+    return codec.encode_handshake_record(hello, version=hello.version)
+
+
+def _serve(listener, *connections):
+    """Send each connection's chunks to ``listener``; return what each received."""
+    net = Network()
+    client_host = net.add_host("client.example")
+    net.add_host("probe-target.example").listen(443, listener.factory)
+    received = []
+    for chunks in connections:
+        sock = client_host.connect("probe-target.example", 443)
+        for chunk in chunks:
+            sock.send(chunk)
+        received.append(sock.recv())
+    return received
+
+
+class TestReplyTemplate:
+    """The origin answers each distinct hello once, its random spliced in."""
+
+    def test_two_probes_share_one_template_and_keep_their_randoms(self, site_chain):
+        listener = TlsCertServer(site_chain, rng=random.Random(5))
+        hits, misses = reply_template_info()
+        replies = _serve(listener, [_hello(_rand32(1))], [_hello(_rand32(2))])
+        assert reply_template_info() == (hits + 1, misses + 1)
+        assert len(listener._templates) == 1
+        assert listener.handshakes_served == 2
+        walked = _serve(
+            _Walking(site_chain, rng=random.Random(5)),
+            [_hello(_rand32(1))],
+            [_hello(_rand32(2))],
+        )
+        assert replies == walked
+        draws = random.Random(5)
+        for reply in replies:
+            assert reply[11:43] == draws.getrandbits(256).to_bytes(32, "big")
+
     def test_garbage_hello_draws_an_alert_every_time(self, site_chain):
+        short = HandshakeMessage(codec.HS_CLIENT_HELLO, b"garbage").encode()
+        unparseable = HandshakeMessage(codec.HS_CLIENT_HELLO, b"\x03\x03" + bytes(60)).encode()
+        failure = Alert(2, codec.ALERT_HANDSHAKE_FAILURE).encode_record()
+        for message in (short, unparseable):
+            record = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message).encode()
+            listener = TlsCertServer(site_chain)
+            hits, misses = reply_template_info()
+            assert _serve(listener, [record], [record]) == [failure, failure]
+            assert reply_template_info() == (hits, misses + 2)
+            assert listener._templates == {}
+
+    def test_alert_reply_is_never_kept(self, site_chain):
+        rng = random.Random(5)
+        state = rng.getstate()
+        listener = TlsCertServer(site_chain, rng=rng)
+        fallback = _hello(
+            _rand32(9),
+            version=codec.TLS_1_1,
+            cipher_suites=(0x002F, codec.TLS_FALLBACK_SCSV),
+        )
+        hits, misses = reply_template_info()
+        replies = _serve(listener, [fallback], [fallback])
+        alert = Alert(2, codec.ALERT_INAPPROPRIATE_FALLBACK).encode_record()
+        assert replies == [alert, alert]
+        assert rng.getstate() == state
+        assert reply_template_info() == (hits, misses + 2)
+        assert listener._templates == {}
+
+    def test_refused_shapes_are_walked_afresh_every_time(self, site_chain):
+        hello = _hello(_rand32(1))
+        message = hello[5:]
+        two_messages = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message * 2).encode()
+        split = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message[:24]).encode()
+        split += Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message[24:]).encode()
+        shapes = (
+            [hello + hello],
+            [two_messages],
+            [split],
+            [hello + Alert(1, 0).encode_record()],
+            [hello[:20], hello[20:]],
+        )
+        for chunks in shapes:
+            listener = TlsCertServer(site_chain, rng=random.Random(5))
+            hits, misses = reply_template_info()
+            replies = _serve(listener, chunks, chunks)
+            assert reply_template_info() == (hits, misses + 2 * len(chunks))
+            assert listener._templates == {}
+            walked = _serve(_Walking(site_chain, rng=random.Random(5)), chunks, chunks)
+            assert replies == walked
+
+    def test_over_cap_hello_is_answered_but_not_kept(self, site_chain):
+        empty = _hello(_rand32(), extensions=((codec.EXT_PADDING, b""),))
+        padding = bytes(REPLY_TEMPLATE_KEY_BYTES + 1 - len(empty))
+        record = _hello(_rand32(), extensions=((codec.EXT_PADDING, padding),))
+        assert len(record) == REPLY_TEMPLATE_KEY_BYTES + 1
+        listener = TlsCertServer(site_chain, rng=random.Random(5))
+        hits, misses = reply_template_info()
+        replies = _serve(listener, [record], [record])
+        assert reply_template_info() == (hits, misses + 2)
+        assert listener._templates == {}
+        assert listener.handshakes_served == 2
+        assert replies == _serve(
+            _Walking(site_chain, rng=random.Random(5)), [record], [record]
+        )
+
+    def test_templates_stay_within_their_bound(self, site_chain):
+        listener = TlsCertServer(site_chain)
+        hellos = [
+            _hello(_rand32(), session_id=index.to_bytes(2, "big"))
+            for index in range(REPLY_TEMPLATES + 3)
+        ]
+        _serve(listener, *([hello] for hello in hellos))
+        assert len(listener._templates) == REPLY_TEMPLATES
+        assert _template_key(hellos[0]) not in listener._templates
+        assert _template_key(hellos[-1]) in listener._templates
+
+    def test_overriding_subclass_sees_every_hello(self, site_chain):
+        seen = []
+
+        class Counting(TlsCertServer):
+            def _answer_client_hello(self, sock, hello):
+                seen.append(hello.client_random)
+                return super()._answer_client_hello(sock, hello)
+
+        class OwnChain(TlsCertServer):
+            def chain_for(self, server_name):
+                seen.append(server_name)
+                return self.chain[:1]
+
+        hits, misses = reply_template_info()
+        first, second = _hello(_rand32(1)), _hello(_rand32(2))
+        _serve(Counting(site_chain), [first], [second], [first])
+        assert seen == [_rand32(1), _rand32(2), _rand32(1)]
+        seen.clear()
+        replies = _serve(OwnChain(site_chain), [first], [first])
+        assert seen == ["probe-target.example"] * 2
+        for reply in replies:
+            records, _ = codec.decode_records(reply)
+            messages, _ = codec.decode_handshakes(records[1].payload)
+            assert CertificateMessage.from_body(messages[0].body).der_chain == (
+                site_chain[0].encode(),
+            )
+        assert reply_template_info() == (hits, misses)
+
+
+class TestSplitHello:
+    """A ClientHello may span records (RFC 5246 §6.2.1); the origin reassembles it."""
+
+    def _records(self):
+        hello = _hello(_rand32(3))
+        message = hello[5:]
+        first = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message[:24]).encode()
+        second = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message[24:]).encode()
+        return hello, first, second
+
+    def _flight(self, site_chain, *chunks):
+        [reply] = _serve(TlsCertServer(site_chain, rng=random.Random(4)), chunks)
+        return reply
+
+    def test_split_hello_in_one_send_draws_the_flight(self, site_chain):
+        hello, first, second = self._records()
+        flight = self._flight(site_chain, hello)
+        records, _ = codec.decode_records(flight)
+        messages, _ = codec.decode_handshakes(b"".join(r.payload for r in records))
+        assert [message.msg_type for message in messages] == [
+            codec.HS_SERVER_HELLO,
+            codec.HS_CERTIFICATE,
+            codec.HS_SERVER_HELLO_DONE,
+        ]
+        assert self._flight(site_chain, first + second) == flight
+
+    def test_split_hello_in_two_sends_draws_the_flight(self, site_chain):
+        hello, first, second = self._records()
+        assert self._flight(site_chain, first, second) == self._flight(site_chain, hello)
+
+    def test_hello_cut_short_then_closed_draws_nothing(self, site_chain):
+        _hello_record, first, _second = self._records()
+        listener = TlsCertServer(site_chain)
         net = Network()
         client_host = net.add_host("client.example")
-        net.add_host("probe-target.example").listen(
-            443, TlsCertServer(site_chain).factory
-        )
-        garbage = HandshakeMessage(codec.HS_CLIENT_HELLO, b"garbage").encode()
-        record = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, garbage).encode()
-        misses = _parse_client_hello.cache_info().misses
-        alerts = []
-        for _ in range(2):
-            sock = client_host.connect("probe-target.example", 443)
-            sock.send(record)
-            records, _ = codec.decode_records(sock.recv())
-            alerts.append(Alert.from_payload(records[0].payload))
-        assert alerts == [Alert(2, codec.ALERT_HANDSHAKE_FAILURE)] * 2
-        assert _parse_client_hello.cache_info().misses == misses + 2
+        net.add_host("probe-target.example").listen(443, listener.factory)
+        sock = client_host.connect("probe-target.example", 443)
+        sock.send(first)
+        sock.close()
+        assert sock.recv() == b""
+        assert listener.handshakes_served == 0
 
-    def test_memo_stays_within_its_bound(self):
-        for seed in range(HELLO_CACHE_SIZE + 3):
-            hello = ClientHello(_rand32(seed), server_name="memo.example")
-            _parse_client_hello(hello.to_handshake().body)
-        info = _parse_client_hello.cache_info()
-        assert info.currsize == info.maxsize == HELLO_CACHE_SIZE
 
-    def test_oversized_hello_is_parsed_but_not_cached(self):
-        padding = (codec.EXT_PADDING, bytes(_parse_client_hello.max_key_bytes))
-        hello = ClientHello(_rand32(), extensions=(padding,))
-        body = hello.to_handshake().body
-        currsize = _parse_client_hello.cache_info().currsize
-        first = _parse_client_hello(body)
-        second = _parse_client_hello(body)
-        assert first == second == hello
-        assert first is not second
-        assert _parse_client_hello.cache_info().currsize == currsize
+class TestProbeRandom:
+    """A probe client without an rng sends what a fresh Random(0xFACADE) draws."""
+
+    def _sent(self, client, probes):
+        received = []
+
+        class Recorder(Protocol):
+            def data_received(self, sock, data):
+                received.append(data)
+
+        client.host.network.add_host("probe-target.example").listen(443, Recorder)
+        for _ in range(probes):
+            client.probe("probe-target.example")
+        return received
+
+    def _stream(self, rng, probes):
+        return [_hello(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(probes)]
+
+    def test_kth_probe_without_rng_sends_the_default_stream(self):
+        sent = self._sent(ProbeClient(Network().add_host("client.example")), 17)
+        expected = self._stream(random.Random(0xFACADE), 17)
+        for k in (0, 1, 16):
+            assert sent[k] == expected[k], k
+        assert sent == expected
+
+    def test_each_client_starts_the_stream_afresh(self):
+        net = Network()
+        first = ProbeClient(net.add_host("one.example"))
+        second = ProbeClient(net.add_host("two.example"))
+        sent = self._sent(first, 2)
+        second.probe("probe-target.example")
+        second.probe("probe-target.example")
+        expected = self._stream(random.Random(0xFACADE), 2)
+        assert sent[:2] == expected
+        assert sent[2:] == expected
+
+    def test_client_with_an_rng_draws_from_it(self):
+        client = ProbeClient(Network().add_host("client.example"), rng=random.Random(7))
+        assert self._sent(client, 3) == self._stream(random.Random(7), 3)
 
 
 class TestFrameMemos:
