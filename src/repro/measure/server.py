@@ -17,38 +17,31 @@ from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyFile
 from repro.policy.server import POLICY_REQUEST, PolicyServer
-from repro.util import content_memo
-from repro.x509.model import Certificate
+from repro.util import MEMO_KEY_BYTES
 from repro.x509.parse import X509Error, parse_certificate
 from repro.x509.pem import PemError, pem_decode_all
+from repro.x509.verify import validate_chain
 
 # The measurement tool, served as the "ad" payload.
 _TOOL_PAYLOAD = b"<html><body><!-- repro measurement tool (flash) --></body></html>"
 
-#: Distinct report bodies whose decoded chain and summaries are kept:
-#: every client behind the same product reports the same chain.
-REPORT_CACHE_SIZE = 256
+#: Distinct (report body, probed hostname) pairs whose verdict one server
+#: keeps, and the most bytes such a body may have (``MEMO_KEY_BYTES //
+#: REPORT_VERDICTS``, the key cap of a content memo that size).  A
+#: longer body is judged afresh every time and never kept.
+REPORT_VERDICTS = 1024
+REPORT_VERDICT_KEY_BYTES = MEMO_KEY_BYTES // REPORT_VERDICTS
+
+_verdict_counts = {"hits": 0, "misses": 0}
+
+
+def report_verdict_info() -> tuple[int, int]:
+    """``(hits, misses)`` of every server's report verdicts, over the whole process."""
+    return _verdict_counts["hits"], _verdict_counts["misses"]
 
 
 class _EmptyReport(ValueError):
     """A report body that holds no PEM certificate."""
-
-
-@content_memo("report.decode_cache", REPORT_CACHE_SIZE)
-def _decode_report(
-    body: bytes,
-) -> tuple[tuple[Certificate, ...], tuple[CertSummary, ...]]:
-    """One report body's parsed chain (leaf first) and its summaries.
-
-    Raises :class:`PemError`, :class:`_EmptyReport` or
-    :class:`X509Error`; extension values decode here too, on the
-    summaries' first read of ``is_ca`` and the SAN names.
-    """
-    der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
-    if not der_chain:
-        raise _EmptyReport("empty report")
-    chain = tuple(parse_certificate(der) for der in der_chain)
-    return chain, tuple(CertSummary.from_certificate(c) for c in chain)
 
 
 class ReportingServer:
@@ -61,6 +54,16 @@ class ReportingServer:
     Reports land in one :class:`~repro.measure.database.ReportSink`:
     the in-memory :class:`~repro.measure.database.ReportDatabase` or an
     on-disk :class:`~repro.measure.store.ReportStore`.
+
+    Nearly every client reports its site's authoritative chain, so the
+    server keeps what it judged of each accepted (body, hostname) pair:
+    the summaries, the mismatch flag and the chain verdict.  Only the
+    client address, its country and ``X-Sim-Product`` are read per
+    report.  A verdict holds while its hostname's expected leaf and the
+    root store are unchanged: :meth:`expect` forgets them all, and so
+    does any change of ``public_roots`` (its ``generation`` moves).  A
+    refused report is never kept, so it is refused and counted on every
+    submission.
     """
 
     def __init__(
@@ -87,6 +90,12 @@ class ReportingServer:
         self.expected_leaves: dict[str, str] = {}
         self.host_types: dict[str, str] = {}
         self.metrics = registry if registry is not None else MetricsRegistry()
+        self._c_matched = self.metrics.counter("reports.ingested", verdict="matched")
+        self._c_mismatch = self.metrics.counter("reports.ingested", verdict="mismatch")
+        # (body, hostname) -> (leaf, rest of chain, mismatch, chain valid),
+        # judged against the roots of ``_verdicts_generation``.
+        self._verdicts: dict[tuple[bytes, str], tuple] = {}
+        self._verdicts_generation = self._roots_generation()
         self.http = HttpServer(registry=self.metrics)
         self.http.route("GET", "/ad", self._serve_tool)
         self.http.route("POST", "/report", self._ingest_report)
@@ -99,6 +108,11 @@ class ReportingServer:
         """Register the authoritative leaf for a probe target."""
         self.expected_leaves[hostname] = leaf_fingerprint
         self.host_types[hostname] = host_type
+        self._verdicts.clear()
+
+    def _roots_generation(self) -> int | None:
+        roots = self.public_roots
+        return None if roots is None else roots.generation
 
     # -- handlers ------------------------------------------------------------
 
@@ -124,6 +138,24 @@ class ReportingServer:
         self.metrics.inc("reports.rejected", reason=reason)
         return HttpResponse(400, body=body)
 
+    def _judge(self, body: bytes, hostname: str) -> tuple:
+        """``(leaf, rest of chain, mismatch, chain valid)`` of one report.
+
+        Raises :class:`PemError`, :class:`_EmptyReport` or
+        :class:`X509Error`; extension values decode here too, on the
+        summaries' first read of ``is_ca`` and the SAN names.
+        """
+        der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
+        if not der_chain:
+            raise _EmptyReport("empty report")
+        chain = tuple(parse_certificate(der) for der in der_chain)
+        summaries = tuple(CertSummary.from_certificate(c) for c in chain)
+        mismatch = summaries[0].fingerprint != self.expected_leaves[hostname]
+        chain_valid = self.public_roots is not None and bool(
+            validate_chain(chain, self.public_roots, hostname=hostname)
+        )
+        return summaries[0], summaries[1:], mismatch, chain_valid
+
     def _ingest_report(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
         if self.fault_hook is not None:
             injected = self.fault_hook(request, remote)
@@ -132,44 +164,52 @@ class ReportingServer:
         hostname = request.headers.get("x-probed-host", "")
         if not hostname or hostname not in self.expected_leaves:
             return self._reject("unknown-host", b"unknown probed host")
-        try:
-            chain, summaries = _decode_report(request.body)
-            client_ip = remote.ip if remote is not None else "0.0.0.0"
-            country = self.geoip.lookup(client_ip) if self.geoip is not None else None
-            mismatch = summaries[0].fingerprint != self.expected_leaves[hostname]
-            chain_valid = False
-            if self.public_roots is not None:
-                from repro.x509.verify import validate_chain
-
-                chain_valid = bool(
-                    validate_chain(chain, self.public_roots, hostname=hostname)
-                )
-            record = MeasurementRecord(
-                study=self.study,
-                campaign=self.campaign,
-                client_ip=client_ip,
-                country=country,
-                hostname=hostname,
-                host_type=self.host_types.get(hostname, "?"),
-                mismatch=mismatch,
-                leaf=summaries[0],
-                chain=summaries[1:],
-                chain_valid=chain_valid,
-                via="wire",
-                product_key=request.headers.get("x-sim-product") or None,
-            )
-        except PemError as exc:
-            return self._reject("pem", str(exc).encode())
-        except _EmptyReport:
-            return self._reject("empty", b"empty report")
-        except X509Error as exc:
-            return self._reject("x509", str(exc).encode())
+        generation = self._roots_generation()
+        verdicts = self._verdicts
+        if generation != self._verdicts_generation:
+            verdicts.clear()
+            self._verdicts_generation = generation
+        body = request.body
+        key = (body, hostname)
+        verdict = verdicts.get(key)
+        if verdict is not None:
+            _verdict_counts["hits"] += 1
+        else:
+            _verdict_counts["misses"] += 1
+            try:
+                verdict = self._judge(body, hostname)
+            except PemError as exc:
+                return self._reject("pem", str(exc).encode())
+            except _EmptyReport:
+                return self._reject("empty", b"empty report")
+            except X509Error as exc:
+                return self._reject("x509", str(exc).encode())
+            if len(body) <= REPORT_VERDICT_KEY_BYTES:
+                if len(verdicts) >= REPORT_VERDICTS:
+                    del verdicts[next(iter(verdicts))]
+                verdicts[key] = verdict
+        leaf, chain, mismatch, chain_valid = verdict
+        client_ip = remote.ip if remote is not None else "0.0.0.0"
+        record = MeasurementRecord(
+            study=self.study,
+            campaign=self.campaign,
+            client_ip=client_ip,
+            country=self.geoip.lookup(client_ip) if self.geoip is not None else None,
+            hostname=hostname,
+            host_type=self.host_types.get(hostname, "?"),
+            mismatch=mismatch,
+            leaf=leaf,
+            chain=chain,
+            chain_valid=chain_valid,
+            via="wire",
+            product_key=request.headers.get("x-sim-product") or None,
+        )
         if mismatch:
             self.sink.add_mismatch(record)
-            self.metrics.inc("reports.ingested", verdict="mismatch")
+            self._c_mismatch.inc()
         else:
             self.sink.add_matched(record)
-            self.metrics.inc("reports.ingested", verdict="matched")
+            self._c_matched.inc()
         return HttpResponse(200, body=b"ok")
 
 
@@ -179,16 +219,25 @@ class CombinedPolicyHttpServer(Protocol):
     Sniffs the first client bytes: a literal ``<policy-file-request/>``
     is answered by the policy server, anything else is handed to the
     HTTP server.  This is exactly the §3.1 arrangement.
+
+    One listener builds one :class:`PolicyServer` (``policy_server``);
+    every connection's policy requests are served, and counted, by
+    its clones.
     """
 
     def __init__(self, policy: PolicyFile, http: HttpServer) -> None:
-        self._policy_template = policy
+        self.policy_server = PolicyServer(policy)
         self._http_template = http
         self._delegate: Protocol | None = None
         self._buffer = b""
 
     def factory(self) -> "CombinedPolicyHttpServer":
-        return CombinedPolicyHttpServer(self._policy_template, self._http_template)
+        connection = object.__new__(CombinedPolicyHttpServer)
+        connection.policy_server = self.policy_server
+        connection._http_template = self._http_template
+        connection._delegate = None
+        connection._buffer = b""
+        return connection
 
     def data_received(self, sock: StreamSocket, data: bytes) -> None:
         if self._delegate is not None:
@@ -199,7 +248,7 @@ class CombinedPolicyHttpServer(Protocol):
         if self._buffer.startswith(POLICY_REQUEST[: min(len(self._buffer), probe_len)]):
             if len(self._buffer) < probe_len:
                 return  # could still be either; wait for more bytes
-            delegate: Protocol = PolicyServer(self._policy_template).factory()
+            delegate: Protocol = self.policy_server.factory()
         else:
             delegate = self._http_template.factory()
         self._delegate = delegate

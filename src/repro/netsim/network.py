@@ -44,6 +44,18 @@ class StreamSocket:
     (server side) or buffers them for :meth:`recv` (client side).
     """
 
+    __slots__ = (
+        "label",
+        "peer",
+        "protocol",
+        "remote_host",
+        "queue",
+        "_rx",
+        "closed",
+        "_lost_notified",
+        "bytes_sent",
+    )
+
     def __init__(self, label: str = "", queue: DeliveryQueue | None = None) -> None:
         self.label = label
         self.peer: StreamSocket | None = None

@@ -29,7 +29,6 @@ deterministic section worker-count invariant.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -65,16 +64,14 @@ def metric_key(name: str, labels: dict[str, object]) -> str:
 class _Counter:
     """Handle to one counter series (hot-loop friendly)."""
 
-    __slots__ = ("_store", "_key", "_lock")
+    __slots__ = ("_store", "_key")
 
-    def __init__(self, store: dict, key: str, lock: threading.RLock) -> None:
+    def __init__(self, store: dict, key: str) -> None:
         self._store = store
         self._key = key
-        self._lock = lock
 
     def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self._store[self._key] = self._store.get(self._key, 0) + n
+        self._store[self._key] = self._store.get(self._key, 0) + n
 
     @property
     def value(self) -> int:
@@ -84,16 +81,14 @@ class _Counter:
 class _Gauge:
     """Handle to one gauge series (last value wins)."""
 
-    __slots__ = ("_store", "_key", "_lock")
+    __slots__ = ("_store", "_key")
 
-    def __init__(self, store: dict, key: str, lock: threading.RLock) -> None:
+    def __init__(self, store: dict, key: str) -> None:
         self._store = store
         self._key = key
-        self._lock = lock
 
     def set(self, value) -> None:
-        with self._lock:
-            self._store[self._key] = value
+        self._store[self._key] = value
 
     @property
     def value(self):
@@ -187,7 +182,7 @@ class SpanStats:
 
 
 class _Span:
-    """Context manager for one timed phase; nests via a per-thread stack."""
+    """Context manager for one timed phase; nests via the registry's span stack."""
 
     __slots__ = ("_registry", "name", "attrs", "path", "_start")
 
@@ -199,7 +194,7 @@ class _Span:
         self._start = 0.0
 
     def __enter__(self) -> "_Span":
-        stack = self._registry._span_stack()
+        stack = self._registry._stack
         if stack:
             self.path = f"{stack[-1].path}/{self.name}"
         stack.append(self)
@@ -208,7 +203,7 @@ class _Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = time.perf_counter() - self._start
-        stack = self._registry._span_stack()
+        stack = self._registry._stack
         if stack and stack[-1] is self:
             stack.pop()
         self._registry._record_span(self.path, duration)
@@ -217,55 +212,55 @@ class _Span:
 class MetricsRegistry:
     """Named metrics, one instance per runner/harness/engine.
 
-    Thread-safe, so a caller's threads may share one registry (spans
-    nest per thread); cheap enough to put on hot paths — a counter
-    increment is a dict update under an RLock.
+    Single-threaded: the program runs one thread per process (its pool
+    is of processes, each with its own registry, merged through
+    snapshots), so one registry has one span stack and takes no lock.
+    Cheap enough to put on hot paths — a counter increment is one dict
+    update.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, object] = {}
         self._histograms: dict[str, Histogram] = {}
         self._process_counters: dict[str, int] = {}
         self._process_gauges: dict[str, object] = {}
         self._spans: dict[str, SpanStats] = {}
-        self._tls = threading.local()
+        # Open spans, innermost last.
+        self._stack: list[_Span] = []
 
     # -- deterministic metrics -------------------------------------------
 
     def counter(self, name: str, **labels) -> _Counter:
         """A deterministic counter: values must be worker-invariant."""
-        return _Counter(self._counters, metric_key(name, labels), self._lock)
+        return _Counter(self._counters, metric_key(name, labels))
 
     def inc(self, name: str, n: int = 1, **labels) -> None:
         key = metric_key(name, labels)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + n
+        self._counters[key] = self._counters.get(key, 0) + n
 
     def gauge(self, name: str, **labels) -> _Gauge:
-        return _Gauge(self._gauges, metric_key(name, labels), self._lock)
+        return _Gauge(self._gauges, metric_key(name, labels))
 
     def histogram(
         self, name: str, bounds: tuple[float, ...], **labels
     ) -> Histogram:
         key = metric_key(name, labels)
-        with self._lock:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = Histogram(bounds)
-            elif hist.bounds != tuple(bounds):
-                raise ValueError(f"histogram {key!r} re-declared with new bounds")
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = Histogram(bounds)
+        elif hist.bounds != tuple(bounds):
+            raise ValueError(f"histogram {key!r} re-declared with new bounds")
         return hist
 
     # -- process-local metrics -------------------------------------------
 
     def process_counter(self, name: str, **labels) -> _Counter:
         """A process-local counter: real, but scheduling-dependent."""
-        return _Counter(self._process_counters, metric_key(name, labels), self._lock)
+        return _Counter(self._process_counters, metric_key(name, labels))
 
     def process_gauge(self, name: str, **labels) -> _Gauge:
-        return _Gauge(self._process_gauges, metric_key(name, labels), self._lock)
+        return _Gauge(self._process_gauges, metric_key(name, labels))
 
     # -- spans -----------------------------------------------------------
 
@@ -275,44 +270,36 @@ class MetricsRegistry:
         profile reads as a tree."""
         return _Span(self, name, attrs)
 
-    def _span_stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     def _record_span(self, path: str, duration: float) -> None:
-        with self._lock:
-            stats = self._spans.get(path)
-            if stats is None:
-                stats = self._spans[path] = SpanStats()
-            stats.record(duration)
+        stats = self._spans.get(path)
+        if stats is None:
+            stats = self._spans[path] = SpanStats()
+        stats.record(duration)
 
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-serialisable view of every section (sorted keys)."""
-        with self._lock:
-            return {
-                SECTION_DETERMINISTIC: {
-                    "counters": dict(sorted(self._counters.items())),
-                    "gauges": dict(sorted(self._gauges.items())),
-                    "histograms": {
-                        key: hist.to_dict()
-                        for key, hist in sorted(self._histograms.items())
-                    },
+        return {
+            SECTION_DETERMINISTIC: {
+                "counters": dict(sorted(self._counters.items())),
+                "gauges": dict(sorted(self._gauges.items())),
+                "histograms": {
+                    key: hist.to_dict()
+                    for key, hist in sorted(self._histograms.items())
                 },
-                SECTION_PROCESS: {
-                    "counters": dict(sorted(self._process_counters.items())),
-                    "gauges": dict(sorted(self._process_gauges.items())),
-                },
-                SECTION_TIMING: {
-                    "spans": {
-                        path: stats.to_dict()
-                        for path, stats in sorted(self._spans.items())
-                    }
-                },
-            }
+            },
+            SECTION_PROCESS: {
+                "counters": dict(sorted(self._process_counters.items())),
+                "gauges": dict(sorted(self._process_gauges.items())),
+            },
+            SECTION_TIMING: {
+                "spans": {
+                    path: stats.to_dict()
+                    for path, stats in sorted(self._spans.items())
+                }
+            },
+        }
 
     def deterministic_snapshot(self) -> dict:
         """Just the section determinism tests compare byte-for-byte."""
@@ -337,32 +324,31 @@ class MetricsRegistry:
         the exported deterministic section a pure function of the
         scorecards.
         """
-        with self._lock:
-            if SECTION_DETERMINISTIC in sections and SECTION_DETERMINISTIC in snap:
-                det = snap[SECTION_DETERMINISTIC]
-                for key, value in det.get("counters", {}).items():
-                    self._counters[key] = self._counters.get(key, 0) + value
-                self._gauges.update(det.get("gauges", {}))
-                for key, payload in det.get("histograms", {}).items():
-                    incoming = Histogram.from_dict(payload)
-                    existing = self._histograms.get(key)
-                    if existing is None:
-                        self._histograms[key] = incoming
-                    else:
-                        existing.merge(incoming)
-            if SECTION_PROCESS in sections and SECTION_PROCESS in snap:
-                proc = snap[SECTION_PROCESS]
-                for key, value in proc.get("counters", {}).items():
-                    self._process_counters[key] = (
-                        self._process_counters.get(key, 0) + value
-                    )
-                self._process_gauges.update(proc.get("gauges", {}))
-            if SECTION_TIMING in sections and SECTION_TIMING in snap:
-                for path, payload in snap[SECTION_TIMING].get("spans", {}).items():
-                    stats = self._spans.get(path)
-                    if stats is None:
-                        stats = self._spans[path] = SpanStats()
-                    stats.merge_dict(payload)
+        if SECTION_DETERMINISTIC in sections and SECTION_DETERMINISTIC in snap:
+            det = snap[SECTION_DETERMINISTIC]
+            for key, value in det.get("counters", {}).items():
+                self._counters[key] = self._counters.get(key, 0) + value
+            self._gauges.update(det.get("gauges", {}))
+            for key, payload in det.get("histograms", {}).items():
+                incoming = Histogram.from_dict(payload)
+                existing = self._histograms.get(key)
+                if existing is None:
+                    self._histograms[key] = incoming
+                else:
+                    existing.merge(incoming)
+        if SECTION_PROCESS in sections and SECTION_PROCESS in snap:
+            proc = snap[SECTION_PROCESS]
+            for key, value in proc.get("counters", {}).items():
+                self._process_counters[key] = (
+                    self._process_counters.get(key, 0) + value
+                )
+            self._process_gauges.update(proc.get("gauges", {}))
+        if SECTION_TIMING in sections and SECTION_TIMING in snap:
+            for path, payload in snap[SECTION_TIMING].get("spans", {}).items():
+                stats = self._spans.get(path)
+                if stats is None:
+                    stats = self._spans[path] = SpanStats()
+                stats.merge_dict(payload)
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "MetricsRegistry":

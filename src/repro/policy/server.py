@@ -20,17 +20,26 @@ POLICY_REQUEST = b"<policy-file-request/>\x00"
 
 
 class PolicyServer(Protocol):
-    """Serves one policy document; counts requests."""
+    """Serves one policy document; counts requests.
+
+    The document is rendered and encoded once per listener; its
+    :meth:`factory` connections send those bytes and count on it.
+    """
 
     def __init__(self, policy: PolicyFile) -> None:
         self.policy = policy
         self.requests_served = 0
         self._buffer = b""
         self._shared: PolicyServer | None = None
+        self._document = policy.to_xml().encode("utf-8") + b"\x00"
 
     def factory(self) -> "PolicyServer":
-        connection = PolicyServer(self.policy)
+        connection = object.__new__(PolicyServer)
+        connection.policy = self.policy
+        connection.requests_served = 0
+        connection._buffer = b""
         connection._shared = self
+        connection._document = self._document
         return connection
 
     def data_received(self, sock: StreamSocket, data: bytes) -> None:
@@ -39,7 +48,7 @@ class PolicyServer(Protocol):
             if len(self._buffer) > len(POLICY_REQUEST):
                 sock.close()  # not a policy request; hang up
             return
-        sock.send(self.policy.to_xml().encode("utf-8") + b"\x00")
+        sock.send(self._document)
         state = self._shared or self
         state.requests_served += 1
         sock.close()

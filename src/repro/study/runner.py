@@ -55,7 +55,11 @@ from repro.data import sites as site_data
 from repro.data.sites import ProbeSite
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
+from repro.measure.server import (
+    CombinedPolicyHttpServer,
+    ReportingServer,
+    report_verdict_info,
+)
 from repro.measure.store import ReportStore, require_empty_store
 from repro.measure.tool import MeasurementTool
 from repro.netsim.loop import WireScheduler
@@ -79,11 +83,15 @@ _STUDY1_SITE_SUCCESS = 0.95
 
 
 def _cache_counts() -> dict[str, int]:
-    """Process-wide hits and misses of the content memos, chain verdicts and reply templates."""
+    """Process-wide hits and misses of the content memos, chain verdicts,
+    reply templates and report verdicts."""
     counts = memo_counts()
     counts["x509.chain_memo.hits"], counts["x509.chain_memo.misses"] = chain_memo_info()
     counts["tls.reply_template.hits"], counts["tls.reply_template.misses"] = (
         reply_template_info()
+    )
+    counts["report.verdicts.hits"], counts["report.verdicts.misses"] = (
+        report_verdict_info()
     )
     return counts
 

@@ -9,7 +9,7 @@ what an on-path proxy wanted the client to see.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.netsim.events import drive, settle
@@ -43,6 +43,11 @@ FLIGHT_DECODE_CACHE_SIZE = 256
 #: Mersenne Twister.
 _DEFAULT_SEED = 0xFACADE
 _FIRST_RANDOM = random.Random(_DEFAULT_SEED).getrandbits(256).to_bytes(32, "big")
+
+#: The ServerHello's fields after its random (declared first), in
+#: declaration order: the flight memo keeps their values, and each probe
+#: passes them to the constructor behind its own random.
+_HELLO_FIELDS = tuple(f.name for f in fields(ServerHello))[1:]
 
 
 @content_memo(
@@ -134,18 +139,20 @@ def _read_messages(
 @content_memo("tls.flight_decode", FLIGHT_DECODE_CACHE_SIZE)
 def _decode_flight(
     flight: bytes,
-) -> tuple[ServerHello, tuple[bytes, ...], tuple[Certificate, ...]]:
+) -> tuple[tuple, tuple[bytes, ...], tuple[Certificate, ...]]:
     """:func:`_read_messages` of a flight led by its only ServerHello.
 
     The caller blanks that hello's random, so every visit to a site
-    shares one entry.  A flight with a second ServerHello is refused:
-    the probe keeps the last hello, whose random is not blanked.
+    shares one entry; the hello is kept as its other fields' values.  A
+    flight with a second ServerHello is refused: the probe keeps the
+    last hello, whose random is not blanked.
     """
     messages = _handshake_messages(flight)
     hellos = [message.msg_type for message in messages].count(codec.HS_SERVER_HELLO)
     if hellos > 1:
         raise _Refused("tls", "more than one ServerHello")
-    return _read_messages(messages)
+    hello, der_chain, chain = _read_messages(messages)
+    return tuple(getattr(hello, name) for name in _HELLO_FIELDS), der_chain, chain
 
 
 def _read_flight(
@@ -170,13 +177,14 @@ def _read_flight(
         and int.from_bytes(flight[6:9], "big") >= end - 9
     ):
         try:
-            hello, der_chain, chain = _decode_flight(
+            hello_fields, der_chain, chain = _decode_flight(
                 flight[:HELLO_RANDOM_AT] + bytes(32) + flight[end:]
             )
         except _Refused:
             pass
         else:
-            return replace(hello, server_random=flight[HELLO_RANDOM_AT:end]), der_chain, chain
+            hello = ServerHello(flight[HELLO_RANDOM_AT:end], *hello_fields)
+            return hello, der_chain, chain
     return _read_messages(_handshake_messages(flight))
 
 

@@ -18,7 +18,6 @@ kept.
 
 from __future__ import annotations
 
-import copy
 import random
 
 from repro.netsim.network import Protocol, StreamSocket
@@ -144,7 +143,11 @@ class TlsCertServer(Protocol):
 
     def factory(self) -> "TlsCertServer":
         """Return a fresh per-connection protocol sharing this config."""
-        clone = copy.copy(self)
+        clone = object.__new__(type(self))
+        # Attribute by attribute, not copy.copy, as HttpServer.factory
+        # does: a copied __dict__ makes every later attribute read slower.
+        for name, value in vars(self).items():
+            setattr(clone, name, value)
         clone._buffer = clone._handshake = b""
         clone.handshakes_served = 0
         clone._parent = self

@@ -9,10 +9,15 @@ the two.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.x509.model import Certificate
 
 #: Chain verdicts one store remembers; past the bound the oldest goes.
 VERDICT_MEMO_SIZE = 256
+
+# Every store state's generation, unique across stores in the process.
+_generations = itertools.count()
 
 
 class RootStore:
@@ -21,32 +26,42 @@ class RootStore:
     The store also remembers the chain verdicts :mod:`repro.x509.verify`
     reached against it, since a verdict holds exactly as long as the
     roots do: adding, injecting or removing a root forgets them all.
+    Each such change also gives the store a new ``generation``, a
+    number no other state of any store shares, so a caller that keeps
+    its own results judged against a store can tell whether they still
+    hold.
     """
 
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         self._roots: dict[str, Certificate] = {}
         self._injected: set[str] = set()
         self._verdicts: dict[tuple, object] = {}
+        self.generation = next(_generations)
         for root in roots or []:
             self.add(root)
+
+    def _changed(self) -> None:
+        """Forget every verdict and take a new generation."""
+        self._verdicts.clear()
+        self.generation = next(_generations)
 
     def add(self, root: Certificate) -> None:
         """Add a factory (pre-installed) root."""
         self._roots[root.fingerprint()] = root
-        self._verdicts.clear()
+        self._changed()
 
     def inject(self, root: Certificate) -> None:
         """Add a root the way a proxy product or malware does at install."""
         fingerprint = root.fingerprint()
         self._roots[fingerprint] = root
         self._injected.add(fingerprint)
-        self._verdicts.clear()
+        self._changed()
 
     def remove(self, root: Certificate) -> None:
         fingerprint = root.fingerprint()
         self._roots.pop(fingerprint, None)
         self._injected.discard(fingerprint)
-        self._verdicts.clear()
+        self._changed()
 
     def recall(self, key: tuple):
         """The verdict remembered under ``key``, or None."""

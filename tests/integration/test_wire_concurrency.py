@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.httpmin import codec as http_codec
-from repro.measure import server, tool
+from repro.measure import tool
 from repro.measure.tool import MeasurementTool
 from repro.policy import server as policy_server
 from repro.study import StudyConfig, StudyRunner
@@ -189,11 +189,13 @@ def test_parse_cache_warmth_changes_no_output():
     # finds every genuine chain already parsed.  Outputs must not care.
     # The probe's flight memo sits in front of the parse cache, so it is
     # emptied before each run for the probe to reach the parse cache.
+    # At the engine seed the upstream leg asks the chain-verdict memo
+    # per handshake; the report leg asks it only on a verdict-store miss.
     parse._parse_der.cache_clear()
     probe._decode_flight.cache_clear()
-    cold, cold_logs = _run(64)
+    cold, cold_logs = _run(64, seed=ENGINE_SEED)
     probe._decode_flight.cache_clear()
-    warm, warm_logs = _run(64)
+    warm, warm_logs = _run(64, seed=ENGINE_SEED)
     assert cold.database.aggregate_signature() == warm.database.aggregate_signature()
     assert json.dumps(cold.metrics["deterministic"], sort_keys=True) == json.dumps(
         warm.metrics["deterministic"], sort_keys=True
@@ -209,7 +211,6 @@ def test_parse_cache_warmth_changes_no_output():
 #: The content memos on the wire leg, besides the parse cache.
 WIRE_MEMOS = {
     "tool.pem_cache": tool._pem_body,
-    "report.decode_cache": server._decode_report,
     "policy.parse_cache": policy_server._parse_policy,
     "tls.flight_cache": tls_codec._flight_tail,
     "tls.hello_frame": probe._hello_frame,
@@ -239,7 +240,9 @@ def test_memo_warmth_changes_no_output():
         assert cold_counts[f"{name}.misses"] > 0, name
         assert warm_counts[f"{name}.misses"] == 0, name
         assert warm_counts[f"{name}.hits"] > 0, name
-    # Reply templates live on each run's listeners, so both runs fill them.
+    # Reply templates and report verdicts live on each run's listeners
+    # and server, so both runs fill them.
     for counts in (cold_counts, warm_counts):
-        assert counts["tls.reply_template.hits"] > 0
-        assert counts["tls.reply_template.misses"] > 0
+        for name in ("tls.reply_template", "report.verdicts"):
+            assert counts[f"{name}.hits"] > 0, name
+            assert counts[f"{name}.misses"] > 0, name

@@ -16,7 +16,6 @@ from repro.policy.model import PolicyFile
 from repro.policy.server import POLICY_REQUEST, fetch_policy
 from repro.tls import codec
 from repro.tls.probe import ProbeClient
-from repro.tls.server import TlsCertServer
 from repro.x509 import X509Error, parse_certificate
 from repro.x509.model import SubjectPublicKeyInfo
 from repro.x509 import Name
@@ -112,35 +111,37 @@ class TestProbeResilience:
         assert not result.ok
 
     def test_server_sends_corrupt_certificate(self, site_chain):
-        corrupt = bytearray(site_chain[0].encode())
-        corrupt[len(corrupt) // 2] ^= 0x01
-
-        class CorruptCertServer(TlsCertServer):
-            def chain_for(self, server_name):
-                return self.chain
-
-        # Build a server whose Certificate message carries corrupt DER.
-        net = Network()
-        client = net.add_host("client.example")
-        server_host = net.add_host("flaky.example")
+        der = site_chain[0].encode()
 
         class RawServer(Protocol):
-            def data_received(self, sock, data):
-                hello = codec.ServerHello(
-                    server_random=bytes(32), cipher_suite=0x2F
-                )
-                cert = codec.Certificate((bytes(corrupt),))
-                payload = (
-                    hello.to_handshake().encode() + cert.to_handshake().encode()
-                )
-                sock.send(
-                    codec.Record(codec.CONTENT_HANDSHAKE, (3, 1), payload).encode()
-                )
+            """Answers any hello with a Certificate message carrying ``leaf_der``."""
 
-        server_host.listen(443, RawServer)
-        result = ProbeClient(client).probe("flaky.example", 443)
-        # Either parses differently or errors — never crashes.
-        assert result.error.startswith("x509") or result.ok is False or result.ok
+            def __init__(self, leaf_der):
+                self.leaf_der = leaf_der
+
+            def data_received(self, sock, data):
+                hello = codec.ServerHello(server_random=bytes(32), cipher_suite=0x2F)
+                cert = codec.Certificate((self.leaf_der,))
+                payload = hello.to_handshake().encode() + cert.to_handshake().encode()
+                sock.send(codec.Record(codec.CONTENT_HANDSHAKE, (3, 1), payload).encode())
+
+        def probe_with(leaf_der):
+            return self.build(lambda: RawServer(leaf_der)).probe("flaky.example", 443)
+
+        # The outer SEQUENCE turned into a SET: the parser refuses it,
+        # and the probe keeps the bytes that arrived.
+        unparseable = b"\x31" + der[1:]
+        result = probe_with(unparseable)
+        assert result.ok is False
+        assert result.error.startswith("x509: expected Sequence for Certificate")
+        assert result.der_chain == (unparseable,)
+        # A flipped signature bit still parses: the probe captures what
+        # arrived and checks no signature.
+        bad_signature = der[:-1] + bytes([der[-1] ^ 0x01])
+        result = probe_with(bad_signature)
+        assert result.ok is True
+        assert result.der_chain == (bad_signature,)
+        assert result.leaf.encode() == bad_signature
 
 
 class TestPolicyResilience:

@@ -12,7 +12,9 @@ from repro.crypto.hashes import hash_by_name
 from repro.data.countries import STUDY2_CAMPAIGNS
 from repro.data.sites import ProbeSite
 from repro.faults import database_ops, deliver
+from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.client import HttpClient
+from repro.httpmin.codec import HttpRequest, HttpResponse
 from repro.measure import (
     CertSummary,
     MeasurementRecord,
@@ -21,9 +23,10 @@ from repro.measure import (
     ReportingServer,
 )
 from repro.measure.server import (
-    REPORT_CACHE_SIZE,
+    REPORT_VERDICT_KEY_BYTES,
+    REPORT_VERDICTS,
     CombinedPolicyHttpServer,
-    _decode_report,
+    report_verdict_info,
 )
 from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
 from repro.netsim import Network, drive
@@ -34,6 +37,7 @@ from repro.x509 import Name
 from repro.x509.ca import _sign_tbs
 from repro.x509.model import Extension, SubjectPublicKeyInfo
 from repro.x509.pem import pem_encode
+from repro.x509.store import RootStore
 
 
 @pytest.fixture(scope="module")
@@ -273,10 +277,10 @@ class MeasurementWorld:
         self.server.expect(
             "tlsresearch.byu.edu", origin_chain[0].fingerprint(), "Authors'"
         )
-        combined = CombinedPolicyHttpServer(
+        self.combined = CombinedPolicyHttpServer(
             PolicyFile.permissive("443"), self.server.http
         )
-        origin.listen(80, combined.factory)
+        origin.listen(80, self.combined.factory)
         self.client = self.network.add_host("client.example", ip="11.0.0.5")
         self.tool = MeasurementTool()
 
@@ -385,6 +389,14 @@ class TestMeasurementToolWire:
         response = HttpClient(world.client).get("tlsresearch.byu.edu", "/ad")
         assert response.ok
 
+    def test_combined_port_counts_policy_requests_on_its_template(
+        self, origin_chain, root_ca
+    ):
+        world = MeasurementWorld(origin_chain, root_ca)
+        for _ in range(3):
+            fetch_policy(world.client, "tlsresearch.byu.edu", port=80)
+        assert world.combined.policy_server.requests_served == 3
+
 
 def _post_twice(world, body: bytes) -> list[int]:
     return [
@@ -404,6 +416,19 @@ def _post_twice(world, body: bytes) -> list[int]:
 def _rejected(world, reason: str) -> int:
     counters = world.server.metrics.deterministic_snapshot()["counters"]
     return counters.get(f"reports.rejected{{reason={reason}}}", 0)
+
+
+def _ingest(world, *bodies: bytes, hostname="tlsresearch.byu.edu", remote=None, product=None):
+    """Hand each body straight to the report handler; the statuses."""
+    headers = {"x-probed-host": hostname}
+    if product is not None:
+        headers["x-sim-product"] = product
+    return [
+        world.server._ingest_report(
+            HttpRequest("POST", "/report", headers=dict(headers), body=body), remote
+        ).status
+        for body in bodies
+    ]
 
 
 class TestReportLegMemos:
@@ -431,11 +456,11 @@ class TestReportLegMemos:
         self, origin_chain, root_ca, body, reason
     ):
         world = MeasurementWorld(origin_chain, root_ca)
-        misses = _decode_report.cache_info().misses
+        misses = report_verdict_info()[1]
         assert _post_twice(world, body) == [400, 400]
         assert world.database.failures.report_failed == 2
         assert _rejected(world, reason) == 2
-        assert _decode_report.cache_info().misses == misses + 2
+        assert report_verdict_info()[1] == misses + 2
 
     def test_bad_policy_is_denied_every_time(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)
@@ -454,24 +479,30 @@ class TestReportLegMemos:
         assert outcome.policy_denied == 2
         assert _parse_policy.cache_info().misses == misses + 2
 
-    def test_report_memo_stays_within_its_bound(self, origin_chain):
+    def test_report_memo_stays_within_its_bound(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
         pem = _pem_body(tuple(c.encode() for c in origin_chain))
-        for index in range(REPORT_CACHE_SIZE + 3):
-            # Text outside the PEM blocks is ignored, so each body is a
-            # distinct key for the same chain.
-            _decode_report(b"report %d\n" % index + pem)
-        info = _decode_report.cache_info()
-        assert info.currsize == info.maxsize == REPORT_CACHE_SIZE
+        # Text outside the PEM blocks is ignored, so each body is a
+        # distinct key for the same chain.
+        bodies = [b"report %d\n" % index + pem for index in range(REPORT_VERDICTS + 3)]
+        assert _ingest(world, *bodies) == [200] * len(bodies)
+        assert len(world.server._verdicts) == REPORT_VERDICTS
+        hits, misses = report_verdict_info()
+        # The newest is kept; the oldest went first.
+        assert _ingest(world, bodies[-1], bodies[0]) == [200, 200]
+        assert report_verdict_info() == (hits + 1, misses + 1)
 
-    def test_oversized_body_is_decoded_but_not_cached(self, origin_chain):
+    def test_oversized_body_is_decoded_but_not_cached(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
         pem = _pem_body(tuple(c.encode() for c in origin_chain))
-        oversized = b"x" * _decode_report.max_key_bytes + b"\n" + pem
-        currsize = _decode_report.cache_info().currsize
-        first = _decode_report(oversized)
-        second = _decode_report(oversized)
-        assert first == second == _decode_report(pem)
-        assert first is not second
-        assert _decode_report.cache_info().currsize == currsize
+        oversized = b"x" * REPORT_VERDICT_KEY_BYTES + b"\n" + pem
+        hits, misses = report_verdict_info()
+        assert _ingest(world, oversized, oversized) == [200, 200]
+        assert report_verdict_info() == (hits, misses + 2)
+        assert not world.server._verdicts
+        assert world.database.matched_count == 2
+        assert _ingest(world, pem) == [200]
+        assert len(world.server._verdicts) == 1
 
     def test_pem_memo_stays_within_its_bound(self):
         for index in range(PEM_BODY_CACHE_SIZE + 3):
@@ -487,6 +518,113 @@ class TestReportLegMemos:
         assert body == "".join(pem_encode(der) for der in chain).encode("ascii")
         assert _pem_body(chain) is not body
         assert _pem_body.cache_info().currsize == currsize
+
+
+class TestReportVerdicts:
+    """The server judges each distinct (body, hostname) once, and only
+    while the expected leaf and the root store it was judged against hold."""
+
+    @staticmethod
+    def genuine(origin_chain) -> bytes:
+        return _pem_body(tuple(c.encode() for c in origin_chain))
+
+    def test_repeated_report_is_judged_once(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        hits, misses = report_verdict_info()
+        assert _ingest(world, *[self.genuine(origin_chain)] * 3) == [200] * 3
+        assert report_verdict_info() == (hits + 2, misses + 1)
+        assert world.database.matched_count == 3
+
+    def test_the_hostname_is_part_of_the_key(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        world.server.expect("other.example", "0" * 64, "Business")
+        body = self.genuine(origin_chain)
+        assert _ingest(world, body) == [200]
+        assert _ingest(world, body, hostname="other.example") == [200]
+        assert world.database.matched_count == 1
+        [record] = world.database.records
+        assert (record.hostname, record.mismatch, record.chain_valid) == (
+            "other.example",
+            True,
+            False,
+        )
+
+    def test_expect_judges_again(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        body = self.genuine(origin_chain)
+        assert _ingest(world, body) == [200]
+        world.server.expect("tlsresearch.byu.edu", "0" * 64, "Authors'")
+        assert _ingest(world, body) == [200]
+        assert (world.database.matched_count, world.database.mismatch_count) == (1, 1)
+
+    def test_a_root_change_flips_chain_valid_on_the_next_identical_report(
+        self, origin_chain, root_ca
+    ):
+        world = MeasurementWorld(origin_chain, root_ca)
+        server = world.server
+        # Every report is a mismatch, so every record lands in ``records``.
+        server.expect("tlsresearch.byu.edu", "0" * 64, "Authors'")
+        body = self.genuine(origin_chain)
+        roots = server.public_roots
+        assert _ingest(world, body) == [200]
+        roots.remove(root_ca.certificate)
+        assert _ingest(world, body) == [200]
+        roots.inject(root_ca.certificate)
+        assert _ingest(world, body) == [200]
+        server.public_roots = RootStore()
+        assert _ingest(world, body) == [200]
+        server.public_roots = None
+        assert _ingest(world, body) == [200]
+        assert [record.chain_valid for record in world.database.records] == [
+            True,
+            False,
+            True,
+            False,
+            False,
+        ]
+
+    def test_each_report_keeps_its_own_client_country_and_product(
+        self, origin_chain, root_ca
+    ):
+        world = MeasurementWorld(origin_chain, root_ca)
+        geoip = GeoIpDatabase()
+        geoip.add_range("11.0.0.0", "11.0.0.255", "BR")
+        geoip.add_range("12.0.0.0", "12.0.0.255", "US")
+        geoip.freeze()
+        world.server.geoip = geoip
+        world.server.expect("tlsresearch.byu.edu", "0" * 64, "Authors'")
+        body = self.genuine(origin_chain)
+        sent = [("11.0.0.7", "avast"), ("12.0.0.9", None), ("13.0.0.1", "kaspersky")]
+        for index, (ip, product) in enumerate(sent):
+            client = world.network.add_host(f"reporter-{index}.example", ip=ip)
+            assert _ingest(world, body, remote=client, product=product) == [200]
+        assert [
+            (record.client_ip, record.country, record.product_key)
+            for record in world.database.records
+        ] == [
+            ("11.0.0.7", "BR", "avast"),
+            ("12.0.0.9", "US", None),
+            ("13.0.0.1", None, "kaspersky"),
+        ]
+
+    def test_the_fault_hook_runs_before_the_store(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        body = self.genuine(origin_chain)
+        assert _ingest(world, body) == [200]
+        seen = []
+
+        def hook(request, remote):
+            seen.append(request.headers["x-probed-host"])
+            return HttpResponse(503)
+
+        world.server.fault_hook = hook
+        hits = report_verdict_info()[0]
+        assert _ingest(world, body) == [503]
+        assert _ingest(world, body, hostname="never-registered.example") == [503]
+        assert seen == ["tlsresearch.byu.edu", "never-registered.example"]
+        assert report_verdict_info()[0] == hits
+        assert world.database.matched_count == 1
+        assert _rejected(world, "unknown-host") == 0
 
 
 class TestAdwords:

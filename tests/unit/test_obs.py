@@ -7,7 +7,6 @@ counter addition), and the JSON exporter round-trips losslessly.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -134,24 +133,6 @@ class TestSpans:
         with registry.span("study.shard", country="us"):
             pass
         assert registry.timing_profile()["study.shard"]["count"] == 2
-
-    def test_span_stack_is_per_thread(self):
-        registry = MetricsRegistry()
-        barrier = threading.Barrier(2)
-
-        def worker(name):
-            with registry.span(name):
-                barrier.wait()
-
-        threads = [
-            threading.Thread(target=worker, args=(name,)) for name in ("a", "b")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Concurrent roots never nest under each other.
-        assert set(registry.timing_profile()) == {"a", "b"}
 
 
 class TestSnapshotMerge:
