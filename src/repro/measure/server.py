@@ -17,7 +17,7 @@ from repro.netsim.network import Host, Protocol, StreamSocket
 from repro.obs.metrics import MetricsRegistry
 from repro.policy.model import PolicyFile
 from repro.policy.server import POLICY_REQUEST, PolicyServer
-from repro.util import MEMO_KEY_BYTES
+from repro.util import content_memo
 from repro.x509.parse import X509Error, parse_certificate
 from repro.x509.pem import PemError, pem_decode_all
 from repro.x509.verify import validate_chain
@@ -25,23 +25,37 @@ from repro.x509.verify import validate_chain
 # The measurement tool, served as the "ad" payload.
 _TOOL_PAYLOAD = b"<html><body><!-- repro measurement tool (flash) --></body></html>"
 
-#: Distinct (report body, probed hostname) pairs whose verdict one server
-#: keeps, and the most bytes such a body may have (``MEMO_KEY_BYTES //
-#: REPORT_VERDICTS``, the key cap of a content memo that size).  A
-#: longer body is judged afresh every time and never kept.
+#: Distinct report judgements ``report.verdicts`` keeps; a body over
+#: 16 KiB (the memo's key cap) is judged afresh every time.
 REPORT_VERDICTS = 1024
-REPORT_VERDICT_KEY_BYTES = MEMO_KEY_BYTES // REPORT_VERDICTS
-
-_verdict_counts = {"hits": 0, "misses": 0}
-
-
-def report_verdict_info() -> tuple[int, int]:
-    """``(hits, misses)`` of every server's report verdicts, over the whole process."""
-    return _verdict_counts["hits"], _verdict_counts["misses"]
 
 
 class _EmptyReport(ValueError):
     """A report body that holds no PEM certificate."""
+
+
+@content_memo("report.verdicts", REPORT_VERDICTS, size=lambda key: len(key[0]))
+def _judge(key: tuple) -> tuple:
+    """``(leaf, rest of chain, mismatch, chain valid)`` of one report.
+
+    ``key`` is ``(body, probed hostname, expected leaf fingerprint,
+    public roots, their generation)``: everything the judgement reads,
+    so a new expectation or a change of roots is a new key.  Raises
+    :class:`PemError`, :class:`_EmptyReport` or :class:`X509Error`;
+    extension values decode here too, on the summaries' first read of
+    ``is_ca`` and the SAN names.
+    """
+    body, hostname, expected_leaf, roots, _ = key
+    der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
+    if not der_chain:
+        raise _EmptyReport("empty report")
+    chain = tuple(parse_certificate(der) for der in der_chain)
+    summaries = tuple(CertSummary.from_certificate(c) for c in chain)
+    mismatch = summaries[0].fingerprint != expected_leaf
+    chain_valid = roots is not None and bool(
+        validate_chain(chain, roots, hostname=hostname)
+    )
+    return summaries[0], summaries[1:], mismatch, chain_valid
 
 
 class ReportingServer:
@@ -55,13 +69,12 @@ class ReportingServer:
     the in-memory :class:`~repro.measure.database.ReportDatabase` or an
     on-disk :class:`~repro.measure.store.ReportStore`.
 
-    Nearly every client reports its site's authoritative chain, so the
-    server keeps what it judged of each accepted (body, hostname) pair:
-    the summaries, the mismatch flag and the chain verdict.  Only the
-    client address, its country and ``X-Sim-Product`` are read per
-    report.  A verdict holds while its hostname's expected leaf and the
-    root store are unchanged: :meth:`expect` forgets them all, and so
-    does any change of ``public_roots`` (its ``generation`` moves).  A
+    Nearly every client reports its site's authoritative chain, so each
+    accepted report's judgement (the summaries, the mismatch flag and
+    the chain verdict) is kept in ``report.verdicts``, keyed on all it
+    reads: the body, the hostname, that hostname's expected leaf and
+    ``public_roots`` at its current ``generation``.  Only the client
+    address, its country and ``X-Sim-Product`` are read per report.  A
     refused report is never kept, so it is refused and counted on every
     submission.
     """
@@ -92,10 +105,6 @@ class ReportingServer:
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._c_matched = self.metrics.counter("reports.ingested", verdict="matched")
         self._c_mismatch = self.metrics.counter("reports.ingested", verdict="mismatch")
-        # (body, hostname) -> (leaf, rest of chain, mismatch, chain valid),
-        # judged against the roots of ``_verdicts_generation``.
-        self._verdicts: dict[tuple[bytes, str], tuple] = {}
-        self._verdicts_generation = self._roots_generation()
         self.http = HttpServer(registry=self.metrics)
         self.http.route("GET", "/ad", self._serve_tool)
         self.http.route("POST", "/report", self._ingest_report)
@@ -108,11 +117,6 @@ class ReportingServer:
         """Register the authoritative leaf for a probe target."""
         self.expected_leaves[hostname] = leaf_fingerprint
         self.host_types[hostname] = host_type
-        self._verdicts.clear()
-
-    def _roots_generation(self) -> int | None:
-        roots = self.public_roots
-        return None if roots is None else roots.generation
 
     # -- handlers ------------------------------------------------------------
 
@@ -138,24 +142,6 @@ class ReportingServer:
         self.metrics.inc("reports.rejected", reason=reason)
         return HttpResponse(400, body=body)
 
-    def _judge(self, body: bytes, hostname: str) -> tuple:
-        """``(leaf, rest of chain, mismatch, chain valid)`` of one report.
-
-        Raises :class:`PemError`, :class:`_EmptyReport` or
-        :class:`X509Error`; extension values decode here too, on the
-        summaries' first read of ``is_ca`` and the SAN names.
-        """
-        der_chain = pem_decode_all(body.decode("ascii", errors="replace"))
-        if not der_chain:
-            raise _EmptyReport("empty report")
-        chain = tuple(parse_certificate(der) for der in der_chain)
-        summaries = tuple(CertSummary.from_certificate(c) for c in chain)
-        mismatch = summaries[0].fingerprint != self.expected_leaves[hostname]
-        chain_valid = self.public_roots is not None and bool(
-            validate_chain(chain, self.public_roots, hostname=hostname)
-        )
-        return summaries[0], summaries[1:], mismatch, chain_valid
-
     def _ingest_report(self, request: HttpRequest, remote: Host | None) -> HttpResponse:
         if self.fault_hook is not None:
             injected = self.fault_hook(request, remote)
@@ -164,31 +150,23 @@ class ReportingServer:
         hostname = request.headers.get("x-probed-host", "")
         if not hostname or hostname not in self.expected_leaves:
             return self._reject("unknown-host", b"unknown probed host")
-        generation = self._roots_generation()
-        verdicts = self._verdicts
-        if generation != self._verdicts_generation:
-            verdicts.clear()
-            self._verdicts_generation = generation
-        body = request.body
-        key = (body, hostname)
-        verdict = verdicts.get(key)
-        if verdict is not None:
-            _verdict_counts["hits"] += 1
-        else:
-            _verdict_counts["misses"] += 1
-            try:
-                verdict = self._judge(body, hostname)
-            except PemError as exc:
-                return self._reject("pem", str(exc).encode())
-            except _EmptyReport:
-                return self._reject("empty", b"empty report")
-            except X509Error as exc:
-                return self._reject("x509", str(exc).encode())
-            if len(body) <= REPORT_VERDICT_KEY_BYTES:
-                if len(verdicts) >= REPORT_VERDICTS:
-                    del verdicts[next(iter(verdicts))]
-                verdicts[key] = verdict
-        leaf, chain, mismatch, chain_valid = verdict
+        roots = self.public_roots
+        try:
+            leaf, chain, mismatch, chain_valid = _judge(
+                (
+                    request.body,
+                    hostname,
+                    self.expected_leaves[hostname],
+                    roots,
+                    None if roots is None else roots.generation,
+                )
+            )
+        except PemError as exc:
+            return self._reject("pem", str(exc).encode())
+        except _EmptyReport:
+            return self._reject("empty", b"empty report")
+        except X509Error as exc:
+            return self._reject("x509", str(exc).encode())
         client_ip = remote.ip if remote is not None else "0.0.0.0"
         record = MeasurementRecord(
             study=self.study,

@@ -47,6 +47,7 @@ class SubstituteCertForger:
         self._seed = seed
         self._cas: dict[str, CertificateAuthority] = {}
         self._leaf_keys: dict[tuple[str, int], tuple[int, int]] = {}
+        # One entry per (product, site, bucket) a study forges: ≤ 48 × 17 × 32.
         self._forge_cache: dict[tuple, ForgedCertificate] = {}
         self.certificates_forged = 0
         self.cache_hits = 0

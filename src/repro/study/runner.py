@@ -55,11 +55,7 @@ from repro.data import sites as site_data
 from repro.data.sites import ProbeSite
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-from repro.measure.server import (
-    CombinedPolicyHttpServer,
-    ReportingServer,
-    report_verdict_info,
-)
+from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
 from repro.measure.store import ReportStore, require_empty_store
 from repro.measure.tool import MeasurementTool
 from repro.netsim.loop import WireScheduler
@@ -73,27 +69,12 @@ from repro.proxy.engine import TlsProxyEngine
 from repro.proxy.forger import SubstituteCertForger
 from repro.study.webpki import WebPki, build_web_pki
 from repro.tls.probe import ProbeClient
-from repro.tls.server import TlsCertServer, reply_template_info
+from repro.tls.server import TlsCertServer
 from repro.util import memo_counts, stable_hash
-from repro.x509.verify import chain_memo_info
 
 # Per-study completion constants (§4.1/§4.2 totals; see data.sites).
 _STUDY1_CLIENT_RUN = 0.65
 _STUDY1_SITE_SUCCESS = 0.95
-
-
-def _cache_counts() -> dict[str, int]:
-    """Process-wide hits and misses of the content memos, chain verdicts,
-    reply templates and report verdicts."""
-    counts = memo_counts()
-    counts["x509.chain_memo.hits"], counts["x509.chain_memo.misses"] = chain_memo_info()
-    counts["tls.reply_template.hits"], counts["tls.reply_template.misses"] = (
-        reply_template_info()
-    )
-    counts["report.verdicts.hits"], counts["report.verdicts.misses"] = (
-        report_verdict_info()
-    )
-    return counts
 
 
 @dataclass(frozen=True)
@@ -211,7 +192,7 @@ class StudyRunner:
         }
         self._catalog = product_data.catalog_by_key()
         self._specs = product_data.catalog()
-        # (product, site, bucket) → (leaf summary, chain summaries).
+        # (product, site, bucket) → (leaf, chain summaries): ≤ 48 × 17 × 32 cells.
         self._fast_summary_cache: dict[tuple, tuple] = {}
         # Per-site completion probabilities, in site order (fast mode
         # draws them as one vector per shard, wire mode per session).
@@ -313,16 +294,17 @@ class StudyRunner:
             pki=self.pki,
             sites=self.sites,
         )
-        caches_before = _cache_counts()
+        memos_before = memo_counts()
         with self.obs.span("study.run", mode=config.mode):
             if config.mode == "wire":
                 self._run_wire(result)
             else:
                 self._run_fast(result)
         # The memos are process-global, so their hits depend on what
-        # ran earlier in this process: process section, as a delta.
-        for name, count in _cache_counts().items():
-            self.obs.process_counter(name).inc(count - caches_before[name])
+        # ran earlier in this process: process section, as a delta.  A
+        # memo first made during the run counts from 0.
+        for name, count in memo_counts().items():
+            self.obs.process_counter(name).inc(count - memos_before.get(name, 0))
         result.notes["certificates_forged"] = self.forger.certificates_forged
         result.notes["forge_cache_hits"] = self.forger.cache_hits
         # Forge traffic depends on process boundaries (each worker pays

@@ -23,8 +23,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.util import content_memo
-
 # Record content types.
 CONTENT_CHANGE_CIPHER_SPEC = 20
 CONTENT_ALERT = 21
@@ -360,38 +358,6 @@ def encode_handshake_record(
 #: record header (5 bytes), the handshake header (4) and the version (2).
 HELLO_RANDOM_AT = 11
 
-#: Distinct flight tails (the records after the ServerHello) that
-#: ``tls.flight_cache`` keeps: an origin, or a proxy's substitute leg,
-#: serves a site the same chain on every connection.
-FLIGHT_CACHE_SIZE = 256
-
-
-def _flight_bytes(key) -> int:
-    """The message bytes in one ``(messages, version)`` flight-tail key."""
-    messages, _ = key
-    return sum(
-        len(message.body) if isinstance(message, HandshakeMessage)
-        else sum(map(len, message.der_chain))
-        for message in messages
-    )
-
-
-@content_memo("tls.flight_cache", FLIGHT_CACHE_SIZE, size=_flight_bytes)
-def _flight_tail(key) -> bytes:
-    """The records after the ServerHello for ``(messages, version)``."""
-    messages, version = key
-    payload = b"".join(
-        (
-            message if isinstance(message, HandshakeMessage)
-            else message.to_handshake()
-        ).encode()
-        for message in messages
-    )
-    return b"".join(
-        Record(CONTENT_HANDSHAKE, version, payload[start : start + 0x4000]).encode()
-        for start in range(0, len(payload), 0x4000)
-    )
-
 
 def encode_server_flight(
     server_hello: "ServerHello",
@@ -407,12 +373,21 @@ def encode_server_flight(
     Both the genuine-origin server and the proxy's substitute leg
     frame their flights here, so the two can never drift apart — the
     server-leg fingerprint comparison depends on them agreeing on the
-    wire rules.  Only the ServerHello, whose random is fresh on every
-    connection, is framed per call; the tail is framed once per
-    distinct ``(messages, negotiated version)``.
+    wire rules.
     """
     head = encode_handshake_record(server_hello, version=offered_version)
-    return head + _flight_tail((tuple(messages), server_hello.version))
+    payload = b"".join(
+        (
+            message if isinstance(message, HandshakeMessage)
+            else message.to_handshake()
+        ).encode()
+        for message in messages
+    )
+    version = server_hello.version
+    return head + b"".join(
+        Record(CONTENT_HANDSHAKE, version, payload[start : start + 0x4000]).encode()
+        for start in range(0, len(payload), 0x4000)
+    )
 
 
 def _encode_vector(data: bytes, length_bytes: int) -> bytes:

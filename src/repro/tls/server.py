@@ -37,24 +37,17 @@ from repro.tls.fingerprint import (
     negotiate_origin_cipher,
     origin_alpn_selection,
 )
-from repro.util import MEMO_KEY_BYTES
+from repro.util import MEMO_KEY_BYTES, Memo
 from repro.x509.model import Certificate
 
 #: Distinct hello records whose reply one listener keeps, and the most
 #: bytes such a record may have (``MEMO_KEY_BYTES // REPLY_TEMPLATES``, the
-#: key cap of a content memo that size).  A longer hello is answered
-#: afresh every time and never kept.
+#: templates' key cap, checked before the record is copied).  A longer
+#: hello is answered afresh every time and never kept.
 REPLY_TEMPLATES = 1024
 REPLY_TEMPLATE_KEY_BYTES = MEMO_KEY_BYTES // REPLY_TEMPLATES
 
 _RANDOM_END = HELLO_RANDOM_AT + 32
-
-_template_counts = {"hits": 0, "misses": 0}
-
-
-def reply_template_info() -> tuple[int, int]:
-    """``(hits, misses)`` of every listener's reply templates, over the whole process."""
-    return _template_counts["hits"], _template_counts["misses"]
 
 
 def _template_key(data: bytes) -> bytes | None:
@@ -127,9 +120,9 @@ class TlsCertServer(Protocol):
         self.handshakes_served = 0
         self._parent: TlsCertServer | None = None
         # Hello record, client random zeroed -> the reply's bytes before
-        # and after its server random.  Every clone shares this store,
+        # and after its server random.  Every clone shares this memo,
         # so it lives as long as the configuration it was made from.
-        self._templates: dict[bytes, tuple[bytes, bytes]] = {}
+        self._templates = Memo("tls.reply_template", REPLY_TEMPLATES)
 
     # A subclass that changes the reply sees every hello.
     _templated = True
@@ -167,20 +160,17 @@ class TlsCertServer(Protocol):
         key = None if self._buffer or self._handshake else _template_key(data)
         template = self._templates.get(key)
         if template is not None:
-            _template_counts["hits"] += 1
             prefix, suffix = template
             sock.send(prefix + self._server_random() + suffix)
             self._served()
             return
-        _template_counts["misses"] += 1
         reply = self._walk(sock, data)
         if key is not None and reply is not None:
             server_random, flight = reply
             if flight[HELLO_RANDOM_AT:_RANDOM_END] == server_random:
-                templates = self._templates
-                if len(templates) >= REPLY_TEMPLATES:
-                    del templates[next(iter(templates))]
-                templates[key] = (flight[:HELLO_RANDOM_AT], flight[_RANDOM_END:])
+                self._templates.put(
+                    key, (flight[:HELLO_RANDOM_AT], flight[_RANDOM_END:])
+                )
 
     def _walk(self, sock: StreamSocket, data: bytes) -> tuple[bytes, bytes] | None:
         """Decode, parse and answer ``data``: ``(server random, flight)`` of the last reply.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import namedtuple
 
 
 def stable_hash(*parts: object, bits: int = 64) -> int:
@@ -18,50 +19,104 @@ def stable_hash(*parts: object, bits: int = 64) -> int:
     return int.from_bytes(digest, "big") & ((1 << bits) - 1)
 
 
-#: The most key bytes one content memo keeps: its entry bound times its
-#: per-key byte cap (``MEMO_KEY_BYTES // maxsize``).
+#: The most key bytes one memo keeps: its entry bound times its per-key
+#: byte cap (``MEMO_KEY_BYTES // maxsize``).
 MEMO_KEY_BYTES = 16 * 1024 * 1024
 
-_MEMOS: dict[str, object] = {}
+# Each memo name's [hits, misses], shared by every Memo of that name.
+_COUNTS: dict[str, list[int]] = {}
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class Memo(dict):
+    """A bounded, counted dict: every memo in the program is one.
+
+    It holds at most ``maxsize`` entries and drops the oldest first.  A
+    key whose ``size`` is over ``MEMO_KEY_BYTES // maxsize`` is never
+    kept, so one memo holds at most :data:`MEMO_KEY_BYTES` of keys
+    however large its input; ``size`` is called only on a value about to
+    be kept, never on a hit.  Every Memo with the same ``name`` adds its
+    lookups to one (hits, misses) pair, which :func:`memo_counts`
+    reports; :meth:`clear` forgets the entries, not the counts.
+    """
+
+    __slots__ = ("maxsize", "max_key_bytes", "size", "counts")
+
+    def __init__(self, name: str, maxsize: int, size=len) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+        self.max_key_bytes = MEMO_KEY_BYTES // maxsize
+        self.size = size
+        self.counts = _COUNTS.setdefault(name, [0, 0])
+
+    def get(self, key):
+        """The value kept under ``key`` (a hit), or None (a miss)."""
+        try:
+            value = self[key]
+        except KeyError:
+            self.counts[1] += 1
+            return None
+        self.counts[0] += 1
+        return value
+
+    def put(self, key, value) -> None:
+        """Keep ``value`` under ``key`` unless the key is over the cap."""
+        if self.size(key) > self.max_key_bytes:
+            return
+        if len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        self[key] = value
 
 
 def content_memo(name: str, maxsize: int, size=len):
-    """Memoise a pure function of received bytes, bounded in entries and bytes.
+    """Memoise a pure function of one key in a process-wide :class:`Memo`.
 
-    ``functools.lru_cache`` keeps the last ``maxsize`` results.  A key
-    whose ``size`` is over ``MEMO_KEY_BYTES // maxsize`` is computed
-    afresh and never kept, so one memo holds at most
-    :data:`MEMO_KEY_BYTES` of keys however large the input.  A call
-    that raises is never cached: a bad input is rejected, and counted,
-    on every submission.  Every caller with equal bytes shares one
-    result, so the function must return immutable values only.  Hits
-    and misses are reported under ``name`` by :func:`memo_counts`.
+    A call that raises is never kept: a bad input is rejected, and
+    counted, on every submission.  A ``None`` result is kept like any
+    other.  Every caller with an equal key shares one result, so the
+    function must return immutable values only.  The wrapper keeps
+    ``functools.lru_cache``'s ``cache_info()`` and ``cache_clear()``
+    (which forgets the counts too), and ``max_key_bytes``.
     """
-    max_key_bytes = MEMO_KEY_BYTES // maxsize
 
     def decorate(fn):
-        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        entries = Memo(name, maxsize, size)
+        counts = entries.counts
 
         @functools.wraps(fn)
         def memo(key):
-            if size(key) > max_key_bytes:
-                return fn(key)
-            return cached(key)
+            try:
+                value = entries[key]
+            except KeyError:
+                pass
+            else:
+                counts[0] += 1
+                return value
+            counts[1] += 1
+            value = fn(key)
+            entries.put(key, value)
+            return value
 
-        memo.cache_info = cached.cache_info
-        memo.cache_clear = cached.cache_clear
-        memo.max_key_bytes = max_key_bytes
-        _MEMOS[name] = memo
+        def cache_info() -> CacheInfo:
+            return CacheInfo(counts[0], counts[1], maxsize, len(entries))
+
+        def cache_clear() -> None:
+            entries.clear()
+            counts[:] = 0, 0
+
+        memo.cache_info = cache_info
+        memo.cache_clear = cache_clear
+        memo.max_key_bytes = entries.max_key_bytes
         return memo
 
     return decorate
 
 
 def memo_counts() -> dict[str, int]:
-    """``<name>.hits`` and ``<name>.misses`` of every content memo, process-wide."""
+    """``<name>.hits`` and ``<name>.misses`` of every memo name, process-wide."""
     counts: dict[str, int] = {}
-    for name, memo in sorted(_MEMOS.items()):
-        info = memo.cache_info()
-        counts[f"{name}.hits"] = info.hits
-        counts[f"{name}.misses"] = info.misses
+    for name, (hits, misses) in sorted(_COUNTS.items()):
+        counts[f"{name}.hits"] = hits
+        counts[f"{name}.misses"] = misses
     return counts

@@ -55,7 +55,7 @@ def _expect(value: Asn1Value, kind: type, what: str):
 
 
 #: Distinct DER blobs whose parsed :class:`Certificate` is kept for
-#: reuse; past the bound the least recently used is dropped.
+#: reuse; past the bound the oldest is dropped.
 PARSE_CACHE_SIZE = 1024
 
 #: Longest DER the parse cache keeps (16 KiB), so it holds at most
@@ -73,11 +73,6 @@ def parse_certificate(data: bytes) -> Certificate:
     every hostile blob pays a full (linear) parse and raises again.
     """
     return _parse_der(bytes(data))
-
-
-def parse_cache_info():
-    """``(hits, misses, maxsize, currsize)`` of the process-wide parse cache."""
-    return _parse_der.cache_info()
 
 
 @content_memo("x509.parse_cache", PARSE_CACHE_SIZE)

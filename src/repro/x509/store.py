@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import itertools
 
+from repro.util import Memo
 from repro.x509.model import Certificate
 
 #: Chain verdicts one store remembers; past the bound the oldest goes.
 VERDICT_MEMO_SIZE = 256
+
+
+def _verdict_key_bytes(key: tuple) -> int:
+    """The text in one ``(chain fingerprints, hostname, time)`` verdict key."""
+    fingerprints, hostname, _ = key
+    return sum(map(len, fingerprints)) + len(hostname or "")
+
 
 # Every store state's generation, unique across stores in the process.
 _generations = itertools.count()
@@ -23,9 +31,10 @@ _generations = itertools.count()
 class RootStore:
     """A set of trusted root certificates, keyed by fingerprint.
 
-    The store also remembers the chain verdicts :mod:`repro.x509.verify`
-    reached against it, since a verdict holds exactly as long as the
-    roots do: adding, injecting or removing a root forgets them all.
+    The store also remembers, in ``verdicts``, the chain verdicts
+    :mod:`repro.x509.verify` reached against it, since a verdict holds
+    exactly as long as the roots do: adding, injecting or removing a
+    root forgets them all.
     Each such change also gives the store a new ``generation``, a
     number no other state of any store shares, so a caller that keeps
     its own results judged against a store can tell whether they still
@@ -35,14 +44,14 @@ class RootStore:
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         self._roots: dict[str, Certificate] = {}
         self._injected: set[str] = set()
-        self._verdicts: dict[tuple, object] = {}
+        self.verdicts = Memo("x509.chain_memo", VERDICT_MEMO_SIZE, _verdict_key_bytes)
         self.generation = next(_generations)
         for root in roots or []:
             self.add(root)
 
     def _changed(self) -> None:
         """Forget every verdict and take a new generation."""
-        self._verdicts.clear()
+        self.verdicts.clear()
         self.generation = next(_generations)
 
     def add(self, root: Certificate) -> None:
@@ -62,16 +71,6 @@ class RootStore:
         self._roots.pop(fingerprint, None)
         self._injected.discard(fingerprint)
         self._changed()
-
-    def recall(self, key: tuple):
-        """The verdict remembered under ``key``, or None."""
-        return self._verdicts.get(key)
-
-    def remember(self, key: tuple, verdict) -> None:
-        """Remember ``verdict`` under ``key`` until the roots change."""
-        if len(self._verdicts) >= VERDICT_MEMO_SIZE:
-            del self._verdicts[next(iter(self._verdicts))]
-        self._verdicts[key] = verdict
 
     def contains(self, certificate: Certificate) -> bool:
         return certificate.fingerprint() in self._roots

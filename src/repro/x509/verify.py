@@ -140,14 +140,6 @@ def collect_chain_defects(
     return _check_chain(chain, store, hostname, at_time)[0]
 
 
-_memo_counts = {"hits": 0, "misses": 0}
-
-
-def chain_memo_info() -> tuple[int, int]:
-    """``(hits, misses)`` of the chain-verdict memos, over the whole process."""
-    return _memo_counts["hits"], _memo_counts["misses"]
-
-
 def _check_chain(
     chain: list[Certificate],
     store: RootStore,
@@ -165,8 +157,7 @@ def _check_chain(
         return (ChainDefect(DEFECT_EMPTY_CHAIN, "no certificates presented"),), None
     at_time = at_time or _dt.datetime(2014, 6, 1, tzinfo=_dt.timezone.utc)
     key = (tuple(certificate.fingerprint() for certificate in chain), hostname, at_time)
-    verdict = store.recall(key)
-    _memo_counts["misses" if verdict is None else "hits"] += 1
+    verdict = store.verdicts.get(key)
     if verdict is not None:
         return verdict
     defects: list[ChainDefect] = []
@@ -234,5 +225,5 @@ def _check_chain(
             )
         )
     verdict = tuple(defects), anchor
-    store.remember(key, verdict)
+    store.verdicts.put(key, verdict)
     return verdict

@@ -15,8 +15,8 @@ from repro.measure import tool
 from repro.measure.tool import MeasurementTool
 from repro.policy import server as policy_server
 from repro.study import StudyConfig, StudyRunner
-from repro.tls import codec as tls_codec
 from repro.tls import probe
+from repro.util import memo_counts
 from repro.x509 import parse
 
 
@@ -212,7 +212,6 @@ def test_parse_cache_warmth_changes_no_output():
 WIRE_MEMOS = {
     "tool.pem_cache": tool._pem_body,
     "policy.parse_cache": policy_server._parse_policy,
-    "tls.flight_cache": tls_codec._flight_tail,
     "tls.hello_frame": probe._hello_frame,
     "tls.flight_decode": probe._decode_flight,
     "http.head_frame": http_codec._encode_head,
@@ -240,9 +239,14 @@ def test_memo_warmth_changes_no_output():
         assert cold_counts[f"{name}.misses"] > 0, name
         assert warm_counts[f"{name}.misses"] == 0, name
         assert warm_counts[f"{name}.hits"] > 0, name
-    # Reply templates and report verdicts live on each run's listeners
-    # and server, so both runs fill them.
+    # Reply templates live on each run's listeners, and report verdicts
+    # are keyed on each run's root store, so both runs fill them.
     for counts in (cold_counts, warm_counts):
         for name in ("tls.reply_template", "report.verdicts"):
             assert counts[f"{name}.hits"] > 0, name
             assert counts[f"{name}.misses"] > 0, name
+    # Every hit and miss count in the process section is a memo's.
+    for counts in (cold_counts, warm_counts):
+        assert {
+            name for name in counts if name.endswith((".hits", ".misses"))
+        } == set(memo_counts())

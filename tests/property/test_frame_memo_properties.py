@@ -130,7 +130,6 @@ class TestTlsFrames:
     def test_server_flight_equals_per_call_framing(
         self, server_random, version, offered, chain, with_done
     ):
-        codec._flight_tail.cache_clear()
         server_hello = ServerHello(
             server_random=server_random, cipher_suite=0x002F, version=version
         )
@@ -139,9 +138,6 @@ class TestTlsFrames:
             messages.append(HandshakeMessage(codec.HS_SERVER_HELLO_DONE, b""))
         expected = reference_server_flight(server_hello, messages, offered)
         assert codec.encode_server_flight(server_hello, messages, offered) == expected
-        assert codec._flight_tail.cache_info().misses == 1
-        assert codec.encode_server_flight(server_hello, messages, offered) == expected
-        assert codec._flight_tail.cache_info().hits == 1
         if sum(map(len, chain)) > 0x4000:
             records, rest = codec.decode_records(expected)
             assert rest == b"" and len(records) > 2

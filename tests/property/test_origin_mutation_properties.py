@@ -19,7 +19,8 @@ from repro.netsim import Network
 from repro.tls import codec
 from repro.tls.codec import ClientHello
 from repro.tls.fingerprint import BROWSER_PROFILES
-from repro.tls.server import TlsCertServer, reply_template_info
+from repro.tls.server import TlsCertServer
+from repro.util import memo_counts
 from repro.x509 import Name
 from repro.x509.ca import CertificateAuthority, SelfSignedParams
 from repro.x509.model import SubjectPublicKeyInfo
@@ -185,9 +186,9 @@ class TestOriginTemplates:
         cold = [mutant]
         assert run(TlsCertServer, cold) == run(Walking, cold)
         warm = [[record], mutant, mutant]
-        hits = reply_template_info()[0]
+        hits = memo_counts()["tls.reply_template.hits"]
         outcome = run(TlsCertServer, warm)
-        warm_hits = reply_template_info()[0] - hits
+        warm_hits = memo_counts()["tls.reply_template.hits"] - hits
         assert outcome == run(Walking, warm)
         (base_reply, _closed), *_ = outcome[0]
         if edit[0] in ("none", "random") and base_reply[:1] == bytes([codec.CONTENT_HANDSHAKE]):

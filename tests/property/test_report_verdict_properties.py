@@ -1,7 +1,8 @@
-"""Property-based tests: the report verdict store changes no answer.
+"""Property-based tests: the report verdict memo changes no answer.
 
 A :class:`repro.measure.server.ReportingServer` keeps what it judged of
-each accepted (report body, probed hostname) pair and answers a repeat
+each accepted report, keyed on the body, the probed hostname, its
+expected leaf and the root store's generation, and answers a repeat
 from it.  For seed-minted report bodies and mutants of them, sent under
 registered and unknown hostnames from several clients, interleaved with
 changes of the expected leaves and of the server's roots, a cold server,
@@ -11,12 +12,15 @@ records in their sinks (the reservoir sample included), count the same
 rejections and raise nothing.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keystore import KeyStore
 from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.codec import HttpRequest
+from repro.measure import server as server_module
 from repro.measure.database import ReportDatabase
 from repro.measure.server import ReportingServer
 from repro.measure.tool import _pem_body
@@ -31,11 +35,12 @@ UNKNOWN = ("unknown.example", "")
 
 
 class AlwaysJudges(ReportingServer):
-    """The reference: forgets every kept verdict before each report."""
+    """The reference: judges every report afresh, past the verdict memo."""
 
     def _ingest_report(self, request, remote):
-        self._verdicts.clear()
-        return super()._ingest_report(request, remote)
+        judge = server_module._judge.__wrapped__
+        with mock.patch.object(server_module, "_judge", judge):
+            return super()._ingest_report(request, remote)
 
 
 # --- seed-minted chains ---------------------------------------------------

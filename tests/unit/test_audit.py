@@ -372,7 +372,7 @@ class TestCatalogWarmup:
 
 class TestSharedProxyStore:
     def test_rigs_share_one_store_and_a_second_battery_adds_no_miss(self):
-        from repro.x509.verify import chain_memo_info
+        from repro.util import memo_counts
 
         harness = AuditHarness(seed=17, pki_key_bits=512)
         first = make_profile()
@@ -386,12 +386,12 @@ class TestSharedProxyStore:
             for scenario in SCENARIOS
         }
         assert stores == {id(harness.pki.proxy_store())}
-        misses = chain_memo_info()[1]
+        misses = memo_counts()["x509.chain_memo.misses"]
         harness.audit_product(first)
-        after_first = chain_memo_info()[1]
+        after_first = memo_counts()["x509.chain_memo.misses"]
         assert after_first > misses
         harness.audit_product(second)
-        assert chain_memo_info()[1] == after_first
+        assert memo_counts()["x509.chain_memo.misses"] == after_first
 
 
 class TestServerLegObservationPaths:

@@ -22,12 +22,7 @@ from repro.measure import (
     ReportDatabase,
     ReportingServer,
 )
-from repro.measure.server import (
-    REPORT_VERDICT_KEY_BYTES,
-    REPORT_VERDICTS,
-    CombinedPolicyHttpServer,
-    report_verdict_info,
-)
+from repro.measure.server import REPORT_VERDICTS, CombinedPolicyHttpServer, _judge
 from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
 from repro.netsim import Network, drive
 from repro.policy.model import PolicyFile
@@ -456,11 +451,11 @@ class TestReportLegMemos:
         self, origin_chain, root_ca, body, reason
     ):
         world = MeasurementWorld(origin_chain, root_ca)
-        misses = report_verdict_info()[1]
+        misses = _judge.cache_info().misses
         assert _post_twice(world, body) == [400, 400]
         assert world.database.failures.report_failed == 2
         assert _rejected(world, reason) == 2
-        assert report_verdict_info()[1] == misses + 2
+        assert _judge.cache_info().misses == misses + 2
 
     def test_bad_policy_is_denied_every_time(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)
@@ -485,24 +480,25 @@ class TestReportLegMemos:
         # Text outside the PEM blocks is ignored, so each body is a
         # distinct key for the same chain.
         bodies = [b"report %d\n" % index + pem for index in range(REPORT_VERDICTS + 3)]
+        _judge.cache_clear()
         assert _ingest(world, *bodies) == [200] * len(bodies)
-        assert len(world.server._verdicts) == REPORT_VERDICTS
-        hits, misses = report_verdict_info()
+        assert _judge.cache_info().currsize == REPORT_VERDICTS
+        hits, misses = _judge.cache_info()[:2]
         # The newest is kept; the oldest went first.
         assert _ingest(world, bodies[-1], bodies[0]) == [200, 200]
-        assert report_verdict_info() == (hits + 1, misses + 1)
+        assert _judge.cache_info()[:2] == (hits + 1, misses + 1)
 
     def test_oversized_body_is_decoded_but_not_cached(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)
         pem = _pem_body(tuple(c.encode() for c in origin_chain))
-        oversized = b"x" * REPORT_VERDICT_KEY_BYTES + b"\n" + pem
-        hits, misses = report_verdict_info()
+        oversized = b"x" * _judge.max_key_bytes + b"\n" + pem
+        _judge.cache_clear()
         assert _ingest(world, oversized, oversized) == [200, 200]
-        assert report_verdict_info() == (hits, misses + 2)
-        assert not world.server._verdicts
+        assert _judge.cache_info()[:2] == (0, 2)
+        assert _judge.cache_info().currsize == 0
         assert world.database.matched_count == 2
         assert _ingest(world, pem) == [200]
-        assert len(world.server._verdicts) == 1
+        assert _judge.cache_info().currsize == 1
 
     def test_pem_memo_stays_within_its_bound(self):
         for index in range(PEM_BODY_CACHE_SIZE + 3):
@@ -521,8 +517,8 @@ class TestReportLegMemos:
 
 
 class TestReportVerdicts:
-    """The server judges each distinct (body, hostname) once, and only
-    while the expected leaf and the root store it was judged against hold."""
+    """Each distinct report is judged once per (hostname, expected leaf,
+    root store generation): the key holds everything the judgement reads."""
 
     @staticmethod
     def genuine(origin_chain) -> bytes:
@@ -530,9 +526,9 @@ class TestReportVerdicts:
 
     def test_repeated_report_is_judged_once(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)
-        hits, misses = report_verdict_info()
+        hits, misses = _judge.cache_info()[:2]
         assert _ingest(world, *[self.genuine(origin_chain)] * 3) == [200] * 3
-        assert report_verdict_info() == (hits + 2, misses + 1)
+        assert _judge.cache_info()[:2] == (hits + 2, misses + 1)
         assert world.database.matched_count == 3
 
     def test_the_hostname_is_part_of_the_key(self, origin_chain, root_ca):
@@ -618,13 +614,39 @@ class TestReportVerdicts:
             return HttpResponse(503)
 
         world.server.fault_hook = hook
-        hits = report_verdict_info()[0]
+        hits = _judge.cache_info().hits
         assert _ingest(world, body) == [503]
         assert _ingest(world, body, hostname="never-registered.example") == [503]
         assert seen == ["tlsresearch.byu.edu", "never-registered.example"]
-        assert report_verdict_info()[0] == hits
+        assert _judge.cache_info().hits == hits
         assert world.database.matched_count == 1
         assert _rejected(world, "unknown-host") == 0
+
+    def test_servers_on_one_root_store_share_verdicts(self, origin_chain, root_ca):
+        world = MeasurementWorld(origin_chain, root_ca)
+        first = world.server
+        second = ReportingServer(
+            ReportDatabase(), geoip=None, study=1, public_roots=first.public_roots
+        )
+        hostname = "tlsresearch.byu.edu"
+        second.expect(hostname, first.expected_leaves[hostname], "Authors'")
+        body = self.genuine(origin_chain)
+        assert _ingest(world, body) == [200]
+        hits, misses = _judge.cache_info()[:2]
+        assert second._ingest_report(
+            HttpRequest("POST", "/report", headers={"x-probed-host": hostname}, body=body),
+            None,
+        ).status == 200
+        assert _judge.cache_info()[:2] == (hits + 1, misses)
+        assert second.sink.matched_count == 1
+        # Another expected leaf is another key, and so is a root change.
+        first.expect(hostname, "0" * 64, "Authors'")
+        assert _ingest(world, body) == [200]
+        assert _judge.cache_info()[:2] == (hits + 1, misses + 1)
+        first.public_roots.inject(root_ca.certificate)
+        assert _ingest(world, body) == [200]
+        assert _judge.cache_info()[:2] == (hits + 1, misses + 2)
+        assert world.database.mismatch_count == 2
 
 
 class TestAdwords:

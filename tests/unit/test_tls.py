@@ -8,7 +8,6 @@ from repro.netsim import Network
 from repro.netsim.network import Protocol
 from repro.tls import codec
 from repro.tls.codec import (
-    FLIGHT_CACHE_SIZE,
     Alert,
     Certificate as CertificateMessage,
     ClientHello,
@@ -16,7 +15,6 @@ from repro.tls.codec import (
     Record,
     ServerHello,
     TlsError,
-    _flight_tail,
 )
 from repro.tls.probe import (
     FLIGHT_DECODE_CACHE_SIZE,
@@ -30,8 +28,8 @@ from repro.tls.server import (
     REPLY_TEMPLATES,
     TlsCertServer,
     _template_key,
-    reply_template_info,
 )
+from repro.util import memo_counts
 from repro.x509 import Name
 from repro.x509.model import SubjectPublicKeyInfo
 
@@ -229,14 +227,20 @@ def _serve(listener, *connections):
     return received
 
 
+def _template_counts() -> tuple[int, int]:
+    """Process-wide (hits, misses) of every listener's reply templates."""
+    counts = memo_counts()
+    return counts.get("tls.reply_template.hits", 0), counts.get("tls.reply_template.misses", 0)
+
+
 class TestReplyTemplate:
     """The origin answers each distinct hello once, its random spliced in."""
 
     def test_two_probes_share_one_template_and_keep_their_randoms(self, site_chain):
         listener = TlsCertServer(site_chain, rng=random.Random(5))
-        hits, misses = reply_template_info()
+        hits, misses = _template_counts()
         replies = _serve(listener, [_hello(_rand32(1))], [_hello(_rand32(2))])
-        assert reply_template_info() == (hits + 1, misses + 1)
+        assert _template_counts() == (hits + 1, misses + 1)
         assert len(listener._templates) == 1
         assert listener.handshakes_served == 2
         walked = _serve(
@@ -256,9 +260,9 @@ class TestReplyTemplate:
         for message in (short, unparseable):
             record = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_2, message).encode()
             listener = TlsCertServer(site_chain)
-            hits, misses = reply_template_info()
+            hits, misses = _template_counts()
             assert _serve(listener, [record], [record]) == [failure, failure]
-            assert reply_template_info() == (hits, misses + 2)
+            assert _template_counts() == (hits, misses + 2)
             assert listener._templates == {}
 
     def test_alert_reply_is_never_kept(self, site_chain):
@@ -270,12 +274,12 @@ class TestReplyTemplate:
             version=codec.TLS_1_1,
             cipher_suites=(0x002F, codec.TLS_FALLBACK_SCSV),
         )
-        hits, misses = reply_template_info()
+        hits, misses = _template_counts()
         replies = _serve(listener, [fallback], [fallback])
         alert = Alert(2, codec.ALERT_INAPPROPRIATE_FALLBACK).encode_record()
         assert replies == [alert, alert]
         assert rng.getstate() == state
-        assert reply_template_info() == (hits, misses + 2)
+        assert _template_counts() == (hits, misses + 2)
         assert listener._templates == {}
 
     def test_refused_shapes_are_walked_afresh_every_time(self, site_chain):
@@ -293,9 +297,9 @@ class TestReplyTemplate:
         )
         for chunks in shapes:
             listener = TlsCertServer(site_chain, rng=random.Random(5))
-            hits, misses = reply_template_info()
+            hits, misses = _template_counts()
             replies = _serve(listener, chunks, chunks)
-            assert reply_template_info() == (hits, misses + 2 * len(chunks))
+            assert _template_counts() == (hits, misses + 2 * len(chunks))
             assert listener._templates == {}
             walked = _serve(_Walking(site_chain, rng=random.Random(5)), chunks, chunks)
             assert replies == walked
@@ -306,9 +310,9 @@ class TestReplyTemplate:
         record = _hello(_rand32(), extensions=((codec.EXT_PADDING, padding),))
         assert len(record) == REPLY_TEMPLATE_KEY_BYTES + 1
         listener = TlsCertServer(site_chain, rng=random.Random(5))
-        hits, misses = reply_template_info()
+        hits, misses = _template_counts()
         replies = _serve(listener, [record], [record])
-        assert reply_template_info() == (hits, misses + 2)
+        assert _template_counts() == (hits, misses + 2)
         assert listener._templates == {}
         assert listener.handshakes_served == 2
         assert replies == _serve(
@@ -339,7 +343,7 @@ class TestReplyTemplate:
                 seen.append(server_name)
                 return self.chain[:1]
 
-        hits, misses = reply_template_info()
+        hits, misses = _template_counts()
         first, second = _hello(_rand32(1)), _hello(_rand32(2))
         _serve(Counting(site_chain), [first], [second], [first])
         assert seen == [_rand32(1), _rand32(2), _rand32(1)]
@@ -352,7 +356,7 @@ class TestReplyTemplate:
             assert CertificateMessage.from_body(messages[0].body).der_chain == (
                 site_chain[0].encode(),
             )
-        assert reply_template_info() == (hits, misses)
+        assert _template_counts() == (hits, misses)
 
 
 class TestSplitHello:
@@ -440,31 +444,7 @@ class TestProbeRandom:
 
 
 class TestFrameMemos:
-    """The probe's hello frame, the flight tail and the Certificate decode."""
-
-    DONE = HandshakeMessage(codec.HS_SERVER_HELLO_DONE, b"")
-
-    def test_flight_memo_stays_within_its_bound(self):
-        for index in range(FLIGHT_CACHE_SIZE + 3):
-            chain = CertificateMessage((b"der %d" % index,))
-            _flight_tail(((chain, self.DONE), codec.TLS_1_2))
-        info = _flight_tail.cache_info()
-        assert info.currsize == info.maxsize == FLIGHT_CACHE_SIZE
-
-    def test_oversized_flight_is_framed_but_not_cached(self):
-        half = _flight_tail.max_key_bytes // 2
-        chain = CertificateMessage((b"\x30" * half, b"\x31" * (half + 1)))
-        key = ((chain, self.DONE), codec.TLS_1_2)
-        currsize = _flight_tail.cache_info().currsize
-        tail = _flight_tail(key)
-        records, rest = codec.decode_records(tail)
-        assert rest == b"" and len(records) == 5
-        stream = b"".join(record.payload for record in records)
-        messages, _ = codec.decode_handshakes(stream)
-        assert messages == [chain.to_handshake(), self.DONE]
-        again = _flight_tail(key)
-        assert again == tail and again is not tail
-        assert _flight_tail.cache_info().currsize == currsize
+    """The probe's hello frame and the Certificate decode."""
 
     def test_hello_frame_memo_stays_within_its_bound(self):
         for index in range(HELLO_FRAME_CACHE_SIZE + 3):

@@ -21,14 +21,17 @@ from repro.x509 import (
     verify_certificate_signature,
 )
 from repro.x509.model import Certificate, SubjectPublicKeyInfo, Validity
-from repro.x509.parse import (
-    PARSE_CACHE_MAX_DER,
-    PARSE_CACHE_SIZE,
-    parse_cache_info,
-)
+from repro.util import memo_counts
+from repro.x509.parse import PARSE_CACHE_MAX_DER, PARSE_CACHE_SIZE, _parse_der
 from repro.x509.pem import PemError
 from repro.x509.store import VERDICT_MEMO_SIZE
-from repro.x509.verify import DEFECT_BAD_SIGNATURE, chain_memo_info
+from repro.x509.verify import DEFECT_BAD_SIGNATURE
+
+
+def chain_memo_counts() -> tuple[int, int]:
+    """Process-wide (hits, misses) of every root store's chain verdicts."""
+    counts = memo_counts()
+    return counts["x509.chain_memo.hits"], counts["x509.chain_memo.misses"]
 
 
 @pytest.fixture(scope="module")
@@ -413,10 +416,10 @@ class TestParseCache:
     def test_failures_are_not_cached(self, site_cert):
         truncated = site_cert.encode()[:40]
         for _ in range(2):
-            misses = parse_cache_info().misses
+            misses = _parse_der.cache_info().misses
             with pytest.raises(X509Error):
                 parse_certificate(truncated)
-            assert parse_cache_info().misses == misses + 1
+            assert _parse_der.cache_info().misses == misses + 1
 
     def test_oversized_der_is_parsed_but_not_cached(
         self, site_cert, intermediate_ca, keystore
@@ -428,12 +431,12 @@ class TestParseCache:
             dns_names=[f"host-{i:05d}.big.example" for i in range(1000)],
         ).encode()
         assert len(oversized) > PARSE_CACHE_MAX_DER
-        currsize = parse_cache_info().currsize
+        currsize = _parse_der.cache_info().currsize
         first = parse_certificate(oversized)
         second = parse_certificate(oversized)
         assert first == second
         assert first is not second
-        assert parse_cache_info().currsize == currsize
+        assert _parse_der.cache_info().currsize == currsize
         der = site_cert.encode()
         assert parse_certificate(der) is parse_certificate(der)
 
@@ -443,7 +446,7 @@ class TestParseCache:
         for serial in range(PARSE_CACHE_SIZE + 8):
             tbs = replace(site_cert.tbs, serial_number=10**9 + serial)
             parse_certificate(replace(site_cert, tbs=tbs, raw=b"").encode())
-        info = parse_cache_info()
+        info = _parse_der.cache_info()
         assert info.maxsize == PARSE_CACHE_SIZE
         assert info.currsize <= PARSE_CACHE_SIZE
 
@@ -510,9 +513,9 @@ class TestChainMemo:
             # The second view on one store is served from the memo.
             store = self.store_of(roots, injected)
             assert collect_chain_defects(chain, store, hostname, at_time) == cold_defects
-            hits = chain_memo_info()[0]
+            hits = chain_memo_counts()[0]
             assert validate_chain(chain, store, hostname, at_time) == cold_result
-            assert chain_memo_info()[0] == hits + (1 if chain else 0)
+            assert chain_memo_counts()[0] == hits + (1 if chain else 0)
 
     def test_root_changes_forget_verdicts(self, chain, root_ca, now):
         root = root_ca.certificate
@@ -539,9 +542,9 @@ class TestChainMemo:
         store = RootStore([root_ca.certificate])
         validate_chain(chain, store, at_time=now)
         clone = store.copy()
-        hits, misses = chain_memo_info()
+        hits, misses = chain_memo_counts()
         assert validate_chain(chain, clone, at_time=now).valid
-        assert chain_memo_info() == (hits, misses + 1)
+        assert chain_memo_counts() == (hits, misses + 1)
 
     def test_tampered_signature_after_genuine_chain(
         self, chain, site_cert, intermediate_ca, root_ca, now
@@ -562,4 +565,4 @@ class TestChainMemo:
         store = RootStore([root_ca.certificate])
         for index in range(VERDICT_MEMO_SIZE + 8):
             validate_chain(chain, store, hostname=f"h{index}.example", at_time=now)
-        assert len(store._verdicts) <= VERDICT_MEMO_SIZE
+        assert len(store.verdicts) <= VERDICT_MEMO_SIZE
