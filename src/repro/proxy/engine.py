@@ -57,8 +57,8 @@ from repro.tls.codec import (
     TlsError,
     version_name,
 )
+from repro.tls.probe import FlightRefused, read_flight
 from repro.x509.model import Certificate
-from repro.x509.parse import X509Error, parse_certificate
 from repro.x509.store import RootStore
 from repro.x509.verify import ChainDefect, collect_chain_defects
 
@@ -345,15 +345,11 @@ class _MitmConnection(Protocol):
         self.network = network
         self.hostname = hostname
         self.port = port
-        self._buffer = b""
+        self._reader = codec.HandshakeReader()
         self._conn = engine.events.connection()
-        # Raw bytes already consumed from ``_buffer`` as complete
-        # records, kept only until the relay decision: a whitelisted
-        # connection replays them verbatim upstream.
-        self._consumed = b""
-        # Handshake-message reassembly across record boundaries
-        # (RFC 5246 §6.2.1): one message may span several records.
-        self._handshake = b""
+        # Every byte received, kept only until the relay decision: a
+        # whitelisted connection replays them verbatim upstream.
+        self._received = b""
         self._relay: StreamSocket | None = None  # pass-through upstream leg
         self._done = False
 
@@ -364,44 +360,32 @@ class _MitmConnection(Protocol):
         if self._relay is not None:
             self._pump_relay(sock, data)
             return
-        self._buffer += data
+        if not self._done:
+            self._received += data
         try:
-            records, rest = codec.decode_records(self._buffer)
+            read = self._reader.feed(data)
         except TlsError:
             self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
             return
-        # Trim the buffer to the unparsed tail: without this every
-        # chunk re-decodes (and re-processes) all prior records —
-        # quadratic on split delivery.  The consumed bytes only matter
-        # until the relay decision (a whitelisted connection replays
-        # them verbatim); afterwards they would grow without bound.
-        if not self._done:
-            self._consumed += self._buffer[: len(self._buffer) - len(rest)]
-        self._buffer = rest
-        for record in records:
-            if record.content_type != codec.CONTENT_HANDSHAKE:
+        if self._done:
+            return  # only the first hello is answered
+        for item in read:
+            if isinstance(item, codec.Record):
+                continue  # alerts are ignored
+            if item.msg_type != codec.HS_CLIENT_HELLO:
                 continue
-            # Reassemble the handshake stream: a message may span
-            # record boundaries, so an isolated per-record parse would
-            # drop (or fatal on) a fragmented ClientHello.
-            self._handshake += record.payload
-            messages, self._handshake = codec.decode_handshakes(self._handshake)
-            for message in messages:
-                if message.msg_type == codec.HS_CLIENT_HELLO and not self._done:
-                    try:
-                        hello = ClientHello.from_body(message.body)
-                    except TlsError:
-                        self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
-                        return
-                    self._handle_client_hello(sock, hello)
-                    if self._relay is not None:
-                        # Everything received so far (later records of
-                        # this chunk included) was already replayed
-                        # upstream verbatim; stop interpreting it.
-                        return
-                    self._done = True
-                    # The hello is answered; the replay copy is dead.
-                    self._consumed = b""
+            try:
+                hello = ClientHello.from_body(item.body)
+            except TlsError:
+                self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
+                return
+            self._handle_client_hello(sock, hello)
+            # A relay has replayed everything received, later records of
+            # this chunk included; otherwise the replay copy is dead.
+            if self._relay is None:
+                self._done = True
+                self._received = b""
+            return
 
     def connection_lost(self, sock: StreamSocket) -> None:
         if self._relay is not None and not self._relay.closed:
@@ -490,7 +474,11 @@ class _MitmConnection(Protocol):
     def _fetch_upstream_chain(
         self, hello: ClientHello
     ) -> UpstreamObservation | None:
-        """Run the proxy's own partial handshake against the origin."""
+        """Run the proxy's own partial handshake against the origin.
+
+        The reply is read as the probe reads it (:func:`read_flight`), so
+        a flight the probe refuses, an origin alert included, is None.
+        """
         engine = self.engine
         try:
             if engine.upstream_via_interceptors:
@@ -525,33 +513,15 @@ class _MitmConnection(Protocol):
         finally:
             upstream.close()
         try:
-            records, _ = codec.decode_records(raw)
-            handshake_stream = b"".join(
-                r.payload for r in records if r.content_type == codec.CONTENT_HANDSHAKE
-            )
-            messages, _ = codec.decode_handshakes(handshake_stream)
-            server_hello: ServerHello | None = None
-            der_chain: tuple[bytes, ...] | None = None
-            for message in messages:
-                if message.msg_type == codec.HS_SERVER_HELLO:
-                    server_hello = ServerHello.from_body(message.body)
-                elif message.msg_type == codec.HS_CERTIFICATE:
-                    der_chain = CertificateMessage.from_body(message.body).der_chain
-            if der_chain is None:
-                return None
-            parsed = tuple(parse_certificate(der) for der in der_chain)
-            return UpstreamObservation(
-                chain=parsed,
-                raw=der_chain,
-                version=(
-                    server_hello.version if server_hello else hello.version
-                ),
-                cipher_suite=(
-                    server_hello.cipher_suite if server_hello else None
-                ),
-            )
-        except (TlsError, X509Error):
+            server_hello, der_chain, chain = read_flight(raw)
+        except FlightRefused:
             return None
+        return UpstreamObservation(
+            chain=chain,
+            raw=der_chain,
+            version=server_hello.version if server_hello else hello.version,
+            cipher_suite=server_hello.cipher_suite if server_hello else None,
+        )
 
     def _alpn_answer_body(self, hello: ClientHello) -> bytes | None:
         """The 1.2-path ALPN body per the profile's policy (None = skip)."""
@@ -569,14 +539,10 @@ class _MitmConnection(Protocol):
     ) -> None:
         engine = self.engine
         profile = engine.profile
-        offered_max = hello.max_offered_version
-        if codec.TLS_FALLBACK_SCSV in hello.cipher_suites and (
-            offered_max < min(profile.max_tls_version, codec.TLS_1_2)
-        ):
-            # RFC 7507: the client is retrying at a downgraded version
-            # while this leg could do better — refuse the fallback.
+        if codec.refuses_fallback(hello, profile.max_tls_version):
             self._fatal(sock, codec.ALERT_INAPPROPRIATE_FALLBACK)
             return
+        offered_max = hello.max_offered_version
         # Effective version: the client's best offer (supported_versions
         # aware), capped by the product's ceiling and — pre-1.3 — by the
         # configured substitute version.  A 1.3-capable product with the
@@ -677,13 +643,10 @@ class _MitmConnection(Protocol):
         except ConnectionRefused:
             self._fatal(sock, codec.ALERT_HANDSHAKE_FAILURE)
             return
-        # Replay everything received so far — records already consumed
-        # plus any buffered tail — verbatim.
-        replayed = self._consumed + self._buffer
+        # Replay everything received so far verbatim.
+        replayed, self._received = self._received, b""
         self._relay.send(replayed)
         self.engine._c_bytes_relayed.inc(len(replayed))
-        self._consumed = b""
-        self._buffer = b""
         self._drain_relay(sock)
 
     def _pump_relay(self, sock: StreamSocket, data: bytes) -> None:

@@ -21,7 +21,6 @@ from repro.tls.codec import (
     Record,
     ServerHello,
     TlsError,
-    decode_handshake,
     decode_records,
     encode_handshake_record,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "TlsError",
     "TlsFingerprint",
     "browser_profile",
-    "decode_handshake",
     "decode_records",
     "encode_handshake_record",
     "fingerprint_client_hello",

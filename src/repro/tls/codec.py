@@ -5,6 +5,8 @@ exchanges in the clear: records (RFC 5246 §6.2, RFC 8446 §5.1),
 ClientHello with the server_name extension (RFC 6066), ServerHello,
 Certificate and Alert.  Everything else in TLS happens after the point
 at which the probe aborts, so it is deliberately out of scope.
+:class:`HandshakeReader` is the one reader of received bytes: the
+origin, the probe and both legs of the proxy engine go through it.
 
 TLS 1.3 (RFC 8446) negotiates the real version inside the
 supported_versions extension while freezing the legacy version fields
@@ -144,7 +146,8 @@ def parse_sni_extension_body(ext_body: bytes) -> str | None:
     """Best-effort host_name from a server_name extension body.
 
     Malformed SNI must not kill the parse: the hello is preserved
-    verbatim either way, so a mangled extension simply yields no name.
+    verbatim either way, so a mangled extension simply yields no name,
+    and so does a host_name that is not ASCII (RFC 6066 §3).
     """
     try:
         sni = _Reader(ext_body)
@@ -153,8 +156,8 @@ def parse_sni_extension_body(ext_body: bytes) -> str | None:
             name_type = entries.take_int(1)
             name = entries.take_vector(2)
             if name_type == 0:
-                return name.decode("ascii", errors="replace")
-    except TlsError:
+                return name.decode("ascii")
+    except (TlsError, UnicodeDecodeError):
         pass
     return None
 
@@ -342,6 +345,42 @@ def decode_handshakes(payload: bytes) -> tuple[list[HandshakeMessage], bytes]:
         )
         offset += 4 + length
     return messages, payload[offset:]
+
+
+class HandshakeReader:
+    """One peer's TLS stream, read as alert records and handshake messages.
+
+    Records may arrive split across feeds, and one handshake message may
+    span several records (RFC 5246 §6.2.1), so the reader buffers both
+    tails.  ChangeCipherSpec, heartbeat and application data records are
+    skipped.
+    """
+
+    def __init__(self) -> None:
+        self.pending = b""  # an incomplete record
+        self._handshake = b""  # an incomplete handshake message
+
+    @property
+    def idle(self) -> bool:
+        """True when no incomplete record or message is buffered."""
+        return not (self.pending or self._handshake)
+
+    def feed(self, data: bytes) -> list[Record | HandshakeMessage]:
+        """The alert records and handshake messages ``data`` completes, in wire order.
+
+        Raises :class:`TlsError` on a header that is not TLS.
+        """
+        records, self.pending = decode_records(self.pending + data)
+        read: list[Record | HandshakeMessage] = []
+        for record in records:
+            if record.content_type == CONTENT_ALERT:
+                read.append(record)
+            elif record.content_type == CONTENT_HANDSHAKE:
+                messages, self._handshake = decode_handshakes(
+                    self._handshake + record.payload
+                )
+                read += messages
+        return read
 
 
 def encode_handshake_record(
@@ -562,6 +601,13 @@ class ClientHello:
         )
 
 
+def refuses_fallback(hello: ClientHello, ceiling: tuple[int, int]) -> bool:
+    """Whether a server speaking up to ``ceiling`` refuses ``hello`` (RFC 7507)."""
+    return TLS_FALLBACK_SCSV in hello.cipher_suites and (
+        hello.max_offered_version < min(ceiling, TLS_1_2)
+    )
+
+
 @dataclass(frozen=True)
 class ServerHello:
     """A ServerHello, preserved losslessly through parse → re-encode.
@@ -714,14 +760,3 @@ ALERT_HANDSHAKE_FAILURE = 40
 ALERT_BAD_CERTIFICATE = 42
 ALERT_INAPPROPRIATE_FALLBACK = 86
 ALERT_UNRECOGNIZED_NAME = 112
-
-
-def decode_handshake(message: HandshakeMessage):
-    """Decode a raw handshake message into its typed form."""
-    if message.msg_type == HS_CLIENT_HELLO:
-        return ClientHello.from_body(message.body)
-    if message.msg_type == HS_SERVER_HELLO:
-        return ServerHello.from_body(message.body)
-    if message.msg_type == HS_CERTIFICATE:
-        return Certificate.from_body(message.body)
-    return message

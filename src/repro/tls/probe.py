@@ -74,8 +74,8 @@ def _hello_record(
     return frame[:HELLO_RANDOM_AT] + client_random + frame[HELLO_RANDOM_AT + 32 :]
 
 
-class _Refused(Exception):
-    """A flight the probe fails: its stage, error text and what it captured."""
+class FlightRefused(Exception):
+    """A flight a client fails: its stage, error text and what it captured."""
 
     def __init__(self, stage: str, error: str, **captured) -> None:
         super().__init__(error)
@@ -86,21 +86,16 @@ class _Refused(Exception):
 def _handshake_messages(flight: bytes) -> list[codec.HandshakeMessage]:
     """The handshake messages in a received flight; an alert refuses it."""
     try:
-        records, _ = codec.decode_records(flight)
-        # Handshake messages may span record boundaries (RFC 5246
-        # §6.2.1), so reassemble the handshake stream first.
-        handshake_stream = b""
-        for record in records:
-            if record.content_type == codec.CONTENT_ALERT:
-                alert = Alert.from_payload(record.payload)
-                raise _Refused(
+        read = codec.HandshakeReader().feed(flight)
+        for item in read:
+            if isinstance(item, codec.Record):
+                alert = Alert.from_payload(item.payload)
+                raise FlightRefused(
                     "alert", f"alert: level={alert.level} desc={alert.description}"
                 )
-            if record.content_type == codec.CONTENT_HANDSHAKE:
-                handshake_stream += record.payload
-        return codec.decode_handshakes(handshake_stream)[0]
     except TlsError as exc:
-        raise _Refused("tls", f"tls: {exc}")
+        raise FlightRefused("tls", f"tls: {exc}")
+    return read
 
 
 def _read_messages(
@@ -116,12 +111,12 @@ def _read_messages(
             elif message.msg_type == codec.HS_CERTIFICATE:
                 der_chain = codec.Certificate.from_body(message.body).der_chain
     except TlsError as exc:
-        raise _Refused("tls", f"tls: {exc}")
+        raise FlightRefused("tls", f"tls: {exc}")
     if der_chain is None:
         # Keep whatever ServerHello did arrive: the server-leg audit
         # grades a captured hello even when the flight is otherwise
         # incomplete.
-        raise _Refused(
+        raise FlightRefused(
             "no-certificate",
             "no Certificate message received",
             server_hello=server_hello,
@@ -130,7 +125,7 @@ def _read_messages(
     try:
         chain = tuple(parse_certificate(der) for der in der_chain)
     except X509Error as exc:
-        raise _Refused(
+        raise FlightRefused(
             "x509", f"x509: {exc}", der_chain=der_chain, server_hello=server_hello
         )
     return server_hello, der_chain, chain
@@ -144,22 +139,23 @@ def _decode_flight(
 
     The caller blanks that hello's random, so every visit to a site
     shares one entry; the hello is kept as its other fields' values.  A
-    flight with a second ServerHello is refused: the probe keeps the
+    flight with a second ServerHello is refused: a client keeps the
     last hello, whose random is not blanked.
     """
     messages = _handshake_messages(flight)
     hellos = [message.msg_type for message in messages].count(codec.HS_SERVER_HELLO)
     if hellos > 1:
-        raise _Refused("tls", "more than one ServerHello")
+        raise FlightRefused("tls", "more than one ServerHello")
     hello, der_chain, chain = _read_messages(messages)
     return tuple(getattr(hello, name) for name in _HELLO_FIELDS), der_chain, chain
 
 
-def _read_flight(
+def read_flight(
     flight: bytes,
 ) -> tuple[ServerHello | None, tuple[bytes, ...], tuple[Certificate, ...]]:
-    """What the probe keeps of a received flight; raises :class:`_Refused`.
+    """What a client keeps of a received flight; raises :class:`FlightRefused`.
 
+    The probe and the proxy engine's origin-facing leg both read here.
     A flight whose first record opens with a ServerHello and holds its
     whole random goes through :func:`_decode_flight` with the random
     blanked, and gets its own random back.  Any other flight, and any
@@ -180,7 +176,7 @@ def _read_flight(
             hello_fields, der_chain, chain = _decode_flight(
                 flight[:HELLO_RANDOM_AT] + bytes(32) + flight[end:]
             )
-        except _Refused:
+        except FlightRefused:
             pass
         else:
             hello = ServerHello(flight[HELLO_RANDOM_AT:end], *hello_fields)
@@ -296,8 +292,8 @@ class ProbeClient:
         buffer = sock.recv()
         self.metrics.inc("probe.bytes_received", n=len(buffer))
         try:
-            server_hello, der_chain, chain = _read_flight(buffer)
-        except _Refused as refused:
+            server_hello, der_chain, chain = read_flight(buffer)
+        except FlightRefused as refused:
             return self._failed(
                 hostname, port, refused.stage, str(refused), **refused.captured
             )

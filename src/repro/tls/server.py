@@ -113,10 +113,7 @@ class TlsCertServer(Protocol):
         # how the audit battery models protocol-downgrade origins.
         self.max_version = max_version
         self._rng = rng or random.Random(0x5EED)
-        self._buffer = b""
-        # Handshake-message reassembly across record boundaries
-        # (RFC 5246 §6.2.1): one message may span several records.
-        self._handshake = b""
+        self._reader = codec.HandshakeReader()
         self.handshakes_served = 0
         self._parent: TlsCertServer | None = None
         # Hello record, client random zeroed -> the reply's bytes before
@@ -141,7 +138,7 @@ class TlsCertServer(Protocol):
         # does: a copied __dict__ makes every later attribute read slower.
         for name, value in vars(self).items():
             setattr(clone, name, value)
-        clone._buffer = clone._handshake = b""
+        clone._reader = codec.HandshakeReader()
         clone.handshakes_served = 0
         clone._parent = self
         return clone
@@ -157,7 +154,7 @@ class TlsCertServer(Protocol):
         if not self._templated:
             self._walk(sock, data)
             return
-        key = None if self._buffer or self._handshake else _template_key(data)
+        key = _template_key(data) if self._reader.idle else None
         template = self._templates.get(key)
         if template is not None:
             prefix, suffix = template
@@ -177,35 +174,26 @@ class TlsCertServer(Protocol):
 
         None when the walk ended in an alert, a close or no reply.
         """
-        self._buffer += data
         try:
-            records, self._buffer = codec.decode_records(self._buffer)
+            read = self._reader.feed(data)
         except TlsError:
             _handshake_failure(sock)
             return None
         reply = None
-        for record in records:
-            if record.content_type == codec.CONTENT_ALERT:
+        for item in read:
+            if isinstance(item, codec.Record):  # an alert
                 sock.close()
                 return None
-            if record.content_type != codec.CONTENT_HANDSHAKE:
+            if item.msg_type != codec.HS_CLIENT_HELLO:
                 continue
-            messages, self._handshake = codec.decode_handshakes(
-                self._handshake + record.payload
-            )
             try:
-                hellos = [
-                    ClientHello.from_body(message.body)
-                    for message in messages
-                    if message.msg_type == codec.HS_CLIENT_HELLO
-                ]
+                hello = ClientHello.from_body(item.body)
             except TlsError:
                 _handshake_failure(sock)
                 return None
-            for hello in hellos:
-                reply = self._answer_client_hello(sock, hello)
-                if sock.closed:
-                    return None
+            reply = self._answer_client_hello(sock, hello)
+            if sock.closed:
+                return None
         return reply
 
     def _server_random(self) -> bytes:
@@ -220,19 +208,17 @@ class TlsCertServer(Protocol):
         self, sock: StreamSocket, hello: ClientHello
     ) -> tuple[bytes, bytes] | None:
         """Send the reply to ``hello``: ``(server random, flight)``, or None for an alert."""
-        offered_max = hello.max_offered_version
-        if codec.TLS_FALLBACK_SCSV in hello.cipher_suites and (
-            offered_max < min(self.max_version, codec.TLS_1_2)
-        ):
-            # RFC 7507: the client signalled a fallback retry but this
-            # origin speaks higher than it now offers — refuse.
+        if codec.refuses_fallback(hello, self.max_version):
             sock.send(
                 Alert(2, codec.ALERT_INAPPROPRIATE_FALLBACK).encode_record()
             )
             sock.close()
             return None
         server_random = self._server_random()
-        if self.max_version >= codec.TLS_1_3 and offered_max >= codec.TLS_1_3:
+        if (
+            self.max_version >= codec.TLS_1_3
+            and hello.max_offered_version >= codec.TLS_1_3
+        ):
             cipher = (
                 self.cipher_suite
                 if self.cipher_suite in TLS13_CIPHER_SUITES

@@ -187,8 +187,9 @@ def test_faulted_runs_identical_at_every_cap(faulted_runs, plan):
 def test_parse_cache_warmth_changes_no_output():
     # The parse cache is process-global: a second run of the same study
     # finds every genuine chain already parsed.  Outputs must not care.
-    # The probe's flight memo sits in front of the parse cache, so it is
-    # emptied before each run for the probe to reach the parse cache.
+    # The flight memo sits in front of the parse cache for the probe and
+    # the engine's upstream leg alike, so it is emptied before each run
+    # for both to reach the parse cache.
     # At the engine seed the upstream leg asks the chain-verdict memo
     # per handshake; the report leg asks it only on a verdict-store miss.
     parse._parse_der.cache_clear()

@@ -2,11 +2,13 @@
 
 import datetime as dt
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.crypto.keystore import KeyStore, shared_keystore
 from repro.data.keywords import STUDY1_KEYWORDS, STUDY2_KEYWORDS, keywords_for_study
+from repro.data.products import catalog
 from repro.netsim import Network
 from repro.proxy import (
     ForgedUpstreamPolicy,
@@ -17,6 +19,7 @@ from repro.proxy import (
 )
 from repro.tls import codec
 from repro.tls.codec import ClientHello
+from repro.tls.fingerprint import BROWSER_PROFILES
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer
 from repro.x509 import Name, RootStore
@@ -157,6 +160,47 @@ class TestEngineEdgeCases:
         assert engine.blocked_forged_upstream == 0
         assert engine.masked_forged_upstream == 0
         assert engine.whitelisted == 0
+
+
+class TestNonAsciiSni:
+    """A host_name byte above 0x7F yields no name, so the engine targets the destination."""
+
+    def _hellos(self):
+        ascii_name, name = b"cafe.example", b"caf\xe9.example"
+        plain = ClientHello(bytes(32), server_name=ascii_name.decode())
+        browsers = (
+            profile.client_hello(bytes(32), ascii_name.decode(), b"")
+            for profile in BROWSER_PROFILES.values()
+        )
+        for hello in (plain, *browsers):
+            record = codec.encode_handshake_record(hello, version=hello.version)
+            assert record.count(ascii_name) == 1
+            yield record.replace(ascii_name, name)
+
+    def test_every_catalog_product_answers_without_raising(self, origin_chain, root_ca):
+        forger = SubstituteCertForger(KeyStore(seed=72), seed=72)
+        hellos = list(self._hellos())
+        targets = set()
+        for spec in catalog():
+            # 512-bit CA keys keep keygen cheap; the hello policy stays.
+            profile = replace(spec.profile, ca_key_bits=512)
+            network, client, engine = proxied_world(
+                profile, origin_chain, RootStore([root_ca.certificate]), forger
+            )
+            for record in hellos:
+                sock = client.connect("edge.example", 443)
+                sock.send(record)
+                records, _ = codec.decode_records(sock.recv())
+                assert records[0].content_type in (
+                    codec.CONTENT_HANDSHAKE,
+                    codec.CONTENT_ALERT,
+                ), spec.key
+            targets.update(
+                dict(event.detail)["target"]
+                for event in engine.events.records
+                if event.event == "client-hello"
+            )
+        assert targets == {"edge.example"}
 
 
 class TestSharedKeystore:

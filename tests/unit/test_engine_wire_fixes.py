@@ -288,7 +288,7 @@ class TestBufferTrim:
         assert rest == b""
         assert engine.intercepted == 1
         connection = sock.peer.protocol
-        assert connection._buffer == b""
+        assert connection._reader.pending == b""
 
     def test_hello_fragmented_across_records_served(
         self, forger, origin_chain, root_ca
@@ -323,7 +323,7 @@ class TestBufferTrim:
         sock.send(codec.encode_handshake_record(hello))
         connection = sock.peer.protocol
         assert engine.intercepted == 1
-        assert connection._consumed == b""
+        assert connection._received == b""
 
     def test_buffer_trimmed_between_chunks(
         self, forger, origin_chain, root_ca
@@ -338,13 +338,13 @@ class TestBufferTrim:
         hello = ClientHello(client_random=bytes(32), server_name="wire.example")
         wire = codec.encode_handshake_record(hello)
         sock.send(wire)
-        assert connection._buffer == b""
+        assert connection._reader.pending == b""
         # A trailing half-record stays buffered; the decoded part does not.
         extra = Record(codec.CONTENT_APPLICATION_DATA, (3, 3), b"xyz").encode()
         sock.send(extra[:4])
-        assert connection._buffer == extra[:4]
+        assert connection._reader.pending == extra[:4]
         sock.send(extra[4:])
-        assert connection._buffer == b""
+        assert connection._reader.pending == b""
 
 
 class _MultiSendOrigin(Protocol):
@@ -364,6 +364,47 @@ class _MultiSendOrigin(Protocol):
     def data_received(self, sock, data):
         for chunk in self.chunks:
             sock.send(chunk)
+
+
+class TestUpstreamAlert:
+    """The engine's origin-facing leg reads the reply as the probe does: an alert refuses it."""
+
+    @pytest.mark.parametrize("position", ["before", "after"])
+    def test_alert_in_origin_flight_is_an_upstream_failure(
+        self, forger, origin_chain, root_ca, position
+    ):
+        server = TlsCertServer(origin_chain)
+        flight = []
+
+        class RecordingSocket:
+            def send(self, data):
+                flight.append(data)
+
+        server._answer_client_hello(
+            RecordingSocket(), ClientHello(client_random=bytes(32))
+        )
+        alert = codec.Alert(2, codec.ALERT_HANDSHAKE_FAILURE).encode_record()
+        chunks = [alert, *flight] if position == "before" else [*flight, alert]
+        network = Network()
+        client = network.add_host("victim.example")
+        network.add_host("wire.example").listen(443, _MultiSendOrigin(chunks).factory)
+        engine = TlsProxyEngine(
+            make_profile(),
+            forger,
+            upstream_host=client,
+            upstream_trust=RootStore([root_ca.certificate]),
+        )
+        client.add_interceptor(engine)
+
+        sock = client.connect("wire.example", 443)
+        hello = ClientHello(client_random=bytes(32), server_name="wire.example")
+        sock.send(codec.encode_handshake_record(hello))
+        records, _ = codec.decode_records(sock.recv())
+        assert [record.content_type for record in records] == [codec.CONTENT_ALERT]
+        assert codec.Alert.from_payload(records[0].payload).description == (
+            codec.ALERT_HANDSHAKE_FAILURE
+        )
+        assert (engine.upstream_failures, engine.intercepted) == (1, 0)
 
 
 class TestRelayDrain:

@@ -99,7 +99,86 @@ class TestRecordCodec:
             Record(codec.CONTENT_HANDSHAKE, (3, 1), b"x" * 0x4001).encode()
 
 
+class TestHandshakeReader:
+    """The one reader of received TLS bytes: alerts and whole messages, in wire order."""
+
+    def _message(self, size=40):
+        return HandshakeMessage(codec.HS_CLIENT_HELLO, bytes(range(size)))
+
+    def _record(self, payload, content_type=codec.CONTENT_HANDSHAKE):
+        return Record(content_type, codec.TLS_1_2, payload).encode()
+
+    def test_record_split_across_feeds(self):
+        message = self._message()
+        record = self._record(message.encode())
+        reader = codec.HandshakeReader()
+        assert reader.feed(record[:7]) == []
+        assert reader.pending == record[:7]
+        assert not reader.idle
+        assert reader.feed(record[7:]) == [message]
+        assert reader.pending == b""
+        assert reader.idle
+
+    def test_message_split_across_records(self):
+        message = self._message()
+        encoded = message.encode()
+        reader = codec.HandshakeReader()
+        assert reader.feed(self._record(encoded[:10])) == []
+        # The record is whole, the message is not.
+        assert reader.pending == b""
+        assert not reader.idle
+        assert reader.feed(self._record(encoded[10:])) == [message]
+        assert reader.idle
+
+    def test_alerts_come_back_in_wire_order(self):
+        first, second = self._message(10), self._message(20)
+        alert = Record(codec.CONTENT_ALERT, codec.TLS_1_2, b"\x01\x00")
+        second_encoded = second.encode()
+        stream = (
+            self._record(first.encode())
+            + alert.encode()
+            + self._record(second_encoded[:5])
+            + alert.encode()
+            + self._record(second_encoded[5:])
+        )
+        # A message sits where its last byte arrives.
+        assert codec.HandshakeReader().feed(stream) == [first, alert, alert, second]
+
+    def test_other_content_types_are_skipped(self):
+        message = self._message()
+        stream = b"".join(
+            (
+                self._record(b"\x01", codec.CONTENT_CHANGE_CIPHER_SPEC),
+                self._record(b"\x01\x00\x00", codec.CONTENT_HEARTBEAT),
+                self._record(message.encode()),
+                self._record(b"secret", codec.CONTENT_APPLICATION_DATA),
+            )
+        )
+        reader = codec.HandshakeReader()
+        assert reader.feed(stream) == [message]
+        assert reader.idle
+
+    def test_header_that_is_not_tls_raises(self):
+        reader = codec.HandshakeReader()
+        whole = self._record(self._message().encode())
+        with pytest.raises(TlsError):
+            reader.feed(whole + b"\x99\x03\x01\x00\x00")
+        with pytest.raises(TlsError):
+            codec.HandshakeReader().feed(bytes([codec.CONTENT_HANDSHAKE, 9, 9, 0, 0]))
+
+
 class TestClientHello:
+    def test_non_ascii_host_name_yields_no_name(self):
+        """RFC 6066 host names are ASCII: a byte above 0x7F is no name at all."""
+        name = b"caf\xe9.example"
+        entry = b"\x00" + len(name).to_bytes(2, "big") + name
+        body = len(entry).to_bytes(2, "big") + entry
+        assert codec.parse_sni_extension_body(body) is None
+        hello = ClientHello(_rand32(), extensions=((codec.EXT_SERVER_NAME, body),))
+        decoded = ClientHello.from_body(hello.to_handshake().body)
+        assert decoded.server_name is None
+        assert decoded.extensions == hello.extensions  # still verbatim
+
     def test_round_trip_with_sni(self):
         hello = ClientHello(client_random=_rand32(), server_name="qq.com")
         decoded = ClientHello.from_body(hello.to_handshake().body)
@@ -388,6 +467,47 @@ class TestSplitHello:
     def test_split_hello_in_two_sends_draws_the_flight(self, site_chain):
         hello, first, second = self._records()
         assert self._flight(site_chain, first, second) == self._flight(site_chain, hello)
+
+    @pytest.mark.parametrize("max_version", [codec.TLS_1_2, codec.TLS_1_0])
+    def test_record_boundaries_do_not_change_the_answer(self, site_chain, max_version):
+        """Two hellos draw the same replies in one record as in two (RFC 5246 §6.2.1).
+
+        The first answers with its flight (the 1.0 origin), or refuses
+        a fallback offer (the 1.2 origin); a second that does not parse
+        then draws handshake_failure if the connection is still open.
+        """
+        hello = ClientHello(
+            _rand32(6),
+            server_name="probe-target.example",
+            version=codec.TLS_1_0,
+            cipher_suites=(0x002F, codec.TLS_FALLBACK_SCSV),
+        ).to_handshake().encode()
+        broken = HandshakeMessage(codec.HS_CLIENT_HELLO, b"\x03\x01" + bytes(5)).encode()
+        one_record = Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_0, hello + broken).encode()
+        two_records = (
+            Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_0, hello).encode()
+            + Record(codec.CONTENT_HANDSHAKE, codec.TLS_1_0, broken).encode()
+        )
+        replies = [
+            _serve(
+                TlsCertServer(site_chain, rng=random.Random(4), max_version=max_version),
+                [data],
+            )[0]
+            for data in (one_record, two_records)
+        ]
+        assert replies[0] == replies[1]
+        records, rest = codec.decode_records(replies[0])
+        assert rest == b""
+        alerts = [
+            Alert.from_payload(record.payload).description
+            for record in records
+            if record.content_type == codec.CONTENT_ALERT
+        ]
+        if max_version == codec.TLS_1_0:
+            assert records[0].content_type == codec.CONTENT_HANDSHAKE
+            assert alerts == [codec.ALERT_HANDSHAKE_FAILURE]
+        else:
+            assert alerts == [codec.ALERT_INAPPROPRIATE_FALLBACK]
 
     def test_hello_cut_short_then_closed_draws_nothing(self, site_chain):
         _hello_record, first, _second = self._records()
