@@ -1,4 +1,4 @@
-"""Pure-Python public-key cryptography for certificate issuance.
+"""Public-key cryptography for certificate issuance, on the standard library alone.
 
 The paper's substitute certificates are interesting precisely because
 of their cryptographic properties — 512/1024-bit key downgrades, MD5
@@ -7,6 +7,11 @@ root.  This package implements just enough real RSA (Miller–Rabin key
 generation, PKCS#1 v1.5 signing over a DER ``DigestInfo``) that every
 certificate in the reproduction carries a genuine, verifiable (or
 genuinely broken) signature.
+
+The arithmetic is Python's own integers, except the big modular
+exponentiations of key generation and signing: :mod:`repro.crypto.bignum`
+runs them in the libcrypto that ``hashlib`` already loads, and falls
+back to builtin ``pow``, with the same results, where it cannot.
 
 Key generation is deterministic given a seed, and :class:`KeyStore`
 pools keys by (bits, label) so that a 2048-bit key is generated at most

@@ -1,12 +1,13 @@
 """Deterministic pooled RSA key generation.
 
-Pure-Python 2048-bit key generation costs seconds; a measurement run
-issues hundreds of thousands of substitute certificates.  The pool
-resolves the tension the same way the measured ecosystem does: every
-product has one CA key it uses forever, and leaf keys are reused per
-(product, size) slot.  Keys are derived deterministically from the
-store seed and the slot label, so two stores with the same seed hold
-identical keys.
+Key generation is the costliest step of the reproduction, even with
+its exponentiations in libcrypto (:mod:`repro.crypto.bignum`); a
+measurement run mints hundreds of thousands of substitute
+certificates.  The pool resolves the tension the same way the measured
+ecosystem does: every product has one CA key it uses forever, and leaf
+keys are reused per (product, size) slot.  Keys are derived
+deterministically from the store seed and the slot label, so two
+stores with the same seed hold identical keys.
 
 A store can additionally be backed by a disk-persistent
 :class:`~repro.crypto.vault.KeyVault`: the vault is consulted before

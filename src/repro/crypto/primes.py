@@ -6,19 +6,25 @@ entire reproduction is deterministic for a given seed.
 Candidate screening is batched: instead of trial-dividing by every
 small prime, a staged pair of ``gcd`` calls against precomputed
 products of all primes below 2^11 and 2^16 rejects ~95 % of random
-odd composites before any modular exponentiation runs — the
-pure-Python bigint batching trick that makes RSA key generation the
-study can afford.  The first product is small enough that its gcd is
-nearly free for the common case; only survivors pay for the second,
-bigger product.  Because every composite below ``_STAGE2_LIMIT**2``
+odd composites before any modular exponentiation runs — a bigint
+batching trick that spares most candidates a Miller–Rabin round.  The
+first product is small enough that its gcd is nearly free for the
+common case; only survivors pay for the second, bigger product.  Because every composite below ``_STAGE2_LIMIT**2``
 has a factor in one of the products, numbers that small are decided
 exactly, without Miller–Rabin at all.
+
+Each round's witness power ``a^d mod n`` goes through
+:func:`~repro.crypto.bignum.powmod` (libcrypto where it can be
+reached); the squarings that follow stay on builtin ``pow``, since one
+modular square costs less than the round trip.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+from repro.crypto.bignum import powmod
 
 _STAGE1_LIMIT = 2048
 _STAGE2_LIMIT = 65536
@@ -68,7 +74,7 @@ def is_probable_prime(n: int, rounds: int = 20, rng: random.Random | None = None
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

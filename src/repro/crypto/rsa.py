@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.asn1.types import Null, ObjectIdentifier, OctetString, Sequence
+from repro.crypto.bignum import powmod
 from repro.crypto.hashes import HashAlgorithm
 from repro.crypto.primes import generate_prime
 
@@ -163,8 +164,8 @@ def pkcs1_sign(key: RsaKeyPair, hash_alg: HashAlgorithm, data: bytes) -> bytes:
 
 def _crt_power(message: int, key: RsaKeyPair) -> int:
     """m^d mod n via the Chinese Remainder Theorem."""
-    m1 = pow(message % key.p, key.dp, key.p)
-    m2 = pow(message % key.q, key.dq, key.q)
+    m1 = powmod(message % key.p, key.dp, key.p)
+    m2 = powmod(message % key.q, key.dq, key.q)
     h = (key.q_inv * (m1 - m2)) % key.p
     return m2 + h * key.q
 

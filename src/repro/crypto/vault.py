@@ -1,7 +1,8 @@
 """Content-addressed, disk-persistent RSA key-material vault.
 
-Pure-Python 2048-bit key generation costs seconds, and a sharded run
-pays it once *per worker process* — the parent's in-memory
+Key generation is the costliest step of the reproduction (a
+Miller–Rabin search per prime), and a sharded run pays it once *per
+worker process* — the parent's in-memory
 :class:`~repro.crypto.keystore.KeyStore` cache does not cross a fork.
 Real interception appliances amortise one long-lived CA key across
 every connection they ever intercept (Waked et al., NDSS 2018); the

@@ -519,7 +519,7 @@ class _MitmConnection(Protocol):
         return UpstreamObservation(
             chain=chain,
             raw=der_chain,
-            version=server_hello.version if server_hello else hello.version,
+            version=server_hello.selected_version if server_hello else hello.version,
             cipher_suite=server_hello.cipher_suite if server_hello else None,
         )
 

@@ -16,7 +16,9 @@ from repro.proxy import (
     ProxyProfile,
     SubstituteCertForger,
     TlsProxyEngine,
+    UpstreamHelloPolicy,
 )
+from repro.proxy.profile import DEFECT_PROTOCOL_DOWNGRADE
 from repro.tls import codec
 from repro.tls.codec import ClientHello
 from repro.tls.fingerprint import BROWSER_PROFILES
@@ -42,11 +44,11 @@ def origin_chain(intermediate_ca, keystore):
     return [leaf, intermediate_ca.certificate]
 
 
-def proxied_world(profile, origin_chain, trust, forger):
+def proxied_world(profile, origin_chain, trust, forger, origin_version=codec.TLS_1_2):
     network = Network()
     client = network.add_host("victim.example")
     origin = network.add_host("edge.example", ip="203.0.113.42")
-    origin.listen(443, TlsCertServer(origin_chain).factory)
+    origin.listen(443, TlsCertServer(origin_chain, max_version=origin_version).factory)
     engine = TlsProxyEngine(
         profile, forger, upstream_host=client, upstream_trust=trust
     )
@@ -106,9 +108,12 @@ class TestEngineEdgeCases:
         )
         sock = client.connect("edge.example", 443)
         sock.send(b"\x99\x99not tls at all")
-        assert sock.closed or codec.decode_records(sock.recv())[0][0].content_type == (
-            codec.CONTENT_ALERT
+        records, _ = codec.decode_records(sock.recv())
+        assert records and records[0].content_type == codec.CONTENT_ALERT
+        assert codec.Alert.from_payload(records[0].payload) == codec.Alert(
+            2, codec.ALERT_HANDSHAKE_FAILURE
         )
+        assert sock.closed
 
     def test_second_client_hello_ignored(self, forger, origin_chain, root_ca):
         network, client, engine = proxied_world(
@@ -201,6 +206,49 @@ class TestNonAsciiSni:
                 if event.event == "client-hello"
             )
         assert targets == {"edge.example"}
+
+
+class TestTls13Origin:
+    """The engine observes the version a TLS 1.3 origin selected, not its legacy field."""
+
+    def _intercept(self, profile, origin_chain, root_ca, forger):
+        network, client, engine = proxied_world(
+            profile,
+            origin_chain,
+            RootStore([root_ca.certificate]),
+            forger,
+            origin_version=codec.TLS_1_3,
+        )
+        hello = BROWSER_PROFILES["chrome-2020"].client_hello(bytes(32), "edge.example")
+        sock = client.connect("edge.example", 443)
+        sock.send(codec.encode_handshake_record(hello, version=hello.version))
+        sock.recv()
+        return engine
+
+    def test_upstream_certificate_logs_tls13(self, forger, origin_chain, root_ca):
+        profile = default_profile(
+            upstream_hello=UpstreamHelloPolicy.MIMIC, max_tls_version=codec.TLS_1_3
+        )
+        engine = self._intercept(profile, origin_chain, root_ca, forger)
+        observed = [
+            dict(event.detail)["version"]
+            for event in engine.events.records
+            if event.event == "upstream-certificate"
+        ]
+        assert observed == ["TLSv1.3"]
+        assert engine.intercepted == 1
+
+    def test_tls13_floor_notices_no_downgrade(self, forger, origin_chain, root_ca):
+        profile = default_profile(
+            upstream_hello=UpstreamHelloPolicy.MIMIC,
+            max_tls_version=codec.TLS_1_3,
+            min_tls_version=codec.TLS_1_3,
+        )
+        assert profile.notices_defect(DEFECT_PROTOCOL_DOWNGRADE)
+        engine = self._intercept(profile, origin_chain, root_ca, forger)
+        assert engine.blocked_forged_upstream == 0
+        assert engine.intercepted == 1
+        assert not [event for event in engine.events.records if event.event == "blocked"]
 
 
 class TestSharedKeystore:
