@@ -1,17 +1,18 @@
-"""Wire-concurrency benchmark: sessions/s vs scheduler admission cap.
+"""Wire-concurrency check: the same bytes at every scheduler admission cap.
 
-ISSUE 10's tentpole turned wire mode from one synchronous session at a
-time into thousands of generator chains multiplexed on a cooperative
-loop over the scheduled-delivery transport.  This bench sweeps the
-admission cap (1, then 64 → 4096) over one study-2 wire plan and
-records, per level:
+Wire mode multiplexes client session chains on a cooperative loop over
+the scheduled-delivery transport.  This bench sweeps the admission cap
+(1, then 64 → 4096) over one study-2 wire plan and records, per level:
 
-* sessions executed and wall-clock sessions/s,
-* loop ticks and the high-water mark of client chains in flight (each
-  chain runs one session at a time),
+* sessions executed, loop ticks, queued deliveries and the
+  high-water marks of the delivery queue and of client chains in
+  flight (each chain runs one session at a time),
 * whether ``aggregate_signature()`` and the deterministic metrics
-  section match the first level's byte for byte (the refactor's bar —
-  concurrency must buy throughput shape, never different bytes).
+  section match the first level's byte for byte (concurrency changes
+  the schedule, never the bytes).
+
+It records no timing: wire throughput is measured by ``python3
+bench/run.py --workload wire`` (cold processes, pinned outputs).
 
 Scale is controlled by ``REPRO_BENCH_WIRE_SCALE`` (default 0.0008 ≈
 2.4k planned sessions across ~1.3k distinct client chains, which is
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 
 from repro.study import StudyConfig, StudyRunner
 
@@ -59,20 +59,14 @@ def _run_level(concurrency: int, scale: float) -> dict:
         mode="wire",
         wire_concurrency=concurrency,
     )
-    runner = StudyRunner(config)
-    start = time.perf_counter()
-    result = runner.run()
-    wall_s = time.perf_counter() - start
+    result = StudyRunner(config).run()
     process = result.metrics["process"]
     counters = process["counters"]
     gauges = process["gauges"]
-    sessions = result.sessions_run
     return {
         "concurrency": concurrency,
-        "sessions": sessions,
+        "sessions": result.sessions_run,
         "client_chains": len(result.notes["wire_client_hosts"]),
-        "wall_s": round(wall_s, 3),
-        "sessions_per_s": round(sessions / wall_s, 1) if wall_s else 0.0,
         "loop_ticks": counters.get("loop.ticks", 0),
         "queue_delivered": counters.get("wire.queue_delivered", 0),
         "queue_depth_peak": gauges.get("wire.queue_depth_peak", 0),
@@ -113,19 +107,19 @@ def run_wire_concurrency_bench() -> dict:
 
 def _render(results: dict) -> str:
     lines = [
-        "Wire concurrency: scheduled delivery vs serial (BENCH_wire_concurrency)",
-        "=" * 71,
+        "Wire concurrency: the same bytes at every cap (BENCH_wire_concurrency)",
+        "=" * 70,
         f"study 2, seed {results['seed']}, scale {results['scale']} "
         f"({results['rows'][0]['sessions']} sessions, "
         f"{results['rows'][0]['client_chains']} client chains)",
         "",
-        f"{'cap':>6} {'sessions/s':>11} {'wall s':>8} {'ticks':>7} "
+        f"{'cap':>6} {'ticks':>7} {'delivered':>10} "
         f"{'inflight':>9} {'queue peak':>11} {'signature':>10}",
     ]
     for row in results["rows"]:
         lines.append(
-            f"{row['concurrency']:>6} {row['sessions_per_s']:>11,.1f} "
-            f"{row['wall_s']:>8.2f} {row['loop_ticks']:>7,} "
+            f"{row['concurrency']:>6} {row['loop_ticks']:>7,} "
+            f"{row['queue_delivered']:>10,} "
             f"{row['peak_inflight']:>9,} {row['queue_depth_peak']:>11,} "
             f"{'identical' if row['signature_identical'] else 'DIVERGED':>10}"
         )
@@ -163,3 +157,5 @@ if __name__ == "__main__":
     _emit_results(OUTPUT_DIR, bench_results)
     if not bench_results["all_signatures_identical"]:
         sys.exit("FAIL: signatures diverged across concurrency levels")
+    if not bench_results["all_deterministic_identical"]:
+        sys.exit("FAIL: deterministic metrics diverged across concurrency levels")

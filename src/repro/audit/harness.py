@@ -170,60 +170,34 @@ class AuditHarness:
                 else None
             )
         expected = self.browser.fingerprint()
+        observed = leaf = substitute_hash = None
         if not result.ok or upstream_hello is None:
             error = result.error or "no upstream hello observed"
-            return MimicryProbe(
-                client_leg=ClientLegObservation(
-                    browser=self.browser.key,
-                    expected_ja3=expected.digest(),
-                    observed_ja3=None,
-                    divergent_fields=(),
-                    substitute_key_bits=None,
-                    substitute_hash=None,
-                    offered_version=self.browser.version,
-                    echoed_version=None,
-                    error=error,
-                ),
-                server_leg=self._observe_server_leg(
-                    result.server_hello, error, modern=modern
-                ),
-            )
-        observed = fingerprint_client_hello(upstream_hello)
-        leaf = result.leaf
-        if leaf is None or result.server_hello is None:
+        else:
+            observed = fingerprint_client_hello(upstream_hello)
             error = "substitute flight missing ServerHello or Certificate"
-            return MimicryProbe(
-                client_leg=ClientLegObservation(
-                    browser=self.browser.key,
-                    expected_ja3=expected.digest(),
-                    observed_ja3=observed.digest(),
-                    divergent_fields=fingerprint_divergence(expected, observed),
-                    substitute_key_bits=None,
-                    substitute_hash=None,
-                    offered_version=self.browser.version,
-                    echoed_version=None,
-                    error=error,
-                ),
-                server_leg=self._observe_server_leg(
-                    result.server_hello, error, modern=modern
-                ),
-            )
-        try:
-            substitute_hash = hash_by_signature_oid(leaf.signature_oid).name
-        except KeyError:
-            substitute_hash = None
-        return MimicryProbe(
-            client_leg=ClientLegObservation(
-                browser=self.browser.key,
-                expected_ja3=expected.digest(),
-                observed_ja3=observed.digest(),
-                divergent_fields=fingerprint_divergence(expected, observed),
-                substitute_key_bits=leaf.public_key_bits,
-                substitute_hash=substitute_hash,
-                offered_version=self.browser.version,
-                echoed_version=result.server_hello.version,
+            if result.leaf is not None and result.server_hello is not None:
+                leaf, error = result.leaf, ""
+                try:
+                    substitute_hash = hash_by_signature_oid(leaf.signature_oid).name
+                except KeyError:
+                    pass
+        client_leg = ClientLegObservation(
+            browser=self.browser.key,
+            expected_ja3=expected.digest(),
+            observed_ja3=observed.digest() if observed else None,
+            divergent_fields=(
+                fingerprint_divergence(expected, observed) if observed else ()
             ),
-            server_leg=self._observe_server_leg(result.server_hello, modern=modern),
+            substitute_key_bits=leaf.public_key_bits if leaf else None,
+            substitute_hash=substitute_hash,
+            offered_version=self.browser.version,
+            echoed_version=result.server_hello.version if leaf else None,
+            error=error,
+        )
+        return MimicryProbe(
+            client_leg=client_leg,
+            server_leg=self._observe_server_leg(result.server_hello, error, modern),
         )
 
     def _observe_modern_leg(
@@ -244,20 +218,9 @@ class AuditHarness:
         offered_max = browser.client_hello(
             bytes(32), AUDIT_HOSTNAME
         ).max_offered_version
-        if served is None:
-            return ModernLegObservation(
-                expected_alpn=browser.expected_alpn,
-                served_alpn=None,
-                offered_max_version=offered_max,
-                negotiated_version=None,
-                downgrade_sentinel=False,
-                session_id_issued=False,
-                resumption_honoured=None,
-                resumption_error="no ServerHello captured",
-            )
-        first_sid = served.session_id
-        honoured: bool | None = False
-        resume_error = ""
+        first_sid = served.session_id if served else b""
+        honoured: bool | None = False if served else None
+        resume_error = "" if served else "no ServerHello captured"
         if first_sid:
             resume = ProbeClient(
                 victim,
@@ -275,10 +238,12 @@ class AuditHarness:
                 honoured = second.server_hello.session_id == first_sid
         return ModernLegObservation(
             expected_alpn=browser.expected_alpn,
-            served_alpn=served.alpn_protocol,
+            served_alpn=served.alpn_protocol if served else None,
             offered_max_version=offered_max,
-            negotiated_version=served.selected_version,
-            downgrade_sentinel=codec.has_downgrade_sentinel(served.server_random),
+            negotiated_version=served.selected_version if served else None,
+            downgrade_sentinel=(
+                bool(served) and codec.has_downgrade_sentinel(served.server_random)
+            ),
             session_id_issued=bool(first_sid),
             resumption_honoured=honoured,
             resumption_error=resume_error,
@@ -301,46 +266,26 @@ class AuditHarness:
         """
         browser = self.browser
         expected = browser.server_fingerprint()
-        if served is None:
-            return ServerLegObservation(
-                browser=browser.key,
-                expected_ja3s=expected.digest(),
-                observed_ja3s=None,
-                divergent_fields=(),
-                chosen_cipher=None,
-                cipher_rank=None,
-                expected_cipher=browser.expected_server_cipher,
-                extension_types=(),
-                expected_extension_types=browser.expected_server_extension_types,
-                offered_version=browser.version,
-                echoed_version=None,
-                compression_method=None,
-                session_id_length=None,
-                error=error or "substitute flight missing ServerHello",
-                modern=modern,
-            )
-        observed = fingerprint_server_hello(served)
-        try:
-            cipher_rank: int | None = browser.cipher_suites.index(
-                served.cipher_suite
-            )
-        except ValueError:
-            cipher_rank = None
+        observed = fingerprint_server_hello(served) if served else None
+        chosen = served.cipher_suite if served else None
+        offered = browser.cipher_suites
         return ServerLegObservation(
             browser=browser.key,
             expected_ja3s=expected.digest(),
-            observed_ja3s=observed.digest(),
-            divergent_fields=server_fingerprint_divergence(expected, observed),
-            chosen_cipher=served.cipher_suite,
-            cipher_rank=cipher_rank,
+            observed_ja3s=observed.digest() if observed else None,
+            divergent_fields=(
+                server_fingerprint_divergence(expected, observed) if observed else ()
+            ),
+            chosen_cipher=chosen,
+            cipher_rank=offered.index(chosen) if chosen in offered else None,
             expected_cipher=browser.expected_server_cipher,
-            extension_types=served.extension_types,
+            extension_types=served.extension_types if served else (),
             expected_extension_types=browser.expected_server_extension_types,
             offered_version=browser.version,
-            echoed_version=served.version,
-            compression_method=served.compression_method,
-            session_id_length=len(served.session_id),
-            error="",
+            echoed_version=served.version if served else None,
+            compression_method=served.compression_method if served else None,
+            session_id_length=len(served.session_id) if served else None,
+            error="" if served else error or "substitute flight missing ServerHello",
             modern=modern,
         )
 

@@ -19,7 +19,7 @@ non-functional instead of graded down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.audit.scenarios import ADVERSARIAL_SCENARIOS, SCENARIOS, scenario_by_key
 from repro.tls.codec import TLS_1_3, WEAK_CIPHER_SUITES, version_name
@@ -62,6 +62,28 @@ SERVER_SESSION_KEY = "server-session"
 ALPN_MISMATCH_KEY = "alpn-mismatch"
 RESUMPTION_KEY = "resumption-honouring"
 TLS13_DOWNGRADE_KEY = "tls13-downgrade"
+
+# Each leg check declared once, as a scenario is: key -> (title, defect
+# code), in the order its leg grades them.  An errored leg gets one
+# ERROR row per key of its table.
+CLIENT_LEG_CHECKS: dict[str, tuple[str, str]] = {
+    MIMICRY_KEY: ("ClientHello mimicry", "fingerprint-divergence"),
+    SUBSTITUTE_KEY_KEY: ("Substitute key strength", "weak-key"),
+    SUBSTITUTE_HASH_KEY: ("Substitute signature hash", "deprecated-hash"),
+}
+SERVER_LEG_CHECKS: dict[str, tuple[str, str]] = {
+    SERVER_CIPHER_KEY: ("Substitute cipher choice", "cipher-divergence"),
+    SERVER_EXTENSIONS_KEY: ("Server extension set", "extension-divergence"),
+    VERSION_ECHO_KEY: ("Version echo", "protocol-downgrade"),
+    SERVER_COMPRESSION_KEY: ("Server compression", "server-compression"),
+    SERVER_SESSION_KEY: ("Session-id policy", "no-resumption"),
+}
+MODERN_LEG_CHECKS: dict[str, tuple[str, str]] = {
+    ALPN_MISMATCH_KEY: ("ALPN answer", "alpn-mismatch"),
+    RESUMPTION_KEY: ("Resumption honouring", "broken-resumption"),
+    TLS13_DOWNGRADE_KEY: ("TLS 1.3 negotiation", "tls13-downgrade"),
+}
+LEG_CHECKS = CLIENT_LEG_CHECKS | SERVER_LEG_CHECKS | MODERN_LEG_CHECKS
 
 # Letter-grade floors over the score fraction, best first.
 GRADE_FLOORS: tuple[tuple[float, str], ...] = (
@@ -123,6 +145,17 @@ class ClientLegObservation:
     error: str = ""  # non-empty when the probe could not complete
 
 
+def _leg_check(key: str, outcome: str, points: float, evidence: str) -> CheckResult:
+    """A one-point leg row, titled from :data:`LEG_CHECKS`."""
+    title, defect = LEG_CHECKS[key]
+    return CheckResult(key, title, defect, outcome, points, 1.0, evidence)
+
+
+def _error_rows(table: dict, evidence: str) -> tuple[CheckResult, ...]:
+    """An errored leg's rows: ERROR, with ``evidence``, for each check."""
+    return tuple(_leg_check(key, OUTCOME_ERROR, 0.0, evidence) for key in table)
+
+
 def build_client_checks(
     observation: ClientLegObservation,
 ) -> tuple[CheckResult, ...]:
@@ -141,56 +174,27 @@ def build_client_checks(
     """
     if observation.error:
         evidence = f"client-leg probe failed: {observation.error}"
-        return tuple(
-            CheckResult(key, title, defect, OUTCOME_ERROR, 0.0, 1.0, evidence)
-            for key, title, defect in (
-                (MIMICRY_KEY, "ClientHello mimicry", "fingerprint-divergence"),
-                (SUBSTITUTE_KEY_KEY, "Substitute key strength", "weak-key"),
-                (SUBSTITUTE_HASH_KEY, "Substitute signature hash", "deprecated-hash"),
-            )
-        )
-    checks = []
+        return _error_rows(CLIENT_LEG_CHECKS, evidence)
     if not observation.divergent_fields:
-        checks.append(
-            CheckResult(
-                MIMICRY_KEY,
-                "ClientHello mimicry",
-                "fingerprint-divergence",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                f"upstream hello fingerprints as the {observation.browser} "
-                f"profile ({observation.expected_ja3})",
-            )
+        mimicry = _leg_check(
+            MIMICRY_KEY,
+            OUTCOME_OK,
+            1.0,
+            f"upstream hello fingerprints as the {observation.browser} "
+            f"profile ({observation.expected_ja3})",
         )
     else:
-        checks.append(
-            CheckResult(
-                MIMICRY_KEY,
-                "ClientHello mimicry",
-                "fingerprint-divergence",
-                OUTCOME_DIVERGENT,
-                0.0,
-                1.0,
-                "upstream hello diverges from the "
-                f"{observation.browser} profile on "
-                f"{', '.join(observation.divergent_fields)} "
-                f"({observation.expected_ja3} != {observation.observed_ja3})",
-            )
+        mimicry = _leg_check(
+            MIMICRY_KEY,
+            OUTCOME_DIVERGENT,
+            0.0,
+            "upstream hello diverges from the "
+            f"{observation.browser} profile on "
+            f"{', '.join(observation.divergent_fields)} "
+            f"({observation.expected_ja3} != {observation.observed_ja3})",
         )
     bits = observation.substitute_key_bits or 0
     key_points = 1.0 if bits >= 2048 else 0.5 if bits >= 1024 else 0.0
-    checks.append(
-        CheckResult(
-            SUBSTITUTE_KEY_KEY,
-            "Substitute key strength",
-            "weak-key",
-            OUTCOME_OK if key_points == 1.0 else OUTCOME_WEAK,
-            key_points,
-            1.0,
-            f"substitute leaf carries a {bits}-bit key",
-        )
-    )
     hash_name = observation.substitute_hash or "unknown"
     hash_points = (
         1.0
@@ -199,18 +203,21 @@ def build_client_checks(
         if hash_name == "sha1"
         else 0.0
     )
-    checks.append(
-        CheckResult(
+    return (
+        mimicry,
+        _leg_check(
+            SUBSTITUTE_KEY_KEY,
+            OUTCOME_OK if key_points == 1.0 else OUTCOME_WEAK,
+            key_points,
+            f"substitute leaf carries a {bits}-bit key",
+        ),
+        _leg_check(
             SUBSTITUTE_HASH_KEY,
-            "Substitute signature hash",
-            "deprecated-hash",
             OUTCOME_OK if hash_points == 1.0 else OUTCOME_WEAK,
             hash_points,
-            1.0,
             f"substitute leaf signed with {hash_name}",
-        )
+        ),
     )
-    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -287,209 +294,131 @@ def build_server_checks(
     """
     if observation.error:
         evidence = f"server-leg probe failed: {observation.error}"
-        rows = [
-            (SERVER_CIPHER_KEY, "Substitute cipher choice", "cipher-divergence"),
-            (SERVER_EXTENSIONS_KEY, "Server extension set", "extension-divergence"),
-            (VERSION_ECHO_KEY, "Version echo", "protocol-downgrade"),
-            (SERVER_COMPRESSION_KEY, "Server compression", "server-compression"),
-            (SERVER_SESSION_KEY, "Session-id policy", "no-resumption"),
-        ]
+        table = SERVER_LEG_CHECKS
         if observation.modern is not None:
-            rows += [
-                (ALPN_MISMATCH_KEY, "ALPN answer", "alpn-mismatch"),
-                (RESUMPTION_KEY, "Resumption honouring", "broken-resumption"),
-                (TLS13_DOWNGRADE_KEY, "TLS 1.3 negotiation", "tls13-downgrade"),
-            ]
-        return tuple(
-            CheckResult(key, title, defect, OUTCOME_ERROR, 0.0, 1.0, evidence)
-            for key, title, defect in rows
-        )
+            table = table | MODERN_LEG_CHECKS
+        return _error_rows(table, evidence)
     # An error-free observation always carries the served hello's
     # fields (the harness grades a captured hello or takes the error
     # branch above — there is no in-between).
-    checks = []
     chosen = observation.chosen_cipher
     assert chosen is not None
     if chosen in WEAK_CIPHER_SUITES:
-        checks.append(
-            CheckResult(
-                SERVER_CIPHER_KEY,
-                "Substitute cipher choice",
-                "cipher-divergence",
-                OUTCOME_WEAK,
-                0.0,
-                1.0,
-                f"substitute leg chose registry-weak suite {chosen:#06x}",
-            )
+        cipher = _leg_check(
+            SERVER_CIPHER_KEY,
+            OUTCOME_WEAK,
+            0.0,
+            f"substitute leg chose registry-weak suite {chosen:#06x}",
         )
     elif observation.cipher_rank is None:
-        checks.append(
-            CheckResult(
-                SERVER_CIPHER_KEY,
-                "Substitute cipher choice",
-                "cipher-divergence",
-                OUTCOME_DIVERGENT,
-                0.0,
-                1.0,
-                f"substitute leg chose {chosen:#06x}, a suite the "
-                f"{observation.browser} profile never offered — no genuine "
-                "origin can answer that",
-            )
+        cipher = _leg_check(
+            SERVER_CIPHER_KEY,
+            OUTCOME_DIVERGENT,
+            0.0,
+            f"substitute leg chose {chosen:#06x}, a suite the "
+            f"{observation.browser} profile never offered — no genuine "
+            "origin can answer that",
         )
     elif chosen == observation.expected_cipher:
-        checks.append(
-            CheckResult(
-                SERVER_CIPHER_KEY,
-                "Substitute cipher choice",
-                "cipher-divergence",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                f"substitute leg answers {chosen:#06x}, exactly what a "
-                f"genuine origin picks for the {observation.browser} offer",
-            )
+        cipher = _leg_check(
+            SERVER_CIPHER_KEY,
+            OUTCOME_OK,
+            1.0,
+            f"substitute leg answers {chosen:#06x}, exactly what a "
+            f"genuine origin picks for the {observation.browser} offer",
         )
     else:
-        checks.append(
-            CheckResult(
-                SERVER_CIPHER_KEY,
-                "Substitute cipher choice",
-                "cipher-divergence",
-                OUTCOME_DIVERGENT,
-                0.5,
-                1.0,
-                f"substitute leg chose {chosen:#06x} (rank "
-                f"{observation.cipher_rank + 1} of the {observation.browser} "
-                f"offer); a genuine origin answers "
-                f"{observation.expected_cipher:#06x}",
-            )
+        cipher = _leg_check(
+            SERVER_CIPHER_KEY,
+            OUTCOME_DIVERGENT,
+            0.5,
+            f"substitute leg chose {chosen:#06x} (rank "
+            f"{observation.cipher_rank + 1} of the {observation.browser} "
+            f"offer); a genuine origin answers "
+            f"{observation.expected_cipher:#06x}",
         )
     served = observation.extension_types
     expected = observation.expected_extension_types
     if served == expected:
-        checks.append(
-            CheckResult(
-                SERVER_EXTENSIONS_KEY,
-                "Server extension set",
-                "extension-divergence",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                "served extension set matches the expected origin answer "
-                f"({'-'.join(str(t) for t in expected) or 'none'})",
-            )
+        extensions = _leg_check(
+            SERVER_EXTENSIONS_KEY,
+            OUTCOME_OK,
+            1.0,
+            "served extension set matches the expected origin answer "
+            f"({'-'.join(str(t) for t in expected) or 'none'})",
         )
     elif set(served) == set(expected):
-        checks.append(
-            CheckResult(
-                SERVER_EXTENSIONS_KEY,
-                "Server extension set",
-                "extension-divergence",
-                OUTCOME_DIVERGENT,
-                0.5,
-                1.0,
-                "served extensions match the expected set but not its "
-                "order — a fingerprintable stack quirk",
-            )
+        extensions = _leg_check(
+            SERVER_EXTENSIONS_KEY,
+            OUTCOME_DIVERGENT,
+            0.5,
+            "served extensions match the expected set but not its "
+            "order — a fingerprintable stack quirk",
         )
     else:
         missing = [t for t in expected if t not in served]
         extra = [t for t in served if t not in expected]
-        checks.append(
-            CheckResult(
-                SERVER_EXTENSIONS_KEY,
-                "Server extension set",
-                "extension-divergence",
-                OUTCOME_DIVERGENT,
-                0.0,
-                1.0,
-                "served extension set diverges from the expected origin "
-                f"answer (missing {missing or 'none'}, extra {extra or 'none'})",
-            )
+        extensions = _leg_check(
+            SERVER_EXTENSIONS_KEY,
+            OUTCOME_DIVERGENT,
+            0.0,
+            "served extension set diverges from the expected origin "
+            f"answer (missing {missing or 'none'}, extra {extra or 'none'})",
         )
     echoed = observation.echoed_version
     if echoed == observation.offered_version:
-        checks.append(
-            CheckResult(
-                VERSION_ECHO_KEY,
-                "Version echo",
-                "protocol-downgrade",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                "substitute leg echoes the offered version "
-                f"{version_name(echoed)}",
-            )
+        echo = _leg_check(
+            VERSION_ECHO_KEY,
+            OUTCOME_OK,
+            1.0,
+            "substitute leg echoes the offered version "
+            f"{version_name(echoed)}",
         )
     else:
-        checks.append(
-            CheckResult(
-                VERSION_ECHO_KEY,
-                "Version echo",
-                "protocol-downgrade",
-                OUTCOME_DOWNGRADED,
-                0.0,
-                1.0,
-                f"client offered {version_name(observation.offered_version)}, "
-                "substitute leg served "
-                f"{version_name(echoed) if echoed else 'nothing'}",
-            )
+        echo = _leg_check(
+            VERSION_ECHO_KEY,
+            OUTCOME_DOWNGRADED,
+            0.0,
+            f"client offered {version_name(observation.offered_version)}, "
+            "substitute leg served "
+            f"{version_name(echoed) if echoed else 'nothing'}",
         )
     compression = observation.compression_method or 0
     if compression == 0:
-        checks.append(
-            CheckResult(
-                SERVER_COMPRESSION_KEY,
-                "Server compression",
-                "server-compression",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                "substitute leg negotiates null compression",
-            )
+        compressed = _leg_check(
+            SERVER_COMPRESSION_KEY,
+            OUTCOME_OK,
+            1.0,
+            "substitute leg negotiates null compression",
         )
     else:
-        checks.append(
-            CheckResult(
-                SERVER_COMPRESSION_KEY,
-                "Server compression",
-                "server-compression",
-                OUTCOME_WEAK,
-                0.0,
-                1.0,
-                f"substitute leg negotiates compression method {compression} "
-                "— a post-CRIME defect no 2014 origin exhibits",
-            )
+        compressed = _leg_check(
+            SERVER_COMPRESSION_KEY,
+            OUTCOME_WEAK,
+            0.0,
+            f"substitute leg negotiates compression method {compression} "
+            "— a post-CRIME defect no 2014 origin exhibits",
         )
     if observation.session_id_length:
-        checks.append(
-            CheckResult(
-                SERVER_SESSION_KEY,
-                "Session-id policy",
-                "no-resumption",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                f"substitute leg grants a {observation.session_id_length}-byte "
-                "resumable session id, like a genuine origin",
-            )
+        session = _leg_check(
+            SERVER_SESSION_KEY,
+            OUTCOME_OK,
+            1.0,
+            f"substitute leg grants a {observation.session_id_length}-byte "
+            "resumable session id, like a genuine origin",
         )
     else:
-        checks.append(
-            CheckResult(
-                SERVER_SESSION_KEY,
-                "Session-id policy",
-                "no-resumption",
-                OUTCOME_WEAK,
-                0.5,
-                1.0,
-                "substitute leg never offers session resumption "
-                "(empty session id)",
-            )
+        session = _leg_check(
+            SERVER_SESSION_KEY,
+            OUTCOME_WEAK,
+            0.5,
+            "substitute leg never offers session resumption "
+            "(empty session id)",
         )
+    checks = (cipher, extensions, echo, compressed, session)
     if observation.modern is not None:
-        checks.extend(_build_modern_checks(observation.modern))
-    return tuple(checks)
+        checks += _build_modern_checks(observation.modern)
+    return checks
 
 
 def _build_modern_checks(
@@ -509,130 +438,84 @@ def _build_modern_checks(
       to 1.2 earns half *only* when the RFC 8446 sentinel in the
       server random discloses it; a silent downgrade fails outright.
     """
-    checks = []
     if modern.served_alpn == modern.expected_alpn:
-        checks.append(
-            CheckResult(
-                ALPN_MISMATCH_KEY,
-                "ALPN answer",
-                "alpn-mismatch",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                f"substitute leg answers ALPN {modern.served_alpn!r}, "
-                "exactly what a genuine origin picks for this offer",
-            )
+        alpn = _leg_check(
+            ALPN_MISMATCH_KEY,
+            OUTCOME_OK,
+            1.0,
+            f"substitute leg answers ALPN {modern.served_alpn!r}, "
+            "exactly what a genuine origin picks for this offer",
         )
     else:
-        checks.append(
-            CheckResult(
-                ALPN_MISMATCH_KEY,
-                "ALPN answer",
-                "alpn-mismatch",
-                OUTCOME_DIVERGENT,
-                0.0,
-                1.0,
-                f"substitute leg answers ALPN {modern.served_alpn!r} where "
-                f"a genuine origin picks {modern.expected_alpn!r}",
-            )
+        alpn = _leg_check(
+            ALPN_MISMATCH_KEY,
+            OUTCOME_DIVERGENT,
+            0.0,
+            f"substitute leg answers ALPN {modern.served_alpn!r} where "
+            f"a genuine origin picks {modern.expected_alpn!r}",
         )
     if modern.resumption_honoured:
-        checks.append(
-            CheckResult(
-                RESUMPTION_KEY,
-                "Resumption honouring",
-                "broken-resumption",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                "substitute leg echoes the session id it issued one "
-                "connection earlier — resumption is honoured",
-            )
+        resumption = _leg_check(
+            RESUMPTION_KEY,
+            OUTCOME_OK,
+            1.0,
+            "substitute leg echoes the session id it issued one "
+            "connection earlier — resumption is honoured",
         )
     elif modern.resumption_honoured is None:
-        checks.append(
-            CheckResult(
-                RESUMPTION_KEY,
-                "Resumption honouring",
-                "broken-resumption",
-                OUTCOME_ERROR,
-                0.0,
-                1.0,
-                "resume probe failed: "
-                f"{modern.resumption_error or 'no second probe completed'}",
-            )
+        resumption = _leg_check(
+            RESUMPTION_KEY,
+            OUTCOME_ERROR,
+            0.0,
+            "resume probe failed: "
+            f"{modern.resumption_error or 'no second probe completed'}",
         )
     elif not modern.session_id_issued:
-        checks.append(
-            CheckResult(
-                RESUMPTION_KEY,
-                "Resumption honouring",
-                "broken-resumption",
-                OUTCOME_WEAK,
-                0.0,
-                1.0,
-                "substitute leg never issues resumable sessions — every "
-                "connection pays a full handshake",
-            )
+        resumption = _leg_check(
+            RESUMPTION_KEY,
+            OUTCOME_WEAK,
+            0.0,
+            "substitute leg never issues resumable sessions — every "
+            "connection pays a full handshake",
         )
     else:
-        checks.append(
-            CheckResult(
-                RESUMPTION_KEY,
-                "Resumption honouring",
-                "broken-resumption",
-                OUTCOME_DIVERGENT,
-                0.0,
-                1.0,
-                "substitute leg hands out session ids it then refuses to "
-                "honour — a stack quirk no genuine origin exhibits",
-            )
+        resumption = _leg_check(
+            RESUMPTION_KEY,
+            OUTCOME_DIVERGENT,
+            0.0,
+            "substitute leg hands out session ids it then refuses to "
+            "honour — a stack quirk no genuine origin exhibits",
         )
     negotiated = modern.negotiated_version
     if negotiated is not None and negotiated >= TLS_1_3:
-        checks.append(
-            CheckResult(
-                TLS13_DOWNGRADE_KEY,
-                "TLS 1.3 negotiation",
-                "tls13-downgrade",
-                OUTCOME_OK,
-                1.0,
-                1.0,
-                f"substitute leg negotiates {version_name(negotiated)} "
-                "for a 1.3-offering client",
-            )
+        downgrade = _leg_check(
+            TLS13_DOWNGRADE_KEY,
+            OUTCOME_OK,
+            1.0,
+            f"substitute leg negotiates {version_name(negotiated)} "
+            "for a 1.3-offering client",
         )
     elif modern.downgrade_sentinel:
-        checks.append(
-            CheckResult(
-                TLS13_DOWNGRADE_KEY,
-                "TLS 1.3 negotiation",
-                "tls13-downgrade",
-                OUTCOME_DOWNGRADED,
-                0.5,
-                1.0,
-                f"client offered {version_name(modern.offered_max_version)} "
-                "but the substitute leg negotiated "
-                f"{version_name(negotiated) if negotiated else 'nothing'} — "
-                "disclosed via the RFC 8446 downgrade sentinel",
-            )
+        downgrade = _leg_check(
+            TLS13_DOWNGRADE_KEY,
+            OUTCOME_DOWNGRADED,
+            0.5,
+            f"client offered {version_name(modern.offered_max_version)} "
+            "but the substitute leg negotiated "
+            f"{version_name(negotiated) if negotiated else 'nothing'} — "
+            "disclosed via the RFC 8446 downgrade sentinel",
         )
     else:
-        checks.append(
-            CheckResult(
-                TLS13_DOWNGRADE_KEY,
-                "TLS 1.3 negotiation",
-                "tls13-downgrade",
-                OUTCOME_DOWNGRADED,
-                0.0,
-                1.0,
-                f"client offered {version_name(modern.offered_max_version)} "
-                "but the substitute leg silently negotiated "
-                f"{version_name(negotiated) if negotiated else 'nothing'} "
-                "with no downgrade sentinel",
-            )
+        downgrade = _leg_check(
+            TLS13_DOWNGRADE_KEY,
+            OUTCOME_DOWNGRADED,
+            0.0,
+            f"client offered {version_name(modern.offered_max_version)} "
+            "but the substitute leg silently negotiated "
+            f"{version_name(negotiated) if negotiated else 'nothing'} "
+            "with no downgrade sentinel",
         )
-    return tuple(checks)
+    return alpn, resumption, downgrade
 
 
 @dataclass(frozen=True)
@@ -718,83 +601,31 @@ class ProductScorecard:
             "checks": [_check_dict(check) for check in self.checks],
         }
         if self.client_checks:
-            observation = self.client_leg
-            data["client_leg"] = {
-                "browser": observation.browser if observation else None,
-                "expected_ja3": observation.expected_ja3 if observation else None,
-                "observed_ja3": observation.observed_ja3 if observation else None,
-                "divergent_fields": (
-                    list(observation.divergent_fields) if observation else []
-                ),
-                "substitute_key_bits": (
-                    observation.substitute_key_bits if observation else None
-                ),
-                "substitute_hash": (
-                    observation.substitute_hash if observation else None
-                ),
-                "offered_version": (
-                    list(observation.offered_version) if observation else None
-                ),
-                "echoed_version": (
-                    list(observation.echoed_version)
-                    if observation and observation.echoed_version
-                    else None
-                ),
-                "error": observation.error if observation else "",
-                "checks": [_check_dict(check) for check in self.client_checks],
-            }
+            data["client_leg"] = _leg_dict(self.client_leg, self.client_checks)
         if self.server_checks:
-            server = self.server_leg
-            data["server_leg"] = {
-                "browser": server.browser if server else None,
-                "expected_ja3s": server.expected_ja3s if server else None,
-                "observed_ja3s": server.observed_ja3s if server else None,
-                "divergent_fields": (
-                    list(server.divergent_fields) if server else []
-                ),
-                "chosen_cipher": server.chosen_cipher if server else None,
-                "cipher_rank": server.cipher_rank if server else None,
-                "expected_cipher": server.expected_cipher if server else None,
-                "extension_types": (
-                    list(server.extension_types) if server else []
-                ),
-                "expected_extension_types": (
-                    list(server.expected_extension_types) if server else []
-                ),
-                "offered_version": (
-                    list(server.offered_version) if server else None
-                ),
-                "echoed_version": (
-                    list(server.echoed_version)
-                    if server and server.echoed_version
-                    else None
-                ),
-                "compression_method": (
-                    server.compression_method if server else None
-                ),
-                "session_id_length": (
-                    server.session_id_length if server else None
-                ),
-                "error": server.error if server else "",
-                "checks": [_check_dict(check) for check in self.server_checks],
-            }
-            if server is not None and server.modern is not None:
-                modern = server.modern
-                data["server_leg"]["modern"] = {
-                    "expected_alpn": modern.expected_alpn,
-                    "served_alpn": modern.served_alpn,
-                    "offered_max_version": list(modern.offered_max_version),
-                    "negotiated_version": (
-                        list(modern.negotiated_version)
-                        if modern.negotiated_version
-                        else None
-                    ),
-                    "downgrade_sentinel": modern.downgrade_sentinel,
-                    "session_id_issued": modern.session_id_issued,
-                    "resumption_honoured": modern.resumption_honoured,
-                    "resumption_error": modern.resumption_error,
-                }
+            data["server_leg"] = _leg_dict(self.server_leg, self.server_checks)
         return data
+
+
+def _leg_dict(observation, checks: tuple[CheckResult, ...] = ()) -> dict:
+    """One leg observation as exported: its fields, then ``checks``.
+
+    The fields go in declaration order, tuples as lists.  A field that
+    defaults to None holds a nested observation (the server leg's
+    ``modern`` facets): it goes after ``checks``, and only when set, so
+    a 2014-era server leg exports none.
+    """
+    data: dict = {}
+    nested: dict = {}
+    for field in fields(observation):
+        value = getattr(observation, field.name)
+        if field.default is not None:
+            data[field.name] = list(value) if isinstance(value, tuple) else value
+        elif value is not None:
+            nested[field.name] = _leg_dict(value)
+    if checks:
+        data["checks"] = [_check_dict(check) for check in checks]
+    return data | nested
 
 
 def _check_dict(check: CheckResult) -> dict:

@@ -2,8 +2,7 @@
 
 At paper scale (12.3M measurements) the matched majority is stored as
 counters keyed by (country, host type, hostname); every mismatch — the
-interesting 0.41 % — is stored in full.  Wire-mode runs also keep a
-seeded reservoir sample of matched records for inspection.
+interesting 0.41 % — is stored in full.
 
 :class:`ReportTally` holds the counts the analysis tables read and the
 one query surface over them, ``aggregate_signature`` included.  Both
@@ -15,7 +14,6 @@ keeps one beside its segments — so the two agree by construction.
 from __future__ import annotations
 
 import hashlib
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 
@@ -62,19 +60,11 @@ class ReportSink:
     """Where reports land: the interface every report destination shares.
 
     The reporting server writes one report at a time through
-    ``add_mismatch``/``add_matched``/``add_failure``; merges and exports
-    feed an op stream (:func:`repro.faults.recovery.database_ops`)
+    ``add_mismatch``/``add_matched_bulk``/``add_failure``; merges and
+    exports feed an op stream (:func:`repro.faults.recovery.database_ops`)
     through :meth:`apply`, finish with :meth:`close` and report
     :meth:`stats`.
     """
-
-    def add_matched(self, record: MeasurementRecord) -> None:
-        """One matched measurement: a bulk count of one."""
-        if record.mismatch:
-            raise ValueError("add_matched() requires a non-mismatch record")
-        self.add_matched_bulk(
-            record.country or "??", record.host_type, record.hostname, 1
-        )
 
     def apply(self, op: tuple) -> None:
         """Apply one op: ``("m", record)``, ``("c", country, host type,
@@ -215,35 +205,15 @@ class ReportTally(ReportSink):
 
 
 class ReportDatabase(ReportTally):
-    """A tally plus every mismatch record and a seeded matched sample."""
+    """A tally plus every mismatch record."""
 
-    def __init__(
-        self, matched_sample_limit: int = 1000, sample_seed: int = 0
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.records: list[MeasurementRecord] = []
-        self.matched_samples: list[MeasurementRecord] = []
-        self._matched_sample_limit = matched_sample_limit
-        # Reservoir state: every matched record seen gets an equal
-        # chance of a sample slot (Algorithm R), seeded so a fixed
-        # (seed, ingest order) reproduces the same sample exactly.
-        self._matched_seen = 0
-        self._sample_rng = random.Random(sample_seed)
 
     def add_mismatch(self, record: MeasurementRecord) -> None:
         super().add_mismatch(record)
         self.records.append(record)
-
-    def add_matched(self, record: MeasurementRecord) -> None:
-        """Store a matched measurement (counter + seeded reservoir)."""
-        super().add_matched(record)
-        self._matched_seen += 1
-        if len(self.matched_samples) < self._matched_sample_limit:
-            self.matched_samples.append(record)
-        else:
-            slot = self._sample_rng.randrange(self._matched_seen)
-            if slot < self._matched_sample_limit:
-                self.matched_samples[slot] = record
 
     def mismatches(self) -> list[MeasurementRecord]:
         return list(self.records)

@@ -74,9 +74,10 @@ class ReportingServer:
     the chain verdict) is kept in ``report.verdicts``, keyed on all it
     reads: the body, the hostname, that hostname's expected leaf and
     ``public_roots`` at its current ``generation``.  Only the client
-    address, its country and ``X-Sim-Product`` are read per report.  A
-    refused report is never kept, so it is refused and counted on every
-    submission.
+    address and its country are read per report, and ``X-Sim-Product``
+    per mismatch: a matched report is a count of one, a mismatch a full
+    record.  A refused report is never kept, so it is refused and
+    counted on every submission.
     """
 
     def __init__(
@@ -168,26 +169,29 @@ class ReportingServer:
         except X509Error as exc:
             return self._reject("x509", str(exc).encode())
         client_ip = remote.ip if remote is not None else "0.0.0.0"
-        record = MeasurementRecord(
-            study=self.study,
-            campaign=self.campaign,
-            client_ip=client_ip,
-            country=self.geoip.lookup(client_ip) if self.geoip is not None else None,
-            hostname=hostname,
-            host_type=self.host_types.get(hostname, "?"),
-            mismatch=mismatch,
-            leaf=leaf,
-            chain=chain,
-            chain_valid=chain_valid,
-            via="wire",
-            product_key=request.headers.get("x-sim-product") or None,
-        )
-        if mismatch:
-            self.sink.add_mismatch(record)
-            self._c_mismatch.inc()
-        else:
-            self.sink.add_matched(record)
+        country = self.geoip.lookup(client_ip) if self.geoip is not None else None
+        host_type = self.host_types.get(hostname, "?")
+        if not mismatch:
+            self.sink.add_matched_bulk(country or "??", host_type, hostname, 1)
             self._c_matched.inc()
+            return HttpResponse(200, body=b"ok")
+        self.sink.add_mismatch(
+            MeasurementRecord(
+                study=self.study,
+                campaign=self.campaign,
+                client_ip=client_ip,
+                country=country,
+                hostname=hostname,
+                host_type=host_type,
+                mismatch=True,
+                leaf=leaf,
+                chain=chain,
+                chain_valid=chain_valid,
+                via="wire",
+                product_key=request.headers.get("x-sim-product") or None,
+            )
+        )
+        self._c_mismatch.inc()
         return HttpResponse(200, body=b"ok")
 
 

@@ -910,8 +910,7 @@ def load_store(
     classification, negligence) read ``database.records``; this is the
     bridge from a streamed collection run back to them.  The database
     is a tally too, so the same pass also yields :func:`scan_store`'s
-    totals and signature.  The matched-sample reservoir stays empty:
-    the segments hold counters, not matched records.
+    totals and signature.
     """
     metrics = registry if registry is not None else MetricsRegistry()
     segments = SegmentedStore(path)

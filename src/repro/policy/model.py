@@ -42,23 +42,21 @@ class PolicyRule:
     def _port_matches(self, port: int) -> bool:
         for part in self.to_ports.split(","):
             part = part.strip()
-            if not part:
-                continue
             if part == "*":
                 return True
-            if "-" in part:
-                low, _, high = part.partition("-")
-                try:
-                    if int(low) <= port <= int(high):
-                        return True
-                except ValueError:
-                    continue
-            else:
-                try:
-                    if int(part) == port:
-                        return True
-                except ValueError:
-                    continue
+            low, dash, high = part.partition("-")
+            if not dash:
+                high = low
+            # A bound is ASCII digits and nothing else: int() would also
+            # take "4_43", "+443" and non-ASCII digits.
+            if (
+                low.isascii()
+                and low.isdigit()
+                and high.isascii()
+                and high.isdigit()
+                and int(low) <= port <= int(high)
+            ):
+                return True
         return False
 
 

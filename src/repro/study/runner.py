@@ -85,7 +85,6 @@ class StudyConfig:
     seed: int = 0
     scale: float = 0.01  # fraction of the paper's measurement volume
     mode: str = "fast"  # "fast" or "wire"
-    matched_sample_limit: int = 500
     # Process-pool width for fast-mode country shards.  1 = run the
     # shards inline; results are identical either way.  In wire mode
     # ``workers > 1`` is folded into ``wire_concurrency`` (one process
@@ -280,7 +279,7 @@ class StudyRunner:
             scale=config.scale,
             measurements_per_session=self.measurements_per_session(),
         )
-        database = ReportDatabase(matched_sample_limit=config.matched_sample_limit)
+        database = ReportDatabase()
         campaign_rng = random.Random(stable_hash(config.seed, "campaigns"))
         if config.study == 1:
             campaigns = [AdCampaign.study1().run(campaign_rng)]

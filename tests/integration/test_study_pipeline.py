@@ -9,6 +9,8 @@ from repro.analysis import (
     issuer_organization_table,
 )
 from repro.data import products as product_data
+from repro.measure import server as server_module
+from repro.measure.server import _judge
 from repro.proxy.profile import ProxyCategory
 from repro.study import StudyConfig, StudyRunner
 
@@ -19,8 +21,25 @@ def study1_fast():
 
 
 @pytest.fixture(scope="module")
-def study1_wire():
-    return StudyRunner(StudyConfig(study=1, seed=5, scale=0.001, mode="wire")).run()
+def study1_wire_judged():
+    """The wire study and every verdict its reporting server reached."""
+    verdicts = []
+
+    def judge(key):
+        verdicts.append(_judge(key))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "_judge", judge)
+        result = StudyRunner(
+            StudyConfig(study=1, seed=5, scale=0.001, mode="wire")
+        ).run()
+    return result, verdicts
+
+
+@pytest.fixture(scope="module")
+def study1_wire(study1_wire_judged):
+    return study1_wire_judged[0]
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +127,13 @@ class TestStudy1Wire:
         for record in study1_wire.database.mismatches():
             assert not record.chain_valid
 
-    def test_wire_matched_pass_public_validation(self, study1_wire):
-        for record in study1_wire.database.matched_samples:
-            assert record.chain_valid
+    def test_wire_matched_pass_public_validation(self, study1_wire_judged):
+        # A matched report is stored as a count, so its chain's verdict
+        # is read where the server reached it.
+        study, verdicts = study1_wire_judged
+        matched = [valid for _, _, mismatch, valid in verdicts if not mismatch]
+        assert len(matched) == study.database.matched_count > 0
+        assert all(matched)
 
 
 class TestWireFastEquivalence:

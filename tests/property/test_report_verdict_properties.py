@@ -8,8 +8,8 @@ registered and unknown hostnames from several clients, interleaved with
 changes of the expected leaves and of the server's roots, a cold server,
 a server warmed by the unmutated bodies and a reference that judges
 every report afresh must answer with the same statuses, leave the same
-records in their sinks (the reservoir sample included), count the same
-rejections and raise nothing.
+records and counts in their sinks, count the same rejections and raise
+nothing.
 """
 
 from unittest import mock
@@ -148,7 +148,7 @@ class _World:
 
     def __init__(self, cls) -> None:
         self.server = cls(
-            ReportDatabase(matched_sample_limit=2),
+            ReportDatabase(),
             _geoip(),
             study=2,
             public_roots=RootStore([_ROOT.certificate]),
@@ -167,7 +167,7 @@ class _World:
         for body in BODIES:
             for site in SITES:
                 self.send(body, site, self.clients[0], None)
-        self.server.sink = ReportDatabase(matched_sample_limit=2)
+        self.server.sink = ReportDatabase()
 
     def send(self, body, hostname, client, product) -> int:
         headers = {"x-probed-host": hostname}
@@ -209,7 +209,7 @@ class _World:
         return (
             statuses,
             sink.records,
-            sink.matched_samples,
+            sink.matched_counts,
             sink.failures,
             sink.aggregate_signature(),
             {key: value for key, value in deltas.items() if value},

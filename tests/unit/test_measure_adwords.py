@@ -22,6 +22,7 @@ from repro.measure import (
     ReportDatabase,
     ReportingServer,
 )
+from repro.measure import server as server_module
 from repro.measure.server import REPORT_VERDICTS, CombinedPolicyHttpServer, _judge
 from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
 from repro.netsim import Network, drive
@@ -110,8 +111,6 @@ class TestReportDatabase:
         with pytest.raises(ValueError):
             db.add_mismatch(make_record(mismatch=False))
         with pytest.raises(ValueError):
-            db.add_matched(make_record(mismatch=True))
-        with pytest.raises(ValueError):
             db.add_matched_bulk("US", "t", "h", -1)
 
     def test_totals_by_country(self):
@@ -139,13 +138,6 @@ class TestReportDatabase:
         db.add_mismatch(make_record(ip="11.0.0.2"))
         assert db.distinct_proxied_ips() == 2
 
-    def test_matched_sample_bounded(self):
-        db = ReportDatabase(matched_sample_limit=3)
-        for _ in range(10):
-            db.add_matched(make_record(mismatch=False))
-        assert len(db.matched_samples) == 3
-        assert db.matched_count == 10
-
     def test_merge(self):
         a, b = ReportDatabase(), ReportDatabase()
         a.add_mismatch(make_record())
@@ -154,26 +146,6 @@ class TestReportDatabase:
         deliver(database_ops(b), a)
         assert a.total_measurements == 6
         assert a.failures.policy_denied == 2
-
-    def test_matched_sample_is_not_first_n(self):
-        """The reservoir replaces early records — no head-of-stream bias."""
-        db = ReportDatabase(matched_sample_limit=5, sample_seed=0)
-        for i in range(500):
-            db.add_matched(make_record(mismatch=False, ip=f"11.0.{i // 250}.{i % 250}"))
-        sampled = {record.client_ip for record in db.matched_samples}
-        first_five = {f"11.0.0.{i}" for i in range(5)}
-        assert len(db.matched_samples) == 5
-        assert sampled != first_five
-
-    def test_matched_sample_deterministic_for_seed(self):
-        def build(seed):
-            db = ReportDatabase(matched_sample_limit=4, sample_seed=seed)
-            for i in range(300):
-                db.add_matched(make_record(mismatch=False, ip=f"11.1.{i // 250}.{i % 250}"))
-            return [record.client_ip for record in db.matched_samples]
-
-        assert build(7) == build(7)
-        assert build(7) != build(8)
 
     def test_breakdown_caches_match_recomputation(self):
         """Incremental caches agree with a from-scratch rebuild."""
@@ -281,15 +253,26 @@ class MeasurementWorld:
 
 
 class TestMeasurementToolWire:
-    def test_clean_session_records_match(self, origin_chain, root_ca):
+    def test_clean_session_records_match(self, origin_chain, root_ca, monkeypatch):
+        verdicts = []
+
+        def judge(key):
+            verdicts.append(_judge(key))
+            return verdicts[-1]
+
+        monkeypatch.setattr(server_module, "_judge", judge)
         world = MeasurementWorld(origin_chain, root_ca)
         outcome = drive(world.tool.session_task(world.client, [world.site]))
         assert outcome.reports_delivered == 1
-        assert world.database.matched_count == 1
+        # A matched report is a count of one; no geoip, so country "??".
+        assert world.database.matched_counts == {
+            ("??", "Authors'", "tlsresearch.byu.edu"): 1
+        }
         assert world.database.mismatch_count == 0
-        record = world.database.matched_samples[0]
-        assert record.chain_valid  # genuine chain validates publicly
-        assert record.client_ip == "11.0.0.5"
+        [(leaf, _, mismatch, chain_valid)] = verdicts
+        assert leaf.fingerprint == origin_chain[0].fingerprint()
+        assert not mismatch
+        assert chain_valid  # genuine chain validates publicly
 
     def test_policy_gate_blocks_unpolicied_host(self, origin_chain, root_ca):
         world = MeasurementWorld(origin_chain, root_ca)

@@ -46,6 +46,16 @@ class TestPolicyRule:
         assert rule.permits("x", 443)
         assert not rule.permits("x", 80)
 
+    @pytest.mark.parametrize("entry", ["4_43", "+443", "٤٤٣", "1-4_43"])
+    def test_port_bounds_are_ascii_digits(self, entry):
+        # int() reads each of these as 443 (or a range up to it); Flash's
+        # parser takes none of them.
+        assert not PolicyRule(to_ports=entry).permits("x", 443)
+
+    @pytest.mark.parametrize("entry", ["443", "1-1000", "*", " 443"])
+    def test_plain_port_entries_permit(self, entry):
+        assert PolicyRule(to_ports=entry).permits("x", 443)
+
 
 class TestPolicyFile:
     def test_xml_round_trip(self):

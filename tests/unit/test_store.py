@@ -112,8 +112,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             store.add_mismatch(make_record(mismatch=False))
         with pytest.raises(ValueError):
-            store.add_matched(make_record(mismatch=True))
-        with pytest.raises(ValueError):
             store.add_failure("no_such_counter")
         store.close()
         with pytest.raises(StoreError):
