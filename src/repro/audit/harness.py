@@ -361,9 +361,11 @@ class AuditHarness:
     def _classify(
         scenario: AuditScenario, setup: OriginSetup, result: ProbeResult
     ) -> ScenarioObservation:
-        if result.ok:
-            leaf = result.leaf
-            assert leaf is not None
+        leaf = result.leaf
+        if result.ok and leaf is None:
+            outcome = OUTCOME_ERROR
+            evidence = "probe completed, but its Certificate message was empty"
+        elif result.ok:
             if leaf.fingerprint() == setup.chain[0].fingerprint():
                 outcome = OUTCOME_PASS
                 evidence = (

@@ -9,9 +9,10 @@ certificate in the reproduction carries a genuine, verifiable (or
 genuinely broken) signature.
 
 The arithmetic is Python's own integers, except the big modular
-exponentiations of key generation and signing: :mod:`repro.crypto.bignum`
-runs them in the libcrypto that ``hashlib`` already loads, and falls
-back to builtin ``pow``, with the same results, where it cannot.
+exponentiations of key generation and signing and the prime screen's
+stage-2 remainder: :mod:`repro.crypto.bignum` runs them in the
+libcrypto that ``hashlib`` already loads, and falls back to builtin
+``pow`` and ``%``, with the same results, where it cannot.
 
 Key generation is deterministic given a seed, and :class:`KeyStore`
 pools keys by (bits, label) so that a 2048-bit key is generated at most

@@ -99,11 +99,6 @@ class KeyStore:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def preload(self, labels: list[str], bits: int) -> None:
-        """Generate keys for many labels up front (useful before timing)."""
-        for label in labels:
-            self.key(label, bits)
-
 
 _SHARED: dict[int, KeyStore] = {}
 

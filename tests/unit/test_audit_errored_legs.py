@@ -5,7 +5,8 @@ fail the mimicry probe in each way the harness grades: the probe is
 refused (the product blocks the genuine origin), or the substitute
 flight arrives without a certificate or without its ServerHello.  The
 scorecard rows and ``to_dict()`` are compared with values written out
-here, titles and defect codes included.
+here, titles and defect codes included.  An empty certificate list
+also reaches the adversarial scenarios, which grade it ERROR.
 """
 
 import json
@@ -13,7 +14,7 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.audit import AuditHarness, build_scorecard
+from repro.audit import SCENARIOS, AuditHarness, build_scorecard
 from repro.proxy import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.proxy import engine as engine_module
 from repro.tls import codec
@@ -39,6 +40,7 @@ MODERN_ROWS = (
 
 ALERT = "alert: level=2 desc=42"
 MISSING = "substitute flight missing ServerHello or Certificate"
+EMPTY = "probe completed, but its Certificate message was empty"
 CHROME_JA3 = "df54f9c0256380c73f249b47d155517c"
 CHROME_2020_JA3 = "5f7a5ab237ce6011c41705e0599e4485"
 OWN_STACK_JA3 = "47f3216b3c6f3a40cb71cd3002c07ac9"
@@ -337,3 +339,26 @@ class TestIncompleteFlight:
             ),
         }
         assert_exports(card, expected)
+
+
+class TestEmptyCertificateList:
+    """A handshake whose Certificate message lists no certificate is an
+    ok probe with no leaf: each scenario it reaches grades ERROR."""
+
+    def test_scenario_grades_error(self, chrome, empty_chain):
+        observation = chrome.run_scenario(profile(), SCENARIOS[0])
+        assert astuple(observation) == ("baseline", "ERROR", EMPTY)
+
+    def test_audit_product_grades_every_unblocked_scenario_error(
+        self, chrome, empty_chain
+    ):
+        card = chrome.audit_product(profile())
+        refused = "connection refused with a fatal alert (alert: level=2 desc=42)"
+        blocked = ("expired-leaf", "self-signed", "wrong-hostname", "untrusted-ca")
+        expected = [
+            (key, "BLOCK", refused) if key in blocked else (key, "ERROR", EMPTY)
+            for key in [scenario.key for scenario in SCENARIOS[1:]]
+        ]
+        assert [(c.scenario, c.outcome, c.evidence) for c in card.checks] == expected
+        assert not card.functional
+        assert (card.score, card.max_score, card.grade) == (7.0, 17.0, "D")

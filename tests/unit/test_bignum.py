@@ -98,7 +98,8 @@ class TestLoader:
         try:
             import _hashlib
 
-            reachable = hasattr(ctypes.CDLL(_hashlib.__file__), "BN_mod_exp")
+            lib = ctypes.CDLL(_hashlib.__file__)
+            reachable = all(hasattr(lib, name) for name in ("BN_mod_exp", "BN_div"))
         except (ImportError, AttributeError, OSError):
             reachable = False
         assert bool(bignum._load()) == reachable

@@ -152,11 +152,6 @@ class TestKeyStore:
         store.key("b", 512)
         assert len(store) == 2
 
-    def test_preload(self):
-        store = KeyStore()
-        store.preload(["p1", "p2", "p3"], 512)
-        assert len(store) == 3
-
 
 class TestCrtConstants:
     """The CRT constants are precomputed per key, not per signature."""

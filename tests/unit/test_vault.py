@@ -142,7 +142,8 @@ class TestGenerationCounter:
 
     def test_vaultless_store_still_counts(self):
         store = KeyStore(seed=8)
-        store.preload(["p1", "p2"], 512)
+        store.key("p1", 512)
+        store.key("p2", 512)
         assert store.keys_generated == 2
 
 
