@@ -75,6 +75,10 @@ from repro.tls.probe import ProbeClient, ProbeResult
 from repro.tls.server import TlsCertServer
 from repro.util import stable_hash
 
+#: The client bucket every rig's engine serves (the probes stand in for
+#: one install), so the one signing CA per product the battery reads.
+RIG_CLIENT_BUCKET = 0
+
 
 class AuditHarness:
     """Shared state for auditing many products under one seed."""
@@ -110,14 +114,19 @@ class AuditHarness:
     # -- single product ---------------------------------------------------
 
     def warm_product(self, profile: ProxyProfile) -> None:
-        """Pre-generate every signing CA ``profile`` can use.
+        """Pre-generate the signing CA the battery reads for ``profile``.
 
-        Aggregate profiles rotate issuer variants per client bucket;
-        warming every variant into a key vault lets pooled workers
-        load all of them from disk instead of generating any
-        mid-battery.
+        Every rig's engine serves one client bucket, so of an aggregate
+        profile's issuer variants the battery only signs with that
+        bucket's.  Warming exactly that CA into a key vault lets pooled
+        workers load it from disk instead of generating it mid-battery,
+        and generates no key the battery never reads.  Issuer-copying
+        profiles mint CAs keyed on upstream issuers and are not warmed.
         """
-        self.forger.warm(profile)
+        if not profile.copies_upstream_issuer:
+            self.forger.authority_for(
+                profile, profile.issuer_for_bucket(RIG_CLIENT_BUCKET)
+            )
 
     def audit_product(self, profile: ProxyProfile) -> ProductScorecard:
         """Run ``profile`` through the full battery and grade it.
@@ -170,18 +179,24 @@ class AuditHarness:
                 else None
             )
         expected = self.browser.fingerprint()
-        observed = leaf = substitute_hash = None
+        # A hello the product sent upstream is graded even when the
+        # probe then failed, as the server leg grades a captured hello.
+        observed = (
+            fingerprint_client_hello(upstream_hello)
+            if upstream_hello is not None
+            else None
+        )
+        leaf = substitute_hash = None
         if not result.ok or upstream_hello is None:
             error = result.error or "no upstream hello observed"
-        else:
-            observed = fingerprint_client_hello(upstream_hello)
+        elif result.leaf is None or result.server_hello is None:
             error = "substitute flight missing ServerHello or Certificate"
-            if result.leaf is not None and result.server_hello is not None:
-                leaf, error = result.leaf, ""
-                try:
-                    substitute_hash = hash_by_signature_oid(leaf.signature_oid).name
-                except KeyError:
-                    pass
+        else:
+            leaf, error = result.leaf, ""
+            try:
+                substitute_hash = hash_by_signature_oid(leaf.signature_oid).name
+            except KeyError:
+                pass
         client_leg = ClientLegObservation(
             browser=self.browser.key,
             expected_ja3=expected.digest(),
@@ -316,6 +331,7 @@ class AuditHarness:
         engine = TlsProxyEngine(
             profile,
             self.forger,
+            client_bucket=RIG_CLIENT_BUCKET,
             upstream_host=gateway,
             upstream_trust=self.pki.proxy_store(),
             revoked_serials=revoked_serials,
@@ -416,10 +432,11 @@ def audit_catalog(
 
     ``vault`` names a persistent key-vault directory
     (:mod:`repro.crypto.vault`).  Before a pool starts, the parent
-    warms the vault once — audit PKI plus every product's signing CAs —
-    so each worker's harness rebuild loads its RSA material from disk
-    in microseconds instead of regenerating it, which is what lets the
-    battery's wall time actually shrink with worker count.
+    warms the vault once — audit PKI plus the signing CA each product's
+    battery reads — so each worker's harness rebuild loads its RSA
+    material from disk in microseconds instead of regenerating it,
+    which is what lets the battery's wall time actually shrink with
+    worker count.
 
     ``browser`` picks the 2014-era profile the client-leg mimicry
     probe impersonates (:data:`repro.tls.fingerprint.BROWSER_PROFILES`).

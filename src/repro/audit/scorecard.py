@@ -151,9 +151,9 @@ def _leg_check(key: str, outcome: str, points: float, evidence: str) -> CheckRes
     return CheckResult(key, title, defect, outcome, points, 1.0, evidence)
 
 
-def _error_rows(table: dict, evidence: str) -> tuple[CheckResult, ...]:
-    """An errored leg's rows: ERROR, with ``evidence``, for each check."""
-    return tuple(_leg_check(key, OUTCOME_ERROR, 0.0, evidence) for key in table)
+def _error_rows(keys, evidence: str) -> tuple[CheckResult, ...]:
+    """An errored leg's rows: ERROR, with ``evidence``, for each check key."""
+    return tuple(_leg_check(key, OUTCOME_ERROR, 0.0, evidence) for key in keys)
 
 
 def build_client_checks(
@@ -171,10 +171,10 @@ def build_client_checks(
     The version-echo check moved to the server-leg section
     (:func:`build_server_checks`) alongside the other ServerHello
     parameters it actually grades.
+
+    A probe that failed errs the substitute rows; it errs the mimicry
+    row too only when no upstream hello was captured.
     """
-    if observation.error:
-        evidence = f"client-leg probe failed: {observation.error}"
-        return _error_rows(CLIENT_LEG_CHECKS, evidence)
     if not observation.divergent_fields:
         mimicry = _leg_check(
             MIMICRY_KEY,
@@ -193,6 +193,12 @@ def build_client_checks(
             f"{', '.join(observation.divergent_fields)} "
             f"({observation.expected_ja3} != {observation.observed_ja3})",
         )
+    if observation.error:
+        evidence = f"client-leg probe failed: {observation.error}"
+        if observation.observed_ja3 is None:
+            return _error_rows(CLIENT_LEG_CHECKS, evidence)
+        substitute = (SUBSTITUTE_KEY_KEY, SUBSTITUTE_HASH_KEY)
+        return (mimicry, *_error_rows(substitute, evidence))
     bits = observation.substitute_key_bits or 0
     key_points = 1.0 if bits >= 2048 else 0.5 if bits >= 1024 else 0.0
     hash_name = observation.substitute_hash or "unknown"

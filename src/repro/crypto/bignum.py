@@ -18,10 +18,17 @@ argument outside the domain the native calls are made with (for
 ``powmod``, an odd modulus above 1, a base in ``[0, modulus)`` and a
 non-negative exponent; for a remainder, a positive modulus).
 ``ctypes`` is imported on the first call, so a process that never
-exponentiates never loads it.  Each call frees the native state it
-allocates; what outlives a call is the resolved function pointers and
-each ``Dividend``'s BIGNUM, built once on first use and only read
-after that, so threads and forked workers may share them.
+exponentiates never loads it.  What outlives a call is the resolved
+function pointers, each ``Dividend``'s BIGNUM, built once on first use
+and only read after that, so threads and forked workers may share it,
+and one ``BN_CTX`` with four scratch BIGNUMs per thread, allocated on
+that thread's first native call and freed when the thread ends (the
+main thread's at exit).  Every call writes each scratch BIGNUM before
+it reads it, so no value carries from one call to the next, and a
+forked child goes on with its copy of the forking thread's scratch.
+Reusing them, an exponentiation is five foreign calls and a remainder
+three, where allocating and freeing them each time took twelve and
+eight.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ def _load() -> SimpleNamespace | bool:
     return _libcrypto
 
 
-def _to_bn(lib: SimpleNamespace, value: int, size: int):
-    """A new BIGNUM holding ``value`` (``size`` big-endian bytes), or NULL."""
-    return lib.BN_bin2bn(value.to_bytes(size, "big"), size, None)
+def _to_bn(lib: SimpleNamespace, value: int, size: int, into=None):
+    """``into`` (a new BIGNUM if None) set to ``value`` in ``size`` bytes, or NULL."""
+    return lib.BN_bin2bn(value.to_bytes(size, "big"), size, into)
 
 
 def _from_bn(lib: SimpleNamespace, number, size: int) -> int:
@@ -77,6 +84,41 @@ def _from_bn(lib: SimpleNamespace, number, size: int) -> int:
     if lib.BN_bn2binpad(number, out, size) != size:
         raise ArithmeticError("BN_bn2binpad failed")
     return int.from_bytes(out.raw, "big")
+
+
+def _free(lib: SimpleNamespace, ctx, numbers) -> None:
+    # BN_free and BN_CTX_free ignore NULL.
+    for number in numbers:
+        lib.BN_free(number)
+    lib.BN_CTX_free(ctx)
+
+
+class _Scratch:
+    """One thread's ``BN_CTX`` and the BIGNUMs its native calls write."""
+
+    __slots__ = ("ctx", "result", "a", "p", "m", "__weakref__")
+
+    def __init__(self, lib: SimpleNamespace) -> None:
+        ctx = lib.BN_CTX_new()
+        numbers = [lib.BN_new() for _ in range(4)]
+        # Registered before the check, so a partial allocation is freed too.
+        weakref.finalize(self, _free, lib, ctx, numbers)
+        if not (ctx and all(numbers)):
+            raise MemoryError("libcrypto could not allocate a BIGNUM")
+        self.ctx = ctx
+        self.result, self.a, self.p, self.m = numbers
+
+
+_per_thread = threading.local()
+
+
+def _scratch(lib: SimpleNamespace) -> _Scratch:
+    """This thread's scratch, made on its first call."""
+    try:
+        return _per_thread.scratch
+    except AttributeError:
+        _per_thread.scratch = scratch = _Scratch(lib)
+        return scratch
 
 
 def powmod(base: int, exponent: int, modulus: int) -> int:
@@ -93,24 +135,17 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
         and exponent >= 0
     ):
         return pow(base, exponent, modulus)
+    s = _scratch(lib)
     size = (modulus.bit_length() + 7) // 8
-    ctx = result = a = p = m = None
-    try:
-        ctx = lib.BN_CTX_new()
-        result = lib.BN_new()
-        a = _to_bn(lib, base, size)
-        p = _to_bn(lib, exponent, (exponent.bit_length() + 7) // 8)
-        m = _to_bn(lib, modulus, size)
-        if not (ctx and result and a and p and m):
-            raise MemoryError("libcrypto could not allocate a BIGNUM")
-        if not lib.BN_mod_exp(result, a, p, m, ctx):
-            raise ArithmeticError("BN_mod_exp failed")
-        return _from_bn(lib, result, size)
-    finally:
-        # BN_free and BN_CTX_free ignore NULL.
-        for number in (result, a, p, m):
-            lib.BN_free(number)
-        lib.BN_CTX_free(ctx)
+    if not (
+        _to_bn(lib, base, size, s.a)
+        and _to_bn(lib, exponent, (exponent.bit_length() + 7) // 8, s.p)
+        and _to_bn(lib, modulus, size, s.m)
+    ):
+        raise MemoryError("libcrypto could not allocate a BIGNUM")
+    if not lib.BN_mod_exp(s.result, s.a, s.p, s.m, s.ctx):
+        raise ArithmeticError("BN_mod_exp failed")
+    return _from_bn(lib, s.result, size)
 
 
 class Dividend:
@@ -147,18 +182,10 @@ class Dividend:
         if not (lib and isinstance(modulus, int) and modulus > 0):
             return self.value % modulus
         dividend = self._bignum or self._kept(lib)
+        s = _scratch(lib)
         size = (modulus.bit_length() + 7) // 8
-        ctx = result = m = None
-        try:
-            ctx = lib.BN_CTX_new()
-            result = lib.BN_new()
-            m = _to_bn(lib, modulus, size)
-            if not (ctx and result and m):
-                raise MemoryError("libcrypto could not allocate a BIGNUM")
-            if not lib.BN_div(None, result, dividend, m, ctx):
-                raise ArithmeticError("BN_div failed")
-            return _from_bn(lib, result, size)
-        finally:
-            for number in (result, m):
-                lib.BN_free(number)
-            lib.BN_CTX_free(ctx)
+        if not _to_bn(lib, modulus, size, s.m):
+            raise MemoryError("libcrypto could not allocate a BIGNUM")
+        if not lib.BN_div(None, s.result, dividend, s.m, s.ctx):
+            raise ArithmeticError("BN_div failed")
+        return _from_bn(lib, s.result, size)

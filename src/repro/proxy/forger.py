@@ -72,10 +72,12 @@ class SubstituteCertForger:
     def warm(self, profile: ProxyProfile) -> None:
         """Pre-generate every signing CA ``profile`` can reach.
 
-        Aggregate profiles rotate issuer names per client bucket, so a
-        battery (or a worker fleet) that only warms bucket 0 still
-        pays — or races over — the variant CA key generation on first
-        use.  Issuer-copying profiles mint CAs keyed on upstream
+        Aggregate profiles rotate issuer names per client bucket, and a
+        fast-mode study forges for every bucket, so a study's key warm
+        (``StudyRunner.warm_keys``) takes every variant here rather
+        than have its worker fleet generate, or race over, the rest on
+        first use.  The audit battery serves one bucket and warms only
+        that CA.  Issuer-copying profiles mint CAs keyed on upstream
         issuers and cannot be warmed ahead of time.
         """
         if profile.copies_upstream_issuer:

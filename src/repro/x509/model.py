@@ -5,6 +5,16 @@ distinguished names (Issuer Organization / Common Name / OU are the
 classification signals), validity, the RSA public key (key-size
 downgrades), the signature algorithm (MD5 findings), and the
 basicConstraints / subjectAltName extensions.
+
+Every model class is a frozen value, and equal values encode to equal
+DER, so :meth:`TbsCertificate.encode` keeps the DER of each distinct
+name, validity window, public key and extension in a bounded content
+memo keyed on the value itself (``x509.der_parts``, which also keeps
+each key's SHA-1 key identifier), and encodes only the version, serial
+number and signature algorithm of each certificate afresh.  A CA
+issuing hundreds of substitutes re-encodes none of its own name, key
+or constant extensions after the first.  ``to_asn1()`` stays the
+reference encoding that the kept parts are tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.asn1 import oids
+from repro.asn1.der import CLASS_CONTEXT, CONSTRUCTED, TAG_SEQUENCE, encode_tlv
 from repro.asn1.types import (
     Asn1Value,
     BitString,
@@ -31,6 +42,7 @@ from repro.asn1.types import (
     UtcTime,
     Utf8String,
 )
+from repro.util import content_memo
 
 # Attribute OIDs that are encoded as PrintableString by convention.
 _PRINTABLE_ATTRS = {oids.OID_COUNTRY, oids.OID_SERIAL_NUMBER}
@@ -238,6 +250,29 @@ def key_usage_extension(usages: tuple[str, ...], critical: bool = True) -> Exten
     return Extension(oids.OID_EXT_KEY_USAGE, critical, bits.encode())
 
 
+#: Distinct parts whose DER (and keys whose identifier) is kept; past
+#: the bound the oldest goes.
+DER_PARTS_SIZE = 4096
+
+
+def _part_bytes(part) -> int:
+    """About how many bytes a kept part holds: its strings, octets or key."""
+    if isinstance(part, Name):
+        return sum(len(attr.oid) + len(attr.value) for attr in part.attributes)
+    if isinstance(part, Extension):
+        return len(part.oid) + len(part.value)
+    if isinstance(part, SubjectPublicKeyInfo):
+        return (part.n.bit_length() + part.e.bit_length()) // 8
+    return 0  # a Validity: two datetimes
+
+
+@content_memo("x509.der_parts", DER_PARTS_SIZE, size=_part_bytes)
+def _part_der(part) -> bytes:
+    """The DER of a frozen Name, Validity, SubjectPublicKeyInfo or Extension."""
+    return part.to_asn1().encode()
+
+
+@content_memo("x509.der_parts", DER_PARTS_SIZE, size=_part_bytes)
 def _key_identifier(public_key: "SubjectPublicKeyInfo") -> bytes:
     """RFC 5280 method 1: SHA-1 of the subjectPublicKey BIT STRING body."""
     rsa_key = Sequence(
@@ -301,7 +336,31 @@ class TbsCertificate:
         return Sequence(items)
 
     def encode(self) -> bytes:
-        return self.to_asn1().encode()
+        """``to_asn1().encode()``, framed around the kept DER of each part."""
+        validity = self.validity
+        if validity.not_before.fold or validity.not_after.fold:
+            # Equal to a fold-0 window, yet it may fall an hour apart in UTC.
+            validity_der = validity.to_asn1().encode()
+        else:
+            validity_der = _part_der(validity)
+        parts = [
+            ContextExplicit(0, Integer(self.version)).encode(),
+            Integer(self.serial_number).encode(),
+            Sequence([ObjectIdentifier(self.signature_oid), Null()]).encode(),
+            _part_der(self.issuer),
+            validity_der,
+            _part_der(self.subject),
+            _part_der(self.public_key),
+        ]
+        if self.extensions:
+            extensions = b"".join(map(_part_der, self.extensions))
+            parts.append(
+                encode_tlv(
+                    CLASS_CONTEXT | CONSTRUCTED | 3,
+                    encode_tlv(TAG_SEQUENCE, extensions),
+                )
+            )
+        return encode_tlv(TAG_SEQUENCE, b"".join(parts))
 
 
 @dataclass(frozen=True)

@@ -346,20 +346,35 @@ class TestMimicry:
         assert "ClientLeg" in render_audit_grade_table(grade_rows)
 
 
-class TestCatalogWarmup:
-    def test_warm_product_covers_every_issuer_variant(self, harness):
-        """The pre-battery warm-up must mint the CA of *every* issuer
-        variant, not just bucket 0 — otherwise pooled workers find the
-        remaining variant keys missing from the warmed vault and
-        generate them mid-battery."""
-        from repro.data.products import catalog
+def vault_entries(path) -> list[str]:
+    return sorted(entry.name for entry in path.glob("*/*.json"))
 
-        spec = next(s for s in catalog() if s.profile.issuer_variants)
-        profile = spec.profile
-        harness.warm_product(profile)
-        for issuer in profile.all_issuers():
-            cache_key = f"{profile.key}|{issuer.rfc4514()}"
-            assert cache_key in harness.forger._cas
+
+class TestCatalogWarmup:
+    # Catalog products with 4 and 3 issuer variants.
+    VARIANT_PRODUCTS = ["telecom-other", "other-personal-fw"]
+
+    def test_pooled_warm_generates_only_what_a_serial_battery_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """The vault warm ``audit_catalog`` runs before it starts a pool
+        generates exactly the keys a serial battery of the same
+        products generates: the audit PKI and each product's bucket-0
+        signing CA, and no issuer variant that no rig signs with."""
+        monkeypatch.delenv("REPRO_KEY_VAULT", raising=False)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        reports = [
+            audit_catalog(
+                seed=17,
+                workers=workers,
+                products=self.VARIANT_PRODUCTS,
+                pki_key_bits=512,
+                vault=str(vault),
+            )
+            for vault, workers in ((serial, 1), (pooled, 2))
+        ]
+        assert reports[0].scorecards == reports[1].scorecards
+        assert vault_entries(pooled) == vault_entries(serial)
 
     def test_warm_product_plain_profile(self, harness):
         from repro.data.products import catalog

@@ -3,7 +3,9 @@
 No catalog product errs at the pinned seeds, so these tests make one
 fail the mimicry probe in each way the harness grades: the probe is
 refused (the product blocks the genuine origin), or the substitute
-flight arrives without a certificate or without its ServerHello.  The
+flight arrives without a certificate or without its ServerHello.  In
+each, the product has already sent its own upstream hello, so the
+mimicry row is graded from it and only the substitute rows err.  The
 scorecard rows and ``to_dict()`` are compared with values written out
 here, titles and defect codes included.  An empty certificate list
 also reaches the adversarial scenarios, which grade it ERROR.
@@ -45,6 +47,11 @@ CHROME_JA3 = "df54f9c0256380c73f249b47d155517c"
 CHROME_2020_JA3 = "5f7a5ab237ce6011c41705e0599e4485"
 OWN_STACK_JA3 = "47f3216b3c6f3a40cb71cd3002c07ac9"
 OWN_STACK_DIVERGENCE = ["cipher_suites", "extension_types", "groups", "point_formats"]
+# The mimicry row of the product's own-stack hello, for {browser} and {ja3}.
+OWN_STACK_MIMICRY = (
+    "upstream hello diverges from the {browser} profile on cipher_suites, "
+    "extension_types, groups, point_formats ({ja3} != 47f3216b3c6f3a40cb71cd3002c07ac9)"
+)
 CHROME_JA3S = "d01cee0986a20520c1cef0592c675c14"
 CHROME_2020_JA3S = "2ee6fe27c810b4e5919a59c437fcc332"
 CHROME_EXTENSIONS = [65281, 35, 5, 16, 11]
@@ -134,20 +141,29 @@ def check_dicts(rows):
     ]
 
 
-def client_leg(browser, ja3, error, observed=None, divergent=()):
+def client_rows(browser, ja3, error):
+    """The own-stack hello's mimicry row, then the errored substitute rows."""
+    mimicry = CLIENT_ROWS[0] + (
+        "DIVERGENT",
+        0.0,
+        1.0,
+        OWN_STACK_MIMICRY.format(browser=browser, ja3=ja3),
+    )
+    return [mimicry] + error_rows(CLIENT_ROWS[1:], f"client-leg probe failed: {error}")
+
+
+def client_leg(browser, ja3, error):
     return {
         "browser": browser,
         "expected_ja3": ja3,
-        "observed_ja3": observed,
-        "divergent_fields": list(divergent),
+        "observed_ja3": OWN_STACK_JA3,
+        "divergent_fields": OWN_STACK_DIVERGENCE,
         "substitute_key_bits": None,
         "substitute_hash": None,
         "offered_version": [3, 3],
         "echoed_version": None,
         "error": error,
-        "checks": check_dicts(
-            error_rows(CLIENT_ROWS, f"client-leg probe failed: {error}")
-        ),
+        "checks": check_dicts(client_rows(browser, ja3, error)),
     }
 
 
@@ -206,7 +222,7 @@ def head(score, max_score, grade):
 class TestRefusedProbe:
     def test_2014_browser_errs_both_legs(self, chrome):
         card = mimicry_card(chrome, profile(**REFUSING))
-        client = error_rows(CLIENT_ROWS, f"client-leg probe failed: {ALERT}")
+        client = client_rows("chrome", CHROME_JA3, ALERT)
         server = error_rows(SERVER_ROWS, f"server-leg probe failed: {ALERT}")
         assert [astuple(check) for check in card.client_checks] == client
         assert [astuple(check) for check in card.server_checks] == server
@@ -223,6 +239,8 @@ class TestRefusedProbe:
         card = mimicry_card(chrome_2020, profile(**REFUSING))
         rows = SERVER_ROWS + MODERN_ROWS
         server = error_rows(rows, f"server-leg probe failed: {ALERT}")
+        client = client_rows("chrome-2020", CHROME_2020_JA3, ALERT)
+        assert [astuple(check) for check in card.client_checks] == client
         assert [astuple(check) for check in card.server_checks] == server
         expected = {
             **head(0.0, 11.0, "F"),
@@ -245,7 +263,7 @@ class TestRefusedProbe:
 class TestIncompleteFlight:
     def test_empty_chain_errs_the_client_leg_only(self, chrome, empty_chain):
         card = mimicry_card(chrome, profile())
-        client = error_rows(CLIENT_ROWS, f"client-leg probe failed: {MISSING}")
+        client = client_rows("chrome", CHROME_JA3, MISSING)
         # The captured ServerHello is still graded.
         server = [
             (
@@ -300,9 +318,7 @@ class TestIncompleteFlight:
         assert [astuple(check) for check in card.server_checks] == server
         expected = {
             **head(3.0, 8.0, "D"),
-            "client_leg": client_leg(
-                "chrome", CHROME_JA3, MISSING, OWN_STACK_JA3, OWN_STACK_DIVERGENCE
-            ),
+            "client_leg": client_leg("chrome", CHROME_JA3, MISSING),
             "server_leg": {
                 "browser": "chrome",
                 "expected_ja3s": CHROME_JA3S,
@@ -325,15 +341,13 @@ class TestIncompleteFlight:
 
     def test_missing_server_hello_errs_both_legs(self, chrome, certificate_only):
         card = mimicry_card(chrome, profile())
-        client = error_rows(CLIENT_ROWS, f"client-leg probe failed: {MISSING}")
+        client = client_rows("chrome", CHROME_JA3, MISSING)
         server = error_rows(SERVER_ROWS, f"server-leg probe failed: {MISSING}")
         assert [astuple(check) for check in card.client_checks] == client
         assert [astuple(check) for check in card.server_checks] == server
         expected = {
             **head(0.0, 8.0, "F"),
-            "client_leg": client_leg(
-                "chrome", CHROME_JA3, MISSING, OWN_STACK_JA3, OWN_STACK_DIVERGENCE
-            ),
+            "client_leg": client_leg("chrome", CHROME_JA3, MISSING),
             "server_leg": errored_server_leg(
                 "chrome", CHROME_JA3S, 0xC02F, CHROME_EXTENSIONS, MISSING, SERVER_ROWS
             ),

@@ -20,8 +20,15 @@ from repro.x509 import (
     validate_chain,
     verify_certificate_signature,
 )
-from repro.x509.model import Certificate, SubjectPublicKeyInfo, Validity
-from repro.util import memo_counts
+from repro.x509.model import (
+    DER_PARTS_SIZE,
+    Certificate,
+    SubjectPublicKeyInfo,
+    TbsCertificate,
+    Validity,
+    _part_der,
+)
+from repro.util import MEMO_KEY_BYTES, memo_counts
 from repro.x509.parse import PARSE_CACHE_MAX_DER, PARSE_CACHE_SIZE, _parse_der
 from repro.x509.pem import PemError
 from repro.x509.store import VERDICT_MEMO_SIZE
@@ -449,6 +456,54 @@ class TestParseCache:
         info = _parse_der.cache_info()
         assert info.maxsize == PARSE_CACHE_SIZE
         assert info.currsize <= PARSE_CACHE_SIZE
+
+
+class TestDerParts:
+    """``x509.der_parts``: the DER of each distinct part, bounded."""
+
+    @staticmethod
+    def tbs(name: Name) -> TbsCertificate:
+        return TbsCertificate(
+            serial_number=7,
+            signature_oid=oids.OID_SHA256_WITH_RSA,
+            issuer=name,
+            validity=Validity(
+                dt.datetime(2014, 1, 1, tzinfo=dt.timezone.utc),
+                dt.datetime(2016, 1, 1, tzinfo=dt.timezone.utc),
+            ),
+            subject=name,
+            public_key=SubjectPublicKeyInfo(65537 * 3, 3),
+        )
+
+    def test_keeps_at_most_its_bound_oldest_out(self):
+        _part_der.cache_clear()
+        names = [
+            Name.build(common_name=f"host-{index}.example")
+            for index in range(DER_PARTS_SIZE + 8)
+        ]
+        for name in names:
+            _part_der(name)
+        info = _part_der.cache_info()
+        assert (info.maxsize, info.currsize) == (DER_PARTS_SIZE, DER_PARTS_SIZE)
+        _part_der(names[-1])
+        _part_der(names[0])
+        assert _part_der.cache_info()[:2] == (1, DER_PARTS_SIZE + 9)
+
+    def test_a_part_over_the_per_key_cap_is_encoded_but_not_kept(self):
+        cap = _part_der.max_key_bytes
+        assert cap == MEMO_KEY_BYTES // DER_PARTS_SIZE
+        # A name's size is its attributes' OID and value lengths.
+        value_bytes = cap - len(oids.OID_COMMON_NAME)
+        at_cap = Name.build(common_name="a" * value_bytes)
+        over_cap = Name.build(common_name="b" * (value_bytes + 1))
+        counts = {}
+        for name in (at_cap, over_cap):
+            tbs = self.tbs(name)  # issuer and subject: one name, looked up twice
+            _part_der.cache_clear()
+            assert tbs.encode() == tbs.to_asn1().encode()
+            counts[name] = _part_der.cache_info()[:2]
+        assert counts[at_cap] == (1, 3)
+        assert counts[over_cap] == (0, 4)
 
 
 class TestChainMemo:
