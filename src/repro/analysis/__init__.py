@@ -21,33 +21,26 @@ from repro.analysis.malware import MalwareCensus, OddityReport, ip_dispersion_od
 from repro.analysis.mimicry import (
     MimicryCountryRow,
     MimicryPrevalence,
-    ProductVerdict,
     mimicry_prevalence,
 )
 from repro.analysis.negligence import NegligenceReport, analyze_negligence
 from repro.analysis.tables import (
-    audit_grade_table,
     classification_table,
-    client_leg_table,
     country_breakdown,
     heatmap_series,
     host_type_table,
     issuer_organization_table,
-    server_leg_table,
 )
 
 __all__ = [
     "IssuerClassifier",
-    "audit_grade_table",
     "MalwareCensus",
     "MimicryCountryRow",
     "MimicryPrevalence",
     "NegligenceReport",
     "OddityReport",
-    "ProductVerdict",
     "analyze_negligence",
     "classification_table",
-    "client_leg_table",
     "country_breakdown",
     "heatmap_series",
     "host_type_table",
@@ -55,5 +48,4 @@ __all__ = [
     "issuer_organization_table",
     "malware_census",
     "mimicry_prevalence",
-    "server_leg_table",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.audit.scorecard import MimicrySurvey
+from repro.audit.scorecard import MimicryEntry, MimicrySurvey
 from repro.data.countries import country_table
 from repro.data.products import catalog
 
@@ -48,16 +48,6 @@ class MimicryCountryRow:
 
 
 @dataclass(frozen=True)
-class ProductVerdict:
-    """One product's survey verdict, for the report's evidence section."""
-
-    product_key: str
-    category: str
-    detectable: bool
-    reasons: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class MimicryPrevalence:
     """The catalog-wide mimicry-prevalence result for one study."""
 
@@ -67,7 +57,7 @@ class MimicryPrevalence:
     rows: tuple[MimicryCountryRow, ...]
     other: MimicryCountryRow
     total: MimicryCountryRow
-    verdicts: tuple[ProductVerdict, ...]  # catalog order
+    entries: tuple[MimicryEntry, ...]  # the surveyed products, catalog order
 
     def all_rows(self) -> list[MimicryCountryRow]:
         return [*self.rows, self.other, self.total]
@@ -90,12 +80,12 @@ class MimicryPrevalence:
             "total": row_dict(self.total),
             "products": [
                 {
-                    "product": verdict.product_key,
-                    "category": verdict.category,
-                    "detectable": verdict.detectable,
-                    "reasons": list(verdict.reasons),
+                    "product": entry.product_key,
+                    "category": entry.category,
+                    "detectable": entry.detectable,
+                    "reasons": list(entry.detection_reasons),
                 }
-                for verdict in self.verdicts
+                for entry in self.entries
             ],
         }
 
@@ -150,15 +140,6 @@ def mimicry_prevalence(
         )
         return MimicryCountryRow(0, name, proxied, share, detectable)
 
-    verdicts = tuple(
-        ProductVerdict(
-            product_key=spec.key,
-            category=spec.profile.category.value,
-            detectable=entries[spec.key].detectable,
-            reasons=entries[spec.key].detection_reasons,
-        )
-        for spec in surveyed
-    )
     return MimicryPrevalence(
         study=study,
         seed=survey.seed,
@@ -166,5 +147,5 @@ def mimicry_prevalence(
         rows=rows,
         other=aggregate(f"Other ({len(tail)})", tail),
         total=aggregate("Total", shares),
-        verdicts=verdicts,
+        entries=tuple(entries[spec.key] for spec in surveyed),
     )

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.analysis.classifier import IssuerClassifier
-from repro.audit.scorecard import ProductScorecard
 from repro.measure.database import ReportDatabase, ReportTally
 from repro.proxy.profile import ProxyCategory
-from repro.tls.codec import version_name
 
 # Fixed row order of Tables 5 and 6.
 CATEGORY_ORDER: tuple[ProxyCategory, ...] = (
@@ -167,191 +164,6 @@ def host_type_table(database: ReportTally) -> list[HostTypeRow]:
     for host_type, (proxied, total) in sorted(totals.items()):
         if host_type not in order:
             rows.append(HostTypeRow(host_type, total, proxied))
-    return rows
-
-
-@dataclass(frozen=True)
-class AuditGradeRow:
-    """One row of the appliance-audit grade table (Waked et al. style)."""
-
-    rank: int
-    product_key: str
-    category: str
-    grade: str
-    score_percent: float
-    blocked: int
-    passed_through: int
-    masked: int
-    errors: int
-    functional: bool
-    client_score: float = 0.0
-    client_max_score: float = 0.0
-    server_score: float = 0.0
-    server_max_score: float = 0.0
-
-
-def audit_grade_table(scorecards: Sequence[ProductScorecard]) -> list[AuditGradeRow]:
-    """Rank scorecards best-first into the aggregate grade table."""
-    ordered = sorted(
-        scorecards, key=lambda card: (-card.fraction, card.product_key)
-    )
-    return [
-        AuditGradeRow(
-            rank=rank + 1,
-            product_key=card.product_key,
-            category=card.category,
-            grade=card.grade,
-            score_percent=100.0 * card.fraction,
-            blocked=card.blocked,
-            passed_through=card.passed_through,
-            masked=card.masked,
-            errors=card.errors,
-            functional=card.functional,
-            client_score=card.client_score,
-            client_max_score=card.client_max_score,
-            server_score=card.server_score,
-            server_max_score=card.server_max_score,
-        )
-        for rank, card in enumerate(ordered)
-    ]
-
-
-def _version_echo_label(
-    offered: tuple[int, int], echoed: tuple[int, int] | None
-) -> str:
-    """The shared ``echoed`` / ``downgraded X -> Y`` table label."""
-    if echoed == offered:
-        return "echoed"
-    return (
-        f"downgraded {version_name(offered)} -> "
-        f"{version_name(echoed) if echoed else 'nothing'}"
-    )
-
-
-@dataclass(frozen=True)
-class ClientLegRow:
-    """One row of the per-product client-leg divergence table."""
-
-    product_key: str
-    browser: str
-    mimicry: str  # "match" or the diverging fingerprint dimensions
-    observed_ja3: str
-    key_bits: str
-    hash_name: str
-    version_echo: str
-    points: float
-    max_points: float
-
-
-def client_leg_table(scorecards: Sequence[ProductScorecard]) -> list[ClientLegRow]:
-    """The per-product client-leg divergence table, catalog order."""
-    rows: list[ClientLegRow] = []
-    for card in scorecards:
-        observation = card.client_leg
-        if observation is None:
-            continue
-        if observation.error:
-            rows.append(
-                ClientLegRow(
-                    product_key=card.product_key,
-                    browser=observation.browser,
-                    mimicry="error",
-                    observed_ja3="-",
-                    key_bits="-",
-                    hash_name="-",
-                    version_echo="-",
-                    points=card.client_score,
-                    max_points=card.client_max_score,
-                )
-            )
-            continue
-        if observation.divergent_fields:
-            mimicry = "diverges: " + ", ".join(observation.divergent_fields)
-        else:
-            mimicry = "match"
-        version_echo = _version_echo_label(
-            observation.offered_version, observation.echoed_version
-        )
-        rows.append(
-            ClientLegRow(
-                product_key=card.product_key,
-                browser=observation.browser,
-                mimicry=mimicry,
-                observed_ja3=observation.observed_ja3 or "-",
-                key_bits=str(observation.substitute_key_bits or "-"),
-                hash_name=observation.substitute_hash or "unknown",
-                version_echo=version_echo,
-                points=card.client_score,
-                max_points=card.client_max_score,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class ServerLegRow:
-    """One row of the per-product server-leg divergence table."""
-
-    product_key: str
-    browser: str
-    server_hello: str  # "match" or the diverging JA3S dimensions
-    cipher: str
-    version_echo: str
-    compression: str
-    session: str
-    points: float
-    max_points: float
-
-
-def server_leg_table(scorecards: Sequence[ProductScorecard]) -> list[ServerLegRow]:
-    """The per-product server-leg divergence table, catalog order."""
-    rows: list[ServerLegRow] = []
-    for card in scorecards:
-        observation = card.server_leg
-        if observation is None:
-            continue
-        if observation.error:
-            rows.append(
-                ServerLegRow(
-                    product_key=card.product_key,
-                    browser=observation.browser,
-                    server_hello="error",
-                    cipher="-",
-                    version_echo="-",
-                    compression="-",
-                    session="-",
-                    points=card.server_score,
-                    max_points=card.server_max_score,
-                )
-            )
-            continue
-        if observation.divergent_fields:
-            server_hello = "diverges: " + ", ".join(observation.divergent_fields)
-        else:
-            server_hello = "match"
-        version_echo = _version_echo_label(
-            observation.offered_version, observation.echoed_version
-        )
-        chosen = observation.chosen_cipher
-        rows.append(
-            ServerLegRow(
-                product_key=card.product_key,
-                browser=observation.browser,
-                server_hello=server_hello,
-                cipher=f"{chosen:#06x}" if chosen is not None else "-",
-                version_echo=version_echo,
-                compression=(
-                    "null"
-                    if not observation.compression_method
-                    else str(observation.compression_method)
-                ),
-                # The observation records only the length: a granted id
-                # may be freshly minted or echoed, both resumable.
-                session=("granted" if observation.session_id_length else "none"),
-                points=card.server_score,
-                max_points=card.server_max_score,
-            )
-        )
     return rows
 
 

@@ -22,7 +22,6 @@ from repro.asn1.der import (
 from repro.asn1.oids import (
     OID_NAMES,
     oid_name,
-    oid_by_name,
 )
 from repro.asn1.types import (
     Asn1Value,
@@ -72,7 +71,6 @@ __all__ = [
     "decode_all",
     "decode_length",
     "encode_length",
-    "oid_by_name",
     "oid_name",
     "read_tlv",
     "split_tlvs",

@@ -65,20 +65,7 @@ OID_NAMES: dict[str, str] = {
     OID_EXT_EXTENDED_KEY_USAGE: "extendedKeyUsage",
 }
 
-_NAMES_TO_OIDS = {name: oid for oid, name in OID_NAMES.items()}
-
-
 def oid_name(dotted: str) -> str:
     """Return the registered short name for ``dotted``, or ``dotted`` itself."""
     return OID_NAMES.get(dotted, dotted)
 
-
-def oid_by_name(name: str) -> str:
-    """Return the dotted OID registered under ``name``.
-
-    Raises ``KeyError`` for unregistered names; callers that accept
-    arbitrary OIDs should pass dotted strings directly.
-    """
-    if name in _NAMES_TO_OIDS:
-        return _NAMES_TO_OIDS[name]
-    raise KeyError(f"unknown OID name: {name!r}")

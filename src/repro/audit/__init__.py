@@ -47,7 +47,6 @@ from repro.audit.scorecard import (
     ClientLegObservation,
     MIMICRY_KEY,
     MimicryEntry,
-    MimicryProbe,
     MimicrySurvey,
     ModernLegObservation,
     OUTCOME_BLOCK,
@@ -82,7 +81,6 @@ __all__ = [
     "ClientLegObservation",
     "MIMICRY_KEY",
     "MimicryEntry",
-    "MimicryProbe",
     "MimicrySurvey",
     "ModernLegObservation",
     "OUTCOME_BLOCK",

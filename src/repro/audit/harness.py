@@ -34,7 +34,6 @@ from repro.audit.scorecard import (
     AuditReport,
     ClientLegObservation,
     MimicryEntry,
-    MimicryProbe,
     MimicrySurvey,
     ModernLegObservation,
     OUTCOME_BLOCK,
@@ -140,16 +139,16 @@ class AuditHarness:
             observations = [
                 self.run_scenario(profile, scenario) for scenario in SCENARIOS
             ]
-            probe = self.run_mimicry(profile)
+            entry = self.run_mimicry(profile)
         return build_scorecard(
             profile.key,
             profile.category.value,
             observations,
-            client_leg=probe.client_leg,
-            server_leg=probe.server_leg,
+            client_leg=entry.client_leg,
+            server_leg=entry.server_leg,
         )
 
-    def run_mimicry(self, profile: ProxyProfile) -> MimicryProbe:
+    def run_mimicry(self, profile: ProxyProfile) -> MimicryEntry:
         """Probe ``profile`` with a browser hello against a genuine origin.
 
         One probe observes both legs.  Client leg: the fingerprint of
@@ -160,7 +159,8 @@ class AuditHarness:
         ServerHello served back (chosen cipher, extension set, echoed
         version, compression, session-id policy) vs the browser
         profile's *expected* genuine-origin answer — the JA3S-style
-        dual.
+        dual.  :meth:`audit_product` grades the entry into the
+        scorecard; :func:`mimicry_catalog` collects it as it is.
         """
         network, origin, victim, engine = self._make_rig(profile, "mimicry")
         probe = ProbeClient(
@@ -210,7 +210,9 @@ class AuditHarness:
             echoed_version=result.server_hello.version if leaf else None,
             error=error,
         )
-        return MimicryProbe(
+        return MimicryEntry(
+            product_key=profile.key,
+            category=profile.category.value,
             client_leg=client_leg,
             server_leg=self._observe_server_leg(result.server_hello, error, modern),
         )
@@ -302,16 +304,6 @@ class AuditHarness:
             session_id_length=len(served.session_id) if served else None,
             error="" if served else error or "substitute flight missing ServerHello",
             modern=modern,
-        )
-
-    def survey_product(self, spec) -> MimicryEntry:
-        """One product's mimicry probe as a survey entry."""
-        probe = self.run_mimicry(spec.profile)
-        return MimicryEntry(
-            product_key=spec.key,
-            category=spec.profile.category.value,
-            client_leg=probe.client_leg,
-            server_leg=probe.server_leg,
         )
 
     def _make_rig(
@@ -578,4 +570,4 @@ def _audit_task(harness: AuditHarness, product_key: str) -> ProductScorecard:
 
 
 def _survey_task(harness: AuditHarness, product_key: str) -> MimicryEntry:
-    return harness.survey_product(catalog_by_key()[product_key])
+    return harness.run_mimicry(catalog_by_key()[product_key].profile)

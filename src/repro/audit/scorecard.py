@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.audit.scenarios import ADVERSARIAL_SCENARIOS, SCENARIOS, scenario_by_key
+from repro.audit.scenarios import SCENARIOS, scenario_by_key
 from repro.tls.codec import TLS_1_3, WEAK_CIPHER_SUITES, version_name
 
 OUTCOME_BLOCK = "BLOCK"
@@ -711,10 +711,6 @@ class AuditReport:
             histogram[card.grade] += 1
         return histogram
 
-    @property
-    def scenario_count(self) -> int:
-        return len(ADVERSARIAL_SCENARIOS)
-
     def to_dict(self) -> dict:
         client_keys: list[str] = []
         server_keys: list[str] = []
@@ -736,16 +732,12 @@ class AuditReport:
 
 
 @dataclass(frozen=True)
-class MimicryProbe:
-    """Both legs of one mimicry probe against one product."""
-
-    client_leg: ClientLegObservation
-    server_leg: ServerLegObservation
-
-
-@dataclass(frozen=True)
 class MimicryEntry:
-    """One product's mimicry probe, as the prevalence study consumes it."""
+    """Both legs of one product's mimicry probe.
+
+    The battery grades them into the product's scorecard; the
+    prevalence study reads :attr:`detectable` and its reasons.
+    """
 
     product_key: str
     category: str

@@ -304,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--vault", metavar="DIR", required=True)
     warm.add_argument("--seed", type=int, default=42)
     warm.add_argument(
-        "--audit-key-bits",
-        type=int,
-        default=1024,
-        help="PKI key size the audit battery will be run with (default 1024)",
-    )
-    warm.add_argument(
         "--skip-audit",
         action="store_true",
         help="warm only the study keys, not the audit battery's",
@@ -595,11 +589,6 @@ def _run_whitelist(args) -> int:
 def _run_audit(args) -> int:
     import json
 
-    from repro.analysis.tables import (
-        audit_grade_table,
-        client_leg_table,
-        server_leg_table,
-    )
     from repro.audit import ADVERSARIAL_SCENARIOS, audit_catalog
     from repro.reporting import (
         render_audit_grade_table,
@@ -629,13 +618,13 @@ def _run_audit(args) -> int:
         f"+ client-leg checks vs {args.browser} (seed {args.seed})"
     )
     print()
-    print(render_audit_grade_table(audit_grade_table(report.scorecards)))
+    print(render_audit_grade_table(report.scorecards))
     print(f"\n== Client leg: ClientHello mimicry vs {args.browser}, "
           "substitute handshake ==")
-    print(render_client_leg_table(client_leg_table(report.scorecards)))
+    print(render_client_leg_table(report.scorecards))
     print(f"\n== Server leg: substitute ServerHello vs the {args.browser} "
           "origin expectation ==")
-    print(render_server_leg_table(server_leg_table(report.scorecards)))
+    print(render_server_leg_table(report.scorecards))
     histogram = report.grade_histogram()
     print(
         "\ngrades: "
@@ -676,7 +665,7 @@ def _run_mimicry_prevalence(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     prevalence = mimicry_prevalence(survey, study=args.study, top_n=args.top)
-    detectable = [v for v in prevalence.verdicts if v.detectable]
+    detectable = [entry for entry in prevalence.entries if entry.detectable]
     print(
         f"mimicry prevalence: {len(survey.entries)} products probed with a "
         f"{args.browser} hello (study {args.study} market shares, seed "
@@ -688,16 +677,16 @@ def _run_mimicry_prevalence(args) -> int:
         "(share of proxied connections) =="
     )
     print(render_mimicry_prevalence_table(prevalence))
-    hidden = [v for v in prevalence.verdicts if not v.detectable]
+    hidden = [entry for entry in prevalence.entries if not entry.detectable]
     if hidden:
         print(
             "\nindistinguishable server legs: "
-            + ", ".join(v.product_key for v in hidden)
+            + ", ".join(entry.product_key for entry in hidden)
         )
     if detectable:
         print("\ndetectable server legs (diverging dimensions):")
-        for verdict in detectable:
-            print(f"  {verdict.product_key}: {', '.join(verdict.reasons)}")
+        for entry in detectable:
+            print(f"  {entry.product_key}: {', '.join(entry.detection_reasons)}")
     if args.export:
         with open(args.export, "w", encoding="utf-8") as handle:
             json.dump(prevalence.to_dict(), handle, indent=2)
@@ -802,9 +791,7 @@ def _run_keys(args) -> int:
         from repro.audit.harness import AuditHarness
         from repro.data.products import catalog
 
-        harness = AuditHarness(
-            seed=args.seed, pki_key_bits=args.audit_key_bits, vault=args.vault
-        )
+        harness = AuditHarness(seed=args.seed, vault=args.vault)
         for spec in catalog():
             harness.warm_product(spec.profile)
         generated += harness.keystore.keys_generated

@@ -6,6 +6,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.asn1 import oids
+from repro.asn1.types import Null, ObjectIdentifier, Sequence
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,27 @@ HASH_ALGORITHMS: dict[str, HashAlgorithm] = {
 }
 
 _BY_SIGNATURE_OID = {alg.signature_oid: alg for alg in HASH_ALGORITHMS.values()}
+
+
+def _encode_signature_algorithm(signature_oid: str) -> bytes:
+    return Sequence([ObjectIdentifier(signature_oid), Null()]).encode()
+
+
+_SIGNATURE_ALGORITHM_DER = {
+    oid: _encode_signature_algorithm(oid) for oid in _BY_SIGNATURE_OID
+}
+
+
+def signature_algorithm_der(signature_oid: str) -> bytes:
+    """The DER AlgorithmIdentifier ``SEQUENCE { signature_oid, NULL }``.
+
+    Each registered hash's is encoded once, at import; any other OID is
+    encoded per call.
+    """
+    der = _SIGNATURE_ALGORITHM_DER.get(signature_oid)
+    if der is None:
+        der = _encode_signature_algorithm(signature_oid)
+    return der
 
 
 def hash_by_name(name: str) -> HashAlgorithm:

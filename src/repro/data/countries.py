@@ -117,10 +117,6 @@ def country_table(study: int) -> list[CountryCalibration]:
     return list(named) + other_tail(study)
 
 
-def study_totals(study: int) -> CountryCalibration:
-    return STUDY1_TOTAL if study == 1 else STUDY2_TOTAL
-
-
 # The five countries targeted by dedicated mini-campaigns in study 2.
 TARGETED_COUNTRIES: tuple[str, ...] = ("CN", "UA", "RU", "EG", "PK")
 

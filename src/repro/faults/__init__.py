@@ -12,7 +12,6 @@ crash-then-reopen healing and exact loss accounting.
 
 from repro.faults.plan import (
     CRASH_POINTS,
-    GATE_FAULT_KINDS,
     SERVER_FAULT_KINDS,
     WIRE_FAULT_KINDS,
     Backoff,
@@ -36,7 +35,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FaultRelay",
-    "GATE_FAULT_KINDS",
     "ResilientStore",
     "SERVER_FAULT_KINDS",
     "WIRE_FAULT_KINDS",

@@ -40,7 +40,6 @@ from repro.util import stable_hash
 
 WIRE_FAULT_KINDS = ("connect-refused", "reset", "truncate", "corrupt", "stall")
 SERVER_FAULT_KINDS = ("server-5xx", "server-slow", "429")
-GATE_FAULT_KINDS = ("reset", "429", "drop")
 RATE_KINDS = frozenset(WIRE_FAULT_KINDS + SERVER_FAULT_KINDS + ("drop",))
 CRASH_POINTS = ("flush", "rotate", "seal", "compact")
 
@@ -154,9 +153,6 @@ class FaultPlan:
 
     def has_server_faults(self) -> bool:
         return any(self.rates.get(kind, 0.0) > 0 for kind in SERVER_FAULT_KINDS)
-
-    def has_gate_faults(self) -> bool:
-        return any(self.rates.get(kind, 0.0) > 0 for kind in GATE_FAULT_KINDS)
 
     def has_crashes(self) -> bool:
         return bool(self.crash_every)

@@ -84,7 +84,3 @@ class MeasurementRecord:
     chain_valid: bool = False
     via: str = "wire"  # "wire" or "fast"
     product_key: str | None = field(default=None, compare=False)
-
-    @property
-    def chain_length(self) -> int:
-        return 1 + len(self.chain)

@@ -283,12 +283,13 @@ class MeasurementTool:
                         f"report rejected ({response.status}): {response.body[:80]!r}"
                     )
                     return
-                header = response.headers.get("retry-after")
-                if header is not None:
-                    try:
-                        retry_after = max(0, int(header))
-                    except ValueError:
-                        retry_after = None
+                # delay-seconds is 1*DIGIT (RFC 9110 §10.2.3), capped
+                # at 18 digits as Content-Length is; int() alone would
+                # also take "1_0" and "+3".  Anything else, an HTTP-date
+                # included, sets no floor.
+                header = response.headers.get("retry-after", "")
+                if header.isascii() and header.isdigit() and len(header) <= 18:
+                    retry_after = int(header)
                 error = (
                     f"report rejected ({response.status}): {response.body[:80]!r}"
                 )

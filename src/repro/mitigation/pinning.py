@@ -76,6 +76,3 @@ class PinStore:
         if fingerprint in pinned:
             return PinVerdict.OK
         return PinVerdict.VIOLATION
-
-    def pins_for(self, hostname: str) -> set[str]:
-        return set(self._pins.get(hostname, set()))

@@ -302,12 +302,12 @@ class TlsProxyEngine(Interceptor):
         return ClientHello(
             client_random=client_random,
             server_name=server_name,
-            # The stack's own version, capped by the client's offer —
-            # a proxy cannot sensibly negotiate above what the flow it
-            # fronts asked for, and this keeps the historical
+            # The stack's own version, TLS 1.2, capped by the client's
+            # offer — a proxy cannot sensibly negotiate above what the
+            # flow it fronts asked for, and this keeps the historical
             # echo-the-client behaviour for pre-1.2 clients.
-            version=min(client_hello.version, profile.own_tls_version),
-            cipher_suites=profile.own_cipher_suites,
+            version=min(client_hello.version, codec.TLS_1_2),
+            cipher_suites=codec.DEFAULT_CIPHER_SUITES,
             extensions=build_own_stack_extensions(
                 profile.own_extension_types, server_name
             ),
@@ -323,11 +323,10 @@ class TlsProxyEngine(Interceptor):
     # -- Interceptor interface ---------------------------------------------
 
     def intercepts(self, hostname: str, port: int) -> bool:
-        if port not in self.profile.intercept_ports:
-            return False
-        # Whitelisted hosts are still claimed so the engine can relay
-        # them transparently (the client must not see a difference).
-        return True
+        # Every product intercepts TLS on 443 only.  Whitelisted hosts
+        # are still claimed so the engine can relay them transparently
+        # (the client must not see a difference).
+        return port == 443
 
     def accept(
         self, network: Network, client_sock: StreamSocket, hostname: str, port: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.tls.codec import DEFAULT_CIPHER_SUITES, EXT_SERVER_NAME, TLS_1_2, TLS_1_3
+from repro.tls.codec import EXT_SERVER_NAME, TLS_1_2
 from repro.x509.model import Name
 from repro.x509.verify import (
     CHAIN_OF_TRUST_DEFECTS,
@@ -151,7 +151,6 @@ class ProxyProfile:
     forged_upstream: ForgedUpstreamPolicy = ForgedUpstreamPolicy.BLOCK
     injects_root: bool = True  # False models the rogue/compromised-CA path
     whitelist: frozenset[str] = field(default_factory=frozenset)
-    intercept_ports: frozenset[int] = frozenset({443})
     # §7 explicit-proxy proposals: a cooperating proxy self-identifies
     # in its substitute certificates.  None = does not disclose (every
     # product the paper measured).
@@ -174,14 +173,12 @@ class ProxyProfile:
     # hole the audit battery's warm-then-attack probes expose.
     caches_validation: bool = False
     # -- Client-leg posture (mimicry + substitute handshake) ------------
-    # How the origin-facing ClientHello is built.  OWN_STACK with the
-    # defaults below reproduces the engine's historical wire bytes
-    # (DEFAULT_CIPHER_SUITES, SNI-only, client's version capped at
-    # ``own_tls_version`` — TLS 1.2, i.e. a straight echo).
+    # How the origin-facing ClientHello is built.  OWN_STACK sends the
+    # codec's DEFAULT_CIPHER_SUITES and ``own_extension_types`` at the
+    # client's version capped at TLS 1.2; with the default SNI-only
+    # extensions that is the engine's historical wire bytes.
     upstream_hello: UpstreamHelloPolicy = UpstreamHelloPolicy.OWN_STACK
-    own_cipher_suites: tuple[int, ...] = DEFAULT_CIPHER_SUITES
     own_extension_types: tuple[int, ...] = (EXT_SERVER_NAME,)
-    own_tls_version: tuple[int, int] = TLS_1_2
     # The client-facing substitute handshake.  ``substitute_tls_version``
     # None = echo whatever version the client offered (transparent); a
     # fixed value caps the echoed version — the substitute-leg version
@@ -263,12 +260,6 @@ class ProxyProfile:
         if code == DEFECT_REVOKED:
             return self.checks_revocation
         return True
-
-    def intercepts(self, hostname: str, port: int) -> bool:
-        """Whether this product would MitM a connection to hostname:port."""
-        if port not in self.intercept_ports:
-            return False
-        return not self.is_whitelisted(hostname)
 
     def is_whitelisted(self, hostname: str) -> bool:
         hostname = hostname.lower()

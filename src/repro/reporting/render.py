@@ -6,17 +6,21 @@ the paper's table layouts so the two are visually comparable.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from repro.analysis.mimicry import MimicryPrevalence
 from repro.analysis.tables import (
-    AuditGradeRow,
     ClassificationRow,
-    ClientLegRow,
     CountryBreakdown,
     HostTypeRow,
     IssuerRow,
-    ServerLegRow,
 )
-from repro.audit.scorecard import ProductScorecard
+from repro.audit.scorecard import (
+    ClientLegObservation,
+    ProductScorecard,
+    ServerLegObservation,
+)
+from repro.tls.codec import version_name
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -89,109 +93,121 @@ def render_host_type_table(rows: list[HostTypeRow]) -> str:
     )
 
 
-def render_audit_grade_table(rows: list[AuditGradeRow]) -> str:
-    """Aggregate audit grades, best first (Waked et al. Table 9 style)."""
+def _points(score: float, max_score: float) -> str:
+    return f"{score:.1f}/{max_score:.0f}"
+
+
+def _leg_points(score: float, max_score: float) -> str:
+    """A leg's points, or ``-`` for a battery that ran without the leg."""
+    return _points(score, max_score) if max_score else "-"
+
+
+# The grade table's columns after Rank: header -> cell of one scorecard.
+_GRADE_COLUMNS: dict[str, Callable[[ProductScorecard], str]] = {
+    "Product": lambda card: card.product_key,
+    "Category": lambda card: card.category,
+    "Grade": lambda card: card.grade,
+    "Score": lambda card: f"{100.0 * card.fraction:.0f}%",
+    "Blocked": lambda card: str(card.blocked),
+    "Passed": lambda card: str(card.passed_through),
+    "Masked": lambda card: str(card.masked),
+    "Errors": lambda card: str(card.errors),
+    "ClientLeg": lambda card: _leg_points(card.client_score, card.client_max_score),
+    "ServerLeg": lambda card: _leg_points(card.server_score, card.server_max_score),
+    "Functional": lambda card: "yes" if card.functional else "NO",
+}
+
+
+def render_audit_grade_table(scorecards: Sequence[ProductScorecard]) -> str:
+    """Aggregate audit grades, best first (Waked et al. Table 9 style).
+
+    Ranked by score fraction, highest first, then by product key.
+    """
+    ranked = sorted(scorecards, key=lambda card: (-card.fraction, card.product_key))
+    body = [
+        [str(rank), *(cell(card) for cell in _GRADE_COLUMNS.values())]
+        for rank, card in enumerate(ranked, 1)
+    ]
+    return render_table(["Rank", *_GRADE_COLUMNS], body)
+
+
+def _version_echo_label(
+    offered: tuple[int, int], echoed: tuple[int, int] | None
+) -> str:
+    """``echoed``, or ``downgraded X -> Y`` when the leg served another version."""
+    if echoed == offered:
+        return "echoed"
+    return (
+        f"downgraded {version_name(offered)} -> "
+        f"{version_name(echoed) if echoed else 'nothing'}"
+    )
+
+
+def _divergence(fields: tuple[str, ...]) -> str:
+    """``match``, or the fingerprint dimensions that diverge."""
+    return "diverges: " + ", ".join(fields) if fields else "match"
+
+
+# Each leg table's observation columns: header -> cell of one leg
+# observation.  An errored leg prints ``error`` in the first and ``-``
+# in the rest.
+_CLIENT_LEG_COLUMNS: dict[str, Callable[[ClientLegObservation], str]] = {
+    "Mimicry": lambda leg: _divergence(leg.divergent_fields),
+    "KeyBits": lambda leg: str(leg.substitute_key_bits or "-"),
+    "Hash": lambda leg: leg.substitute_hash or "unknown",
+    "VersionEcho": lambda leg: _version_echo_label(
+        leg.offered_version, leg.echoed_version
+    ),
+}
+_SERVER_LEG_COLUMNS: dict[str, Callable[[ServerLegObservation], str]] = {
+    "ServerHello": lambda leg: _divergence(leg.divergent_fields),
+    "Cipher": lambda leg: (
+        "-" if leg.chosen_cipher is None else f"{leg.chosen_cipher:#06x}"
+    ),
+    "VersionEcho": lambda leg: _version_echo_label(
+        leg.offered_version, leg.echoed_version
+    ),
+    "Compression": lambda leg: str(leg.compression_method or "null"),
+    # The observation records only the length: a granted id may be
+    # freshly minted or echoed, both resumable.
+    "Session": lambda leg: "granted" if leg.session_id_length else "none",
+}
+
+
+def _render_leg_table(columns: dict, legs) -> str:
+    """The rows of ``legs``: (product key, observation, points, max points) each.
+
+    A product whose battery ran without the leg (no observation) gets
+    no row.
+    """
     body = []
-    for row in rows:
-        body.append(
-            [
-                str(row.rank),
-                row.product_key,
-                row.category,
-                row.grade,
-                f"{row.score_percent:.0f}%",
-                str(row.blocked),
-                str(row.passed_through),
-                str(row.masked),
-                str(row.errors),
-                (
-                    f"{row.client_score:.1f}/{row.client_max_score:.0f}"
-                    if row.client_max_score
-                    else "-"
-                ),
-                (
-                    f"{row.server_score:.1f}/{row.server_max_score:.0f}"
-                    if row.server_max_score
-                    else "-"
-                ),
-                "yes" if row.functional else "NO",
-            ]
-        )
-    return render_table(
-        [
-            "Rank",
-            "Product",
-            "Category",
-            "Grade",
-            "Score",
-            "Blocked",
-            "Passed",
-            "Masked",
-            "Errors",
-            "ClientLeg",
-            "ServerLeg",
-            "Functional",
-        ],
-        body,
-    )
+    for product_key, leg, score, max_score in legs:
+        if leg is None:
+            continue
+        if leg.error:
+            cells = ["error", *["-"] * (len(columns) - 1)]
+        else:
+            cells = [cell(leg) for cell in columns.values()]
+        body.append([product_key, leg.browser, *cells, _points(score, max_score)])
+    return render_table(["Product", "Browser", *columns, "Points"], body)
 
 
-def render_client_leg_table(rows: list[ClientLegRow]) -> str:
+def render_client_leg_table(scorecards: Sequence[ProductScorecard]) -> str:
     """Per-product client-leg divergence table (mimicry + substitute)."""
-    body = [
-        [
-            row.product_key,
-            row.browser,
-            row.mimicry,
-            row.key_bits,
-            row.hash_name,
-            row.version_echo,
-            f"{row.points:.1f}/{row.max_points:.0f}",
-        ]
-        for row in rows
+    legs = [
+        (card.product_key, card.client_leg, card.client_score, card.client_max_score)
+        for card in scorecards
     ]
-    return render_table(
-        [
-            "Product",
-            "Browser",
-            "Mimicry",
-            "KeyBits",
-            "Hash",
-            "VersionEcho",
-            "Points",
-        ],
-        body,
-    )
+    return _render_leg_table(_CLIENT_LEG_COLUMNS, legs)
 
 
-def render_server_leg_table(rows: list[ServerLegRow]) -> str:
+def render_server_leg_table(scorecards: Sequence[ProductScorecard]) -> str:
     """Per-product server-leg divergence table (substitute ServerHello)."""
-    body = [
-        [
-            row.product_key,
-            row.browser,
-            row.server_hello,
-            row.cipher,
-            row.version_echo,
-            row.compression,
-            row.session,
-            f"{row.points:.1f}/{row.max_points:.0f}",
-        ]
-        for row in rows
+    legs = [
+        (card.product_key, card.server_leg, card.server_score, card.server_max_score)
+        for card in scorecards
     ]
-    return render_table(
-        [
-            "Product",
-            "Browser",
-            "ServerHello",
-            "Cipher",
-            "VersionEcho",
-            "Compression",
-            "Session",
-            "Points",
-        ],
-        body,
-    )
+    return _render_leg_table(_SERVER_LEG_COLUMNS, legs)
 
 
 def render_mimicry_prevalence_table(prevalence: MimicryPrevalence) -> str:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import datetime as _dt
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.asn1.der import TAG_SEQUENCE, encode_tlv
-from repro.asn1.types import BitString, Null, ObjectIdentifier, Sequence
-from repro.crypto.hashes import HashAlgorithm, hash_by_name
+from repro.asn1.types import BitString
+from repro.crypto.hashes import HashAlgorithm, hash_by_name, signature_algorithm_der
 from repro.crypto.rsa import RsaKeyPair, pkcs1_sign
 from repro.x509.model import (
     Certificate,
@@ -35,6 +36,12 @@ from repro.x509.model import (
 
 _DEFAULT_NOT_BEFORE = _dt.datetime(2014, 1, 1, tzinfo=_dt.timezone.utc)
 _DEFAULT_NOT_AFTER = _dt.datetime(2016, 1, 1, tzinfo=_dt.timezone.utc)
+
+# The extensions every CA and every leaf certificate carries.
+_CA_CONSTRAINTS = basic_constraints_extension(ca=True)
+_LEAF_CONSTRAINTS = basic_constraints_extension(ca=False)
+_CA_KEY_USAGE = key_usage_extension(("keyCertSign", "cRLSign"))
+_LEAF_KEY_USAGE = key_usage_extension(("digitalSignature", "keyEncipherment"))
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,13 @@ class CertificateAuthority:
     def name(self) -> Name:
         return self.certificate.subject
 
+    @cached_property
+    def _authority_key_id(self) -> Extension:
+        """The authorityKeyIdentifier of every certificate this CA issues."""
+        return authority_key_identifier_extension(
+            SubjectPublicKeyInfo(self.key.n, self.key.e)
+        )
+
     @classmethod
     def self_signed(cls, params: SelfSignedParams) -> "CertificateAuthority":
         """Create a root CA whose certificate signs itself."""
@@ -85,7 +99,7 @@ class CertificateAuthority:
         if serial is None:
             serial = random.Random(params.key.n & 0xFFFFFFF).getrandbits(63) | 1
         hash_alg = hash_by_name(params.hash_name)
-        extensions: list[Extension] = [basic_constraints_extension(ca=params.is_ca)]
+        extensions = [_CA_CONSTRAINTS if params.is_ca else _LEAF_CONSTRAINTS]
         if params.dns_names:
             extensions.append(subject_alt_name_extension(list(params.dns_names)))
         tbs = TbsCertificate(
@@ -116,16 +130,12 @@ class CertificateAuthority:
         hash_alg = hash_by_name(hash_name)
         if serial_number is None:
             serial_number = self._serial_rng.getrandbits(63) | 1
-        extensions: list[Extension] = [basic_constraints_extension(ca=is_ca)]
         if is_ca:
-            extensions.append(key_usage_extension(("keyCertSign", "cRLSign")))
+            extensions = [_CA_CONSTRAINTS, _CA_KEY_USAGE]
         else:
-            extensions.append(
-                key_usage_extension(("digitalSignature", "keyEncipherment"))
-            )
+            extensions = [_LEAF_CONSTRAINTS, _LEAF_KEY_USAGE]
         extensions.append(subject_key_identifier_extension(public_key))
-        issuer_spki = SubjectPublicKeyInfo(self.key.n, self.key.e)
-        extensions.append(authority_key_identifier_extension(issuer_spki))
+        extensions.append(self._authority_key_id)
         if dns_names:
             extensions.append(subject_alt_name_extension(dns_names))
         extensions.extend(extra_extensions)
@@ -160,13 +170,13 @@ def _sign_tbs(
     signature = pkcs1_sign(key, hash_alg, tbs_der)
     # Frame .raw around the signed bytes (the layout of
     # Certificate.to_asn1), so an issued certificate encodes its TBS once.
-    algorithm = Sequence([ObjectIdentifier(hash_alg.signature_oid), Null()])
+    algorithm = signature_algorithm_der(hash_alg.signature_oid)
     certificate = Certificate(
         tbs=tbs,
         signature_oid=hash_alg.signature_oid,
         signature=signature,
         raw=encode_tlv(
-            TAG_SEQUENCE, tbs_der + algorithm.encode() + BitString(signature).encode()
+            TAG_SEQUENCE, tbs_der + algorithm + BitString(signature).encode()
         ),
     )
     certificate.__dict__["tbs_der"] = tbs_der  # seed the cached property

@@ -10,8 +10,9 @@ Every model class is a frozen value, and equal values encode to equal
 DER, so :meth:`TbsCertificate.encode` keeps the DER of each distinct
 name, validity window, public key and extension in a bounded content
 memo keyed on the value itself (``x509.der_parts``, which also keeps
-each key's SHA-1 key identifier), and encodes only the version, serial
-number and signature algorithm of each certificate afresh.  A CA
+each key's SHA-1 key identifier), and encodes only the version and
+serial number of each certificate afresh; the signature algorithm's
+DER is the one :mod:`repro.crypto.hashes` keeps per hash.  A CA
 issuing hundreds of substitutes re-encodes none of its own name, key
 or constant extensions after the first.  ``to_asn1()`` stays the
 reference encoding that the kept parts are tested against.
@@ -42,6 +43,7 @@ from repro.asn1.types import (
     UtcTime,
     Utf8String,
 )
+from repro.crypto.hashes import signature_algorithm_der
 from repro.util import content_memo
 
 # Attribute OIDs that are encoded as PrintableString by convention.
@@ -346,7 +348,7 @@ class TbsCertificate:
         parts = [
             ContextExplicit(0, Integer(self.version)).encode(),
             Integer(self.serial_number).encode(),
-            Sequence([ObjectIdentifier(self.signature_oid), Null()]).encode(),
+            signature_algorithm_der(self.signature_oid),
             _part_der(self.issuer),
             validity_der,
             _part_der(self.subject),

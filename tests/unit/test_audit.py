@@ -1,6 +1,7 @@
 """Unit tests for the appliance security audit subsystem."""
 
 import json
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.audit import (
     scenario_by_key,
 )
 from repro.audit.scorecard import ScenarioObservation
-from repro.analysis.tables import audit_grade_table, client_leg_table
 from repro.proxy import (
     ForgedUpstreamPolicy,
     ProxyCategory,
@@ -33,8 +33,15 @@ from repro.reporting import (
     render_audit_grade_table,
     render_client_leg_table,
     render_scorecard,
+    render_server_leg_table,
 )
 from repro.x509 import Name
+
+
+def table_rows(text):
+    """A rendered table's header and body rows, each split into cells."""
+    header, _rule, *body = text.splitlines()
+    return [re.split(r" {2,}", line) for line in (header, *body)]
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +210,20 @@ class TestCatalogAudit:
 
     def test_grade_table_and_rendering(self):
         report = audit_catalog(seed=23, products=self.SUBSET, pki_key_bits=512)
-        rows = audit_grade_table(report.scorecards)
-        assert [row.rank for row in rows] == [1, 2, 3, 4]
-        assert rows[0].product_key == "bitdefender"
-        text = render_audit_grade_table(rows)
-        assert "bitdefender" in text and "Grade" in text
+        header, *rows = table_rows(render_audit_grade_table(report.scorecards))
+        assert header[:5] == ["Rank", "Product", "Category", "Grade", "Score"]
+        # Best first: bitdefender blocks every attack, kurupira masks all.
+        assert [row[:2] for row in rows] == [
+            ["1", "bitdefender"],
+            ["2", "posco"],
+            ["3", "contentwatch"],
+            ["4", "kurupira"],
+        ]
+        assert rows[0][3:5] == ["A", "94%"]
+        # Equal fractions rank by product key, whatever the input order.
+        tied = [build_scorecard(key, "Unknown", []) for key in ("zeta", "alpha")]
+        _, *rows = table_rows(render_audit_grade_table(tied))
+        assert [row[:2] for row in rows] == [["1", "alpha"], ["2", "zeta"]]
         detail = render_scorecard(report.by_key()["kurupira"])
         assert "grade F" in detail
         assert "MASK" in detail
@@ -336,14 +352,27 @@ class TestMimicry:
         report = audit_catalog(
             seed=23, products=["bitdefender", "kurupira"], pki_key_bits=512
         )
-        rows = client_leg_table(report.scorecards)
-        assert [row.product_key for row in rows] == ["bitdefender", "kurupira"]
-        assert rows[0].mimicry == "match"
-        assert rows[1].mimicry.startswith("diverges:")
-        text = render_client_leg_table(rows)
-        assert "Mimicry" in text and "kurupira" in text
-        grade_rows = audit_grade_table(report.scorecards)
-        assert "ClientLeg" in render_audit_grade_table(grade_rows)
+        header, *rows = table_rows(render_client_leg_table(report.scorecards))
+        assert header == [
+            "Product", "Browser", "Mimicry", "KeyBits", "Hash", "VersionEcho", "Points",
+        ]
+        # Scorecard order; the mimic matches, the own stack diverges.
+        assert [row[:3] for row in rows] == [
+            ["bitdefender", "chrome", "match"],
+            [
+                "kurupira",
+                "chrome",
+                "diverges: cipher_suites, extension_types, groups, point_formats",
+            ],
+        ]
+        assert [row[-1] for row in rows] == ["2.0/3", "1.0/3"]
+        header, *rows = table_rows(render_server_leg_table(report.scorecards))
+        assert [row[:3] for row in rows] == [
+            ["bitdefender", "chrome", "match"],
+            ["kurupira", "chrome", "diverges: cipher_suite, extension_types"],
+        ]
+        header, *_ = table_rows(render_audit_grade_table(report.scorecards))
+        assert header[-3:] == ["ClientLeg", "ServerLeg", "Functional"]
 
 
 def vault_entries(path) -> list[str]:

@@ -6,12 +6,14 @@ refused (the product blocks the genuine origin), or the substitute
 flight arrives without a certificate or without its ServerHello.  In
 each, the product has already sent its own upstream hello, so the
 mimicry row is graded from it and only the substitute rows err.  The
-scorecard rows and ``to_dict()`` are compared with values written out
-here, titles and defect codes included.  An empty certificate list
-also reaches the adversarial scenarios, which grade it ERROR.
+scorecard rows, ``to_dict()`` and the rendered leg-table rows are
+compared with values written out here, titles and defect codes
+included.  An empty certificate list also reaches the adversarial
+scenarios, which grade it ERROR.
 """
 
 import json
+import re
 from dataclasses import astuple
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.audit import SCENARIOS, AuditHarness, build_scorecard
 from repro.proxy import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.proxy import engine as engine_module
+from repro.reporting import render_client_leg_table, render_server_leg_table
 from repro.tls import codec
 from repro.x509 import Name
 
@@ -110,14 +113,32 @@ def certificate_only(monkeypatch):
 
 
 def mimicry_card(harness, product):
-    probe = harness.run_mimicry(product)
+    entry = harness.run_mimicry(product)
     return build_scorecard(
         product.key,
         product.category.value,
         [],
-        client_leg=probe.client_leg,
-        server_leg=probe.server_leg,
+        client_leg=entry.client_leg,
+        server_leg=entry.server_leg,
     )
+
+
+def rendered_rows(card):
+    """The client- and server-leg table rows of ``card``, split into cells."""
+    return tuple(
+        re.split(r" {2,}", render([card]).splitlines()[2])
+        for render in (render_client_leg_table, render_server_leg_table)
+    )
+
+
+def errored_client_row(browser):
+    """``error``, then ``-`` for key bits, hash and version echo."""
+    return ["errored-leg-product", browser, "error", "-", "-", "-", "0.0/3"]
+
+
+def errored_server_row(browser, max_points):
+    """``error``, then ``-`` for cipher, version echo, compression and session."""
+    return ["errored-leg-product", browser, "error", "-", "-", "-", "-", f"0.0/{max_points}"]
 
 
 def error_rows(rows, evidence):
@@ -234,6 +255,10 @@ class TestRefusedProbe:
             ),
         }
         assert_exports(card, expected)
+        assert rendered_rows(card) == (
+            errored_client_row("chrome"),
+            errored_server_row("chrome", 5),
+        )
 
     def test_tls13_browser_errs_all_eight_server_rows(self, chrome_2020):
         card = mimicry_card(chrome_2020, profile(**REFUSING))
@@ -258,6 +283,10 @@ class TestRefusedProbe:
             },
         }
         assert_exports(card, expected)
+        assert rendered_rows(card) == (
+            errored_client_row("chrome-2020"),
+            errored_server_row("chrome-2020", 8),
+        )
 
 
 class TestIncompleteFlight:
@@ -338,6 +367,17 @@ class TestIncompleteFlight:
             },
         }
         assert_exports(card, expected)
+        served = [
+            "errored-leg-product",
+            "chrome",
+            "diverges: cipher_suite, extension_types",
+            "0x002f",
+            "echoed",
+            "null",
+            "none",
+            "3.0/5",
+        ]
+        assert rendered_rows(card) == (errored_client_row("chrome"), served)
 
     def test_missing_server_hello_errs_both_legs(self, chrome, certificate_only):
         card = mimicry_card(chrome, profile())
@@ -353,6 +393,10 @@ class TestIncompleteFlight:
             ),
         }
         assert_exports(card, expected)
+        assert rendered_rows(card) == (
+            errored_client_row("chrome"),
+            errored_server_row("chrome", 5),
+        )
 
 
 class TestEmptyCertificateList:

@@ -301,6 +301,23 @@ class TestToolSubmitRetries:
         assert outcome.deadline_exhausted == 1
         assert 80 <= outcome.backoff_ticks <= 100
 
+    @pytest.mark.parametrize("header, ticks", [("3", 3), ("1_0", 1), ("+3", 1)])
+    def test_retry_after_is_ascii_digits_or_nothing(self, report_world, header, ticks):
+        """Only delay-seconds (ASCII digits) floors the wait; ``int()``
+        alone would read ``1_0`` as 10 and ``+3`` as 3.  The first
+        unfloored wait is one tick."""
+        server, database, client, body, _registry = report_world
+        from repro.httpmin.codec import HttpResponse
+
+        answers = [HttpResponse(429, headers={"Retry-After": header}, body=b"busy")]
+        server.fault_hook = lambda request, remote: answers.pop() if answers else None
+        tool = MeasurementTool(fault_plan=FaultPlan.parse("retries=8"))
+        outcome = drive(tool.report_task(client, "origin.chaos", body))
+        assert outcome.reports_delivered == 1
+        assert outcome.report_retries == 1
+        assert outcome.backoff_ticks == ticks
+        assert database.total_measurements == 1
+
     def test_permanent_4xx_fails_without_retry(self, report_world):
         _server, database, client, body, _registry = report_world
         tool = MeasurementTool(fault_plan=FaultPlan.parse("retries=8"))

@@ -11,7 +11,7 @@ from repro.audit.scorecard import (
     MimicrySurvey,
     ServerLegObservation,
 )
-from repro.data.products import catalog_by_key
+from repro.data.products import catalog, catalog_by_key
 
 
 def _client_leg() -> ClientLegObservation:
@@ -141,3 +141,13 @@ class TestPrevalence:
             "kurupira",
         }
         assert payload["total"]["proxied"] == first.total.proxied
+
+    def test_products_export_in_catalog_order(self):
+        """A survey of products named out of catalog order (``--product``
+        keeps the given order) still exports them in catalog order."""
+        named = ["md5-legacy", "kurupira", "bitdefender"]
+        survey = _survey([_entry(key) for key in named])
+        payload = mimicry_prevalence(survey, study=1).to_dict()
+        in_catalog = [spec.key for spec in catalog() if spec.key in named]
+        assert in_catalog != named
+        assert [p["product"] for p in payload["products"]] == in_catalog

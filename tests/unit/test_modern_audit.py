@@ -288,9 +288,9 @@ class TestCatalogAnchors:
         assert modern["resumption_honoured"] is True
 
     def test_detection_reasons_gain_modern_signals(self, harness):
-        entry_ok = harness.survey_product(catalog_by_key()["bitdefender"])
+        entry_ok = harness.run_mimicry(catalog_by_key()["bitdefender"].profile)
         assert "alpn" not in entry_ok.detection_reasons
         assert "tls13-downgrade" not in entry_ok.detection_reasons
-        entry_bad = harness.survey_product(catalog_by_key()["kurupira"])
+        entry_bad = harness.run_mimicry(catalog_by_key()["kurupira"].profile)
         assert "alpn" in entry_bad.detection_reasons
         assert "tls13-downgrade" in entry_bad.detection_reasons

@@ -51,17 +51,11 @@ def make_profile(**overrides):
 
 
 class TestProfile:
-    def test_intercepts_tls_port_only(self):
-        profile = make_profile()
-        assert profile.intercepts("any.example", 443)
-        assert not profile.intercepts("any.example", 80)
-
     def test_whitelist_exact_and_subdomain(self):
         profile = make_profile(whitelist=frozenset({"facebook.com"}))
         assert profile.is_whitelisted("facebook.com")
         assert profile.is_whitelisted("www.facebook.com")
         assert not profile.is_whitelisted("notfacebook.com")
-        assert not profile.intercepts("facebook.com", 443)
 
     def test_leaf_key_label_per_bucket(self):
         profile = make_profile()
@@ -394,4 +388,5 @@ class TestEngine:
             RootStore([root_ca.certificate]),
             forger,
         )
+        assert world.engine.intercepts("secure.example", 443)
         assert not world.engine.intercepts("secure.example", 80)
