@@ -14,7 +14,7 @@ from conftest import BENCH_SEED, emit
 
 from repro.analysis.mimicry import mimicry_prevalence
 from repro.audit import mimicry_catalog
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.reporting import render_mimicry_prevalence_table
 
 

@@ -368,7 +368,7 @@ def bench_study(scale: float, measured_parallelism: float) -> dict:
 
 def bench_audit(measured_parallelism: float) -> dict:
     from repro.audit import audit_catalog
-    from repro.obs import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
 
     per_workers = {}
     reports = {}

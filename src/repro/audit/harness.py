@@ -555,14 +555,24 @@ def mimicry_catalog(
     )
     if registry is not None:
         for entry in entries:
+            client, server = entry.client_leg, entry.server_leg
             registry.inc("mimicry.entries")
-            leg = "divergent" if entry.client_leg.divergent_fields else "mimicked"
-            registry.inc("mimicry.client_leg", leg=leg)
-            server = (
-                "divergent" if entry.server_leg.divergent_fields else "mimicked"
+            registry.inc(
+                "mimicry.client_leg",
+                leg=_leg_label(client.observed_ja3 is None, client.divergent_fields),
             )
-            registry.inc("mimicry.server_leg", leg=server)
+            registry.inc(
+                "mimicry.server_leg",
+                leg=_leg_label(bool(server.error), server.divergent_fields),
+            )
     return MimicrySurvey(seed=seed, browser=browser, entries=tuple(entries))
+
+
+def _leg_label(errored: bool, divergent_fields: tuple[str, ...]) -> str:
+    """A mimicry leg's counter label: a leg with no hello to compare errs."""
+    if errored:
+        return "error"
+    return "divergent" if divergent_fields else "mimicked"
 
 
 def _audit_task(harness: AuditHarness, product_key: str) -> ProductScorecard:

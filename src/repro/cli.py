@@ -27,26 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import (
-    analyze_negligence,
-    classification_table,
-    country_breakdown,
-    heatmap_series,
-    host_type_table,
-    issuer_organization_table,
-    malware_census,
-)
-from repro.faults.recovery import database_ops, deliver
-from repro.measure.store import ReportStore, require_empty_store
-from repro.reporting import (
-    render_classification_table,
-    render_country_table,
-    render_heatmap,
-    render_host_type_table,
-    render_issuer_table,
-)
-from repro.study import StudyConfig, StudyRunner
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -350,6 +330,31 @@ def _emit_metrics(snapshot: dict, path: str) -> None:
 
 
 def _run_study(study: int, args) -> int:
+    from repro.analysis import (
+        analyze_negligence,
+        classification_table,
+        country_breakdown,
+        heatmap_series,
+        host_type_table,
+        issuer_organization_table,
+        malware_census,
+    )
+    from repro.faults.recovery import database_ops, deliver
+    from repro.measure.store import (
+        ReportStore,
+        SegmentedStore,
+        load_store,
+        require_empty_store,
+    )
+    from repro.reporting import (
+        render_classification_table,
+        render_country_table,
+        render_heatmap,
+        render_host_type_table,
+        render_issuer_table,
+    )
+    from repro.study import StudyConfig, StudyRunner
+
     try:
         config = StudyConfig(
             study=study,
@@ -381,8 +386,6 @@ def _run_study(study: int, args) -> int:
     if args.report_store:
         # The streaming path: one pass over the segments rebuilds the
         # database, records and tally both, for every table below.
-        from repro.measure.store import SegmentedStore, load_store
-
         db = load_store(args.report_store)
         n_segments = len(SegmentedStore(args.report_store).segment_paths())
         print(
@@ -697,31 +700,30 @@ def _run_mimicry_prevalence(args) -> int:
 
 
 def _run_store(args) -> int:
-    from repro.measure.store import SegmentedStore, StoreError, scan_store
+    from repro.measure.store import ReportStore, SegmentedStore, StoreError, scan_store
     from repro.obs.metrics import MetricsRegistry
 
-    if args.store_command == "compact":
-        store = ReportStore(args.dir)
-        try:
+    obs = MetricsRegistry()
+    try:
+        # Opened first, so a path that is no store is refused, not created.
+        segments = SegmentedStore(args.dir)
+        if args.store_command == "compact":
+            store = ReportStore(args.dir)
             stats = store.compact()
-        except StoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        store.close()
-        n_segments = len(SegmentedStore(args.dir).segment_paths())
+            store.close()
+        else:
+            aggregator = scan_store(args.dir, registry=obs, heal=args.heal)
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    n_segments = len(segments.segment_paths())
+    if args.store_command == "compact":
         print(
             f"store {args.dir}: compacted {stats['rows_before']:,} rows to "
             f"{stats['rows_after']:,} across {n_segments} segments"
         )
         return 0
-    obs = MetricsRegistry()
-    try:
-        aggregator = scan_store(args.dir, registry=obs, heal=args.heal)
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     torn = obs.counter("reports.rejected", reason="torn-segment").value
-    n_segments = len(SegmentedStore(args.dir).segment_paths())
     print(
         f"store {args.dir}: {n_segments} segments, "
         f"{aggregator.total_measurements:,} measurements "
@@ -772,6 +774,8 @@ def _run_keys(args) -> int:
             f"removed {removed}"
         )
         return 0
+
+    from repro.study import StudyConfig, StudyRunner
 
     start = time.perf_counter()
     generated = 0

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.x509.model import Certificate
+if TYPE_CHECKING:
+    from repro.x509.model import Certificate
 
 
 @dataclass(frozen=True)

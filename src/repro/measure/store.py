@@ -311,11 +311,17 @@ class _Shard:
 
 
 class SegmentedStore:
-    """The disk format: per-country directories of JSONL segments."""
+    """The disk format: per-country directories of JSONL segments.
+
+    It opens a store that exists: a path that is not a directory raises
+    :class:`StoreError`, so a mistyped path reads as an error, not as
+    an empty store.  Writers create the directory first.
+    """
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
+        if not self.path.is_dir():
+            raise StoreError(f"report store {str(path)!r} is not a directory")
         self._shards: dict[str, _Shard] = {}
         self._country_shards: dict[str, _Shard] = {}
 
@@ -526,6 +532,7 @@ class ReportStore(ReportSink):
     ) -> None:
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
+        pathlib.Path(path).mkdir(parents=True, exist_ok=True)
         self.segments = SegmentedStore(path)
         self._tally = ReportTally()
         # Matched appends not yet folded into the tally and the shards.
@@ -846,8 +853,10 @@ def require_empty_store(path: str | pathlib.Path) -> None:
     """Refuse a directory that already holds segments.
 
     Studies and exports write a fresh store; appending to an old one
-    would silently fold two datasets together.
+    would silently fold two datasets together.  The directory is
+    created here, so a path no writer can use fails before any work.
     """
+    pathlib.Path(path).mkdir(parents=True, exist_ok=True)
     if SegmentedStore(path).segment_paths():
         raise ValueError(f"report store {str(path)!r} already has segments")
 

@@ -5,33 +5,3 @@ taxonomy, :mod:`repro.obs.export` for the JSON and Prometheus
 exporters, and :mod:`repro.obs.events` for the wire-engine handshake
 event log.
 """
-
-from repro.obs.events import HandshakeEvent, HandshakeEventLog
-from repro.obs.export import read_json, to_json, to_prometheus, write_json
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    SECTION_DETERMINISTIC,
-    SECTION_PROCESS,
-    SECTION_TIMING,
-    SHARD_SESSION_BUCKETS,
-    SpanStats,
-    metric_key,
-)
-
-__all__ = [
-    "HandshakeEvent",
-    "HandshakeEventLog",
-    "Histogram",
-    "MetricsRegistry",
-    "SECTION_DETERMINISTIC",
-    "SECTION_PROCESS",
-    "SECTION_TIMING",
-    "SHARD_SESSION_BUCKETS",
-    "SpanStats",
-    "metric_key",
-    "read_json",
-    "to_json",
-    "to_prometheus",
-    "write_json",
-]

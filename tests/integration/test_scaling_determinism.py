@@ -458,7 +458,7 @@ class TestMetricsDeterminism:
             assert "study.run" in run.metrics["timing"]["spans"]
 
     def test_audit_deterministic_section_worker_invariant(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         snapshots = {}
         for workers in (1, 2):
@@ -483,7 +483,7 @@ class TestMetricsDeterminism:
         ) == len(AUDIT_SUBSET)
 
     def test_mimicry_deterministic_section_worker_invariant(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         subset = ["bitdefender", "kurupira"]
         snapshots = []

@@ -13,7 +13,8 @@ from repro.analysis import (
     issuer_organization_table,
     malware_census,
 )
-from repro.measure import CertSummary, MeasurementRecord, ReportDatabase
+from repro.measure.database import ReportDatabase
+from repro.measure.records import CertSummary, MeasurementRecord
 from repro.proxy.profile import ProxyCategory
 from repro.reporting import (
     render_classification_table,

@@ -18,7 +18,8 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.audit import SCENARIOS, AuditHarness, build_scorecard
+from repro.audit import SCENARIOS, AuditHarness, build_scorecard, mimicry_catalog
+from repro.obs.metrics import MetricsRegistry
 from repro.proxy import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.proxy import engine as engine_module
 from repro.reporting import render_client_leg_table, render_server_leg_table
@@ -110,6 +111,14 @@ def certificate_only(monkeypatch):
         )
 
     monkeypatch.setattr(engine_module._MitmConnection, "_serve_chain", serve)
+
+
+@pytest.fixture
+def no_upstream(monkeypatch):
+    """The product never reaches the origin, so it sends no upstream hello."""
+    monkeypatch.setattr(
+        engine_module._MitmConnection, "_fetch_upstream_chain", lambda self, hello: None
+    )
 
 
 def mimicry_card(harness, product):
@@ -420,3 +429,43 @@ class TestEmptyCertificateList:
         assert [(c.scenario, c.outcome, c.evidence) for c in card.checks] == expected
         assert not card.functional
         assert (card.score, card.max_score, card.grade) == (7.0, 17.0, "D")
+
+
+class TestMimicryCounters:
+    """``mimicry_catalog`` counts a leg with no hello to compare as
+    ``error``, as the prevalence study counts its product detectable
+    for reason ``error``; a captured hello keeps its own label."""
+
+    def survey(self):
+        registry = MetricsRegistry()
+        survey = mimicry_catalog(
+            seed=7, products=["bitdefender"], pki_key_bits=512, registry=registry
+        )
+        (entry,) = survey.entries
+        counters = registry.deterministic_snapshot()["counters"]
+        legs = {
+            key: value
+            for key, value in counters.items()
+            if key.startswith(("mimicry.client_leg", "mimicry.server_leg"))
+        }
+        return entry, legs
+
+    def test_missing_server_hello_counts_the_server_leg_error(self, certificate_only):
+        entry, legs = self.survey()
+        assert entry.server_leg.error == MISSING
+        assert entry.client_leg.observed_ja3 == CHROME_JA3
+        assert entry.detection_reasons == ("error",)
+        assert legs == {
+            "mimicry.client_leg{leg=mimicked}": 1,
+            "mimicry.server_leg{leg=error}": 1,
+        }
+
+    def test_no_upstream_hello_counts_both_legs_error(self, no_upstream):
+        entry, legs = self.survey()
+        assert entry.client_leg.observed_ja3 is None
+        assert entry.server_leg.error
+        assert entry.detection_reasons == ("error",)
+        assert legs == {
+            "mimicry.client_leg{leg=error}": 1,
+            "mimicry.server_leg{leg=error}": 1,
+        }

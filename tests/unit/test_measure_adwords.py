@@ -15,16 +15,16 @@ from repro.faults import database_ops, deliver
 from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.client import HttpClient
 from repro.httpmin.codec import HttpRequest, HttpResponse
-from repro.measure import (
-    CertSummary,
-    MeasurementRecord,
-    MeasurementTool,
-    ReportDatabase,
-    ReportingServer,
-)
 from repro.measure import server as server_module
-from repro.measure.server import REPORT_VERDICTS, CombinedPolicyHttpServer, _judge
-from repro.measure.tool import PEM_BODY_CACHE_SIZE, _pem_body
+from repro.measure.database import ReportDatabase
+from repro.measure.records import CertSummary, MeasurementRecord
+from repro.measure.server import (
+    REPORT_VERDICTS,
+    CombinedPolicyHttpServer,
+    ReportingServer,
+    _judge,
+)
+from repro.measure.tool import PEM_BODY_CACHE_SIZE, MeasurementTool, _pem_body
 from repro.netsim import Network, drive
 from repro.policy.model import PolicyFile
 from repro.policy.server import PolicyServer, _parse_policy, fetch_policy

@@ -14,16 +14,9 @@ from repro.httpmin import HttpRequest, HttpServer
 from repro.measure.database import ReportDatabase
 from repro.measure.server import ReportingServer
 from repro.netsim import Network
-from repro.obs import (
-    HandshakeEventLog,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-    read_json,
-    to_json,
-    to_prometheus,
-    write_json,
-)
+from repro.obs.events import HandshakeEventLog
+from repro.obs.export import read_json, to_json, to_prometheus, write_json
+from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 
 
 class TestMetricKey:

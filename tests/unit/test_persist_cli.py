@@ -1,16 +1,24 @@
 """Tests for study exports (report stores) and the command-line interface."""
 
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.measure.store import StoreError, load_store
+from repro.measure.store import StoreError, iter_store_mismatches, load_store, scan_store
 from repro.obs.metrics import MetricsRegistry
 from repro.study import StudyConfig, StudyRunner
 from repro.study.whitelist import run_whitelist_experiment
 
 SEED, SCALE = 13, 0.005
+# The tree this process imported ``repro`` from, for the subprocess checks.
+SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +86,21 @@ class TestPersistence:
             assert main(["store", command, "--dir", str(path)]) == 2
             assert "unknown row type" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("occupant", ["nothing", "file"])
+    def test_path_that_is_no_store_rejected(self, capsys, tmp_path, occupant):
+        path = tmp_path / "typo"
+        if occupant == "file":
+            path.write_text("{}\n")
+        for read in (scan_store, load_store, lambda p: list(iter_store_mismatches(p))):
+            with pytest.raises(StoreError, match="not a directory"):
+                read(path)
+        for command in ("scan", "compact"):
+            assert main(["store", command, "--dir", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "not a directory" in captured.err
+            assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == ([path] if occupant == "file" else [])
+
     def test_export_is_identical_at_any_worker_count(self, tmp_path):
         trees = []
         for workers in (1, 2):
@@ -105,6 +128,46 @@ class TestPersistence:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "running study" not in captured.out
+
+
+def modules_after(script, *args):
+    """The modules a fresh interpreter has loaded once ``script`` ran."""
+    script = f"import sys\n{textwrap.dedent(script)}\nprint(*sorted(sys.modules))\n"
+    run = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return run.stdout.splitlines()[-1].split()
+
+
+class TestImportGraph:
+    """The store path loads the store, not the layers it never runs."""
+
+    def test_store_import_loads_no_other_layer(self):
+        loaded = modules_after("import repro.measure.store")
+        layers = "asn1 crypto x509 tls netsim httpmin policy faults study data".split()
+        foreign = [
+            name
+            for name in loaded
+            if name.split(".")[0] in ("numpy", "ctypes")
+            or name.split(".")[:2] in [["repro", layer] for layer in layers]
+        ]
+        assert foreign == []
+
+    def test_store_scan_loads_no_study_stack(self, export_dir):
+        script = """
+            from repro.cli import main
+
+            assert main(["store", "scan", "--dir", sys.argv[1]]) == 0
+        """
+        loaded = modules_after(script, str(export_dir))
+        assert "repro.measure.store" in loaded
+        assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
+        assert [name for name in loaded if name.startswith("repro.study")] == []
 
 
 class TestCli:
