@@ -10,13 +10,9 @@ from conftest import emit
 from repro.crypto.keystore import KeyStore
 from repro.data.sites import ProbeSite
 from repro.netsim import Network
-from repro.proxy import (
-    ForgedUpstreamPolicy,
-    ProxyCategory,
-    ProxyProfile,
-    SubstituteCertForger,
-    TlsProxyEngine,
-)
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.study.webpki import build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer

@@ -50,7 +50,7 @@ def test_negligence_study1(benchmark, study1, study2, scale, output_dir):
     if scale >= 0.2:
         # IopFail's shared 512-bit key becomes detectable with volume;
         # check over both studies (21 + 18 connections at full scale).
-        from repro.faults import database_ops, deliver
+        from repro.faults.recovery import database_ops, deliver
         from repro.measure.database import ReportDatabase
 
         merged = ReportDatabase()

@@ -186,10 +186,9 @@ class LegacyFastRunner(StudyRunner):
         if profile.is_whitelisted(site.hostname):
             database.add_matched_bulk(country, site.host_type, site.hostname, 1)
             return
-        upstream_leaf = self.pki.leaf_for(site.hostname)
         forged = self.forger.forge(
             profile,
-            upstream_leaf,
+            self.site_leaves[site.hostname],
             site.hostname,
             site_ip=self.site_ips[site.hostname],
             client_bucket=bucket,
@@ -450,7 +449,9 @@ def bench_vault(scale: float) -> dict:
                 "wall_time_s": round(wall, 3),
                 "measurements": result.database.total_measurements,
                 "aggregate_signature": result.database.aggregate_signature(),
-                "parent_keys_generated": result.notes["keys_generated"],
+                # A sharded run's count includes its workers' keys.
+                "parent_keys_generated": result.notes["keys_generated"]
+                - (result.notes.get("worker_keys_generated") or 0),
                 "worker_keys_generated": result.notes.get("worker_keys_generated"),
             }
         return {

@@ -20,7 +20,7 @@ Run:  python examples/dns_hijack_sendori.py
 from repro.crypto.keystore import KeyStore
 from repro.data.sites import ProbeSite
 from repro.netsim import Network
-from repro.proxy import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
+from repro.proxy.profile import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.proxy.forger import SubstituteCertForger
 from repro.proxy.engine import TlsProxyEngine
 from repro.study.webpki import build_web_pki

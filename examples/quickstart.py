@@ -12,7 +12,9 @@ Run:  python examples/quickstart.py
 from repro.crypto.keystore import KeyStore
 from repro.data.sites import ProbeSite
 from repro.netsim import Network
-from repro.proxy import ProxyCategory, ProxyProfile, SubstituteCertForger, TlsProxyEngine
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import ProxyCategory, ProxyProfile
 from repro.study.webpki import build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer

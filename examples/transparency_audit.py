@@ -13,7 +13,8 @@ Run:  python examples/transparency_audit.py
 from repro.crypto.keystore import KeyStore
 from repro.data.sites import ProbeSite
 from repro.mitigation.ctlog import CtLog, CtMonitor, verify_inclusion
-from repro.proxy import ProxyCategory, ProxyProfile, SubstituteCertForger
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import ProxyCategory, ProxyProfile
 from repro.study.webpki import build_web_pki
 from repro.x509 import Name
 

@@ -10,9 +10,9 @@ every table and figure in the paper's evaluation.
 Typical entry points:
 
 * :class:`repro.study.StudyRunner` — run measurement study 1 or 2.
-* :class:`repro.tls.ProbeClient` — the partial-handshake certificate
+* :class:`repro.tls.probe.ProbeClient` — the partial-handshake certificate
   probe at the heart of the method.
-* :class:`repro.proxy.TlsProxyEngine` — an interception product on a
+* :class:`repro.proxy.engine.TlsProxyEngine` — an interception product on a
   netsim path.
 * :mod:`repro.analysis` — classification, country/host-type tables,
   negligence and malware forensics.

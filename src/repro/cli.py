@@ -367,8 +367,10 @@ def _run_study(study: int, args) -> int:
             report_store=args.report_store,
             faults=args.faults,
         )
-        if args.export:
-            require_empty_store(args.export)
+        # A store no writer can use fails here, before any work.
+        for store in (args.export, args.report_store):
+            if store:
+                require_empty_store(store)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,14 +10,30 @@ between modes for the same inputs.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Protocol
 
 from repro.crypto.keystore import KeyStore
 from repro.crypto.rsa import synthetic_public_key
 from repro.proxy.profile import ProxyProfile, SubjectRewrite
 from repro.util import stable_hash
 from repro.x509.ca import CertificateAuthority, SelfSignedParams
-from repro.x509.model import Certificate, Name, SubjectPublicKeyInfo
+from repro.x509.model import Certificate, Name, SubjectPublicKeyInfo, Validity
+
+
+class UpstreamLeaf(Protocol):
+    """What a substitute reads off the origin's leaf: never its key or signature.
+
+    A parsed :class:`~repro.x509.model.Certificate` on the engine's
+    path, a key-free :class:`~repro.study.webpki.SiteLeaf` in a fast
+    study.
+    """
+
+    issuer: Name
+    subject: Name
+    dns_names: Sequence[str]
+    validity: Validity
 
 
 @dataclass(frozen=True)
@@ -104,17 +120,19 @@ class SubstituteCertForger:
     def forge(
         self,
         profile: ProxyProfile,
-        upstream_leaf: Certificate,
+        upstream_leaf: UpstreamLeaf,
         hostname: str,
         site_ip: str = "198.51.100.1",
         client_bucket: int = 0,
     ) -> ForgedCertificate:
         """Produce the substitute certificate ``profile`` would emit.
 
-        ``upstream_leaf`` is the certificate the proxy itself received
-        from the origin; profiles copy or rewrite its fields per their
-        quirks.  ``client_bucket`` selects the leaf-key pool slot
-        (stand-in for "which install generated this key").
+        ``upstream_leaf`` is the leaf the proxy itself received from
+        the origin: anything with ``issuer``, ``subject``, ``dns_names``
+        and ``validity`` (:class:`UpstreamLeaf`), the only fields a
+        profile copies or rewrites per its quirks.  ``client_bucket``
+        selects the leaf-key pool slot (stand-in for "which install
+        generated this key").
 
         Results are cached: all inputs (including the substitute serial
         number, derived from profile/host/bucket) are deterministic, so
@@ -186,7 +204,7 @@ class SubstituteCertForger:
     def _subject_for(
         self,
         profile: ProxyProfile,
-        upstream_leaf: Certificate,
+        upstream_leaf: UpstreamLeaf,
         hostname: str,
         site_ip: str,
     ) -> tuple[Name, list[str] | None]:

@@ -6,11 +6,14 @@ whether bytes actually cross the simulated network:
 
 * **wire** — every measurement runs the full §3 pipeline on netsim
   sockets: policy check, partial TLS handshake through a real MitM
-  engine, HTTP report.  Used at small scale and by the tests.
+  engine, HTTP report.  Used at small scale and by the tests.  The
+  leg lives in :mod:`repro.study.wire`, which only a wire-mode runner
+  loads, and only it signs the web PKI.
 * **fast** — the same sampling and the same forger, but matched
   traffic is aggregated per (country, site) and substitute
-  certificates are generated without the socket dance.  Reaches the
-  paper's 12.3M-measurement scale.
+  certificates are forged from each site's key-free
+  :class:`~repro.study.webpki.SiteLeaf` without the socket dance.
+  Reaches the paper's 12.3M-measurement scale.
 
 Fast mode is *sharded by country, work-stolen by sub-shard*: the
 global session multinomial is drawn once, then every country plan
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -48,28 +51,18 @@ from repro.adwords.campaign import AdCampaign, CampaignOutcome, run_study2_campa
 from repro.crypto.keystore import KeyStore
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import FaultGate, ResilientStore, database_ops, deliver
-from repro.faults.wire import FaultRelay, server_fault_hook
 from repro.data import countries as country_data
 from repro.data import products as product_data
 from repro.data import sites as site_data
 from repro.data.sites import ProbeSite
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
-from repro.measure.server import CombinedPolicyHttpServer, ReportingServer
 from repro.measure.store import ReportStore, require_empty_store
-from repro.measure.tool import MeasurementTool
-from repro.netsim.loop import WireScheduler
-from repro.netsim.network import Network, PathHop
 from repro.obs.metrics import SHARD_SESSION_BUCKETS, MetricsRegistry
-from repro.policy.model import PolicyFile
-from repro.policy.server import PolicyServer
 from repro.pool import ordered_map
-from repro.population.model import ClientPopulation, ClientProfile
-from repro.proxy.engine import TlsProxyEngine
+from repro.population.model import ClientPopulation
 from repro.proxy.forger import SubstituteCertForger
-from repro.study.webpki import WebPki, build_web_pki
-from repro.tls.probe import ProbeClient
-from repro.tls.server import TlsCertServer
+from repro.study.webpki import WebPki, build_web_pki, site_leaves
 from repro.util import memo_counts, stable_hash
 
 # Per-study completion constants (§4.1/§4.2 totals; see data.sites).
@@ -160,7 +153,6 @@ class StudyResult:
     database: ReportDatabase
     campaigns: list[CampaignOutcome]
     population: ClientPopulation
-    pki: WebPki
     sites: list[ProbeSite]
     sessions_run: int = 0
     notes: dict[str, object] = field(default_factory=dict)
@@ -184,7 +176,9 @@ class StudyRunner:
             if config.study == 1
             else site_data.study2_probe_sites()
         )
-        self.pki = build_web_pki(self.keystore, self.sites, seed=config.seed)
+        # What a proxy reads off each site's leaf; fast mode forges
+        # from these and never signs the web PKI (``pki``).
+        self.site_leaves = site_leaves(self.sites, config.seed)
         self.site_ips = {
             site.hostname: f"203.0.113.{10 + index}"
             for index, site in enumerate(self.sites)
@@ -206,16 +200,29 @@ class StudyRunner:
         # determinism property uses to prove results are
         # schedule-independent.
         self._wire_shuffle: random.Random | None = None
+        self._wire_leg = None
+        if config.mode == "wire":
+            # Set-up of a wire study: load its leg and sign the web PKI
+            # here, so neither is paid inside ``run()``.
+            from repro.study import wire
+
+            self._wire_leg = wire
+            self.pki
+
+    @cached_property
+    def pki(self) -> WebPki:
+        """The signed web PKI, built on first use: six CA keys."""
+        return build_web_pki(self.keystore, self.sites, seed=self.config.seed)
 
     def warm_keys(self) -> None:
-        """Touch every RSA key a fast run can need.
+        """Touch every RSA key a study can need.
 
-        The web-PKI keys were already generated (or vault-loaded) when
-        this runner was built; this adds every product's signing-CA
-        keys, including issuer variants and — for issuer-copying
-        profiles — the CAs minted per upstream intermediate.  With a
-        vault attached the material persists, so worker processes and
-        later runs load it instead of re-running Miller–Rabin.
+        That is the web-PKI keys a wire study signs with, and every
+        product's signing-CA keys, including issuer variants and — for
+        issuer-copying profiles — the CAs minted per upstream
+        intermediate.  With a vault attached the material persists, so
+        worker processes and later runs load it instead of re-running
+        Miller–Rabin.
         """
         upstream_issuers = {
             self.pki.leaf_for(site.hostname).issuer.rfc4514(): self.pki.leaf_for(
@@ -290,13 +297,12 @@ class StudyRunner:
             database=database,
             campaigns=campaigns,
             population=population,
-            pki=self.pki,
             sites=self.sites,
         )
         memos_before = memo_counts()
         with self.obs.span("study.run", mode=config.mode):
             if config.mode == "wire":
-                self._run_wire(result)
+                self._wire_leg.run_wire(self, result)
             else:
                 self._run_fast(result)
         # The memos are process-global, so their hits depend on what
@@ -314,164 +320,6 @@ class StudyRunner:
         self.obs.process_counter("forger.cache_hits").inc(self.forger.cache_hits)
         result.metrics = self.obs.snapshot()
         return result
-
-    # -- wire mode ------------------------------------------------------------------
-
-    def _run_wire(self, result: StudyResult) -> None:
-        """Wire mode: plan all sessions, then run them on the scheduler.
-
-        Planning and execution are strictly separated so concurrency
-        cannot touch the sampling streams: every draw from the session
-        rng (client sampling, per-site completion) happens in one
-        serial pass, which appends each session to its client host's
-        chain.  Each chain is one :class:`WireScheduler` task that runs
-        its client's sessions in order, so every interception engine
-        sees its connections in plan order and per-engine handshake
-        event logs are the same at any admission cap
-        (``wire_concurrency``).  So are the report multiset, the
-        deterministic metrics and ``aggregate_signature()``; only
-        wall-clock and loop ticks change.
-        """
-        config = self.config
-        population = result.population
-        network = Network()
-        with self.obs.span("study.wire_setup"):
-            server = self._build_wire_network(network, result)
-        rng = random.Random(stable_hash(config.seed, "wire-sessions"))
-        plan = config.fault_plan()
-        self._fault_hop = None
-        # One store for every client's engine: no engine changes its
-        # roots, so a chain verdict reached for one client serves all.
-        self._upstream_trust = self.pki.root_store()
-        tool = MeasurementTool(registry=self.obs, fault_plan=plan)
-        if plan is not None:
-            if plan.has_wire_faults():
-                # One shared on-path hop: every client's route to the
-                # reporting server crosses the fault relay.
-                relay = FaultRelay(
-                    plan, self.obs, hostname=site_data.AUTHORS_SITE, port=80
-                )
-                self._fault_hop = PathHop("chaos-relay")
-                self._fault_hop.add_interceptor(relay)
-            if plan.has_server_faults():
-                server.fault_hook = server_fault_hook(plan, self.obs)
-        client_hosts: dict[tuple[str, int], object] = {}
-
-        n_sessions = self.total_sessions()
-        c_sessions = self.obs.counter("study.sessions", mode="wire")
-        site_odds = list(zip(self.sites, self._site_probs.tolist()))
-        failures = result.database.failures
-
-        def chain(client, work):
-            for product_key, chosen, ordinal in work:
-                outcome = yield from tool.session_task(
-                    client,
-                    chosen,
-                    product_key=product_key,
-                    session_ordinal=ordinal,
-                )
-                failures.policy_denied += outcome.policy_denied
-                failures.connect_failed += outcome.connect_failed
-                failures.probe_failed += outcome.probe_failed
-                failures.report_failed += outcome.report_failed
-                result.sessions_run += 1
-                c_sessions.inc()
-
-        with self.obs.span("study.wire_sessions"):
-            # Planning pass: every rng draw, in the historical order.
-            chains: dict[object, list[tuple[str | None, list[ProbeSite], int]]] = {}
-            for ordinal in range(n_sessions):
-                failures.sessions_started += 1
-                profile = population.sample_client(rng)
-                client = self._client_host(network, profile, client_hosts)
-                chosen = [site for site, odds in site_odds if rng.random() < odds]
-                if chosen:
-                    chains.setdefault(client, []).append(
-                        (profile.product_key, chosen, ordinal)
-                    )
-            scheduler = WireScheduler(
-                network, max_active=config.wire_concurrency, shuffle=self._wire_shuffle
-            )
-            for client, work in chains.items():
-                scheduler.spawn(partial(chain, client, work), label=client.hostname)
-            scheduler.run()
-        # Task failures are deterministic (a session crash is a bug,
-        # not a scheduling artefact), so the counter lives in the
-        # deterministic section.  Loop ticks, queue depth and chains
-        # in flight depend on the admission cap by definition, so they
-        # land in the process section.
-        self.obs.counter("loop.task_failures").inc(scheduler.task_failures)
-        self.obs.process_counter("loop.ticks").inc(scheduler.ticks)
-        self.obs.process_counter("loop.completed").inc(scheduler.completed)
-        self.obs.process_gauge("wire.chains_peak_active").set(scheduler.peak_active)
-        self.obs.process_gauge("wire.queue_depth_peak").set(
-            network.queue.max_depth
-        )
-        self.obs.process_counter("wire.queue_delivered").inc(
-            network.queue.delivered
-        )
-        self.obs.process_counter("wire.queue_dropped").inc(network.queue.dropped)
-        result.notes["reporting_server"] = server
-        result.notes["wire_concurrency"] = config.wire_concurrency
-        result.notes["wire_client_hosts"] = client_hosts
-
-    def _build_wire_network(self, network: Network, result: StudyResult):
-        """Sites, policy servers and the reporting stack."""
-        population = result.population
-        server = ReportingServer(
-            result.database,
-            population.build_geoip(),
-            study=self.config.study,
-            campaign=self.campaign_for("??"),
-            public_roots=self.pki.root_store(),
-            registry=self.obs,
-        )
-        permissive = PolicyFile.permissive("443")
-        for site in self.sites:
-            host = network.add_host(site.hostname, ip=self.site_ips[site.hostname])
-            tls = TlsCertServer(self.pki.chain_for(site.hostname))
-            host.listen(443, tls.factory)
-            if site.hostname == site_data.AUTHORS_SITE:
-                combined = CombinedPolicyHttpServer(permissive, server.http)
-                host.listen(80, combined.factory)
-            else:
-                policy = PolicyServer(permissive)
-                host.listen(843, policy.factory)
-        # Authoritative leaves, captured from a clean vantage point.
-        vantage = network.add_host("vantage.measurement.example")
-        probe = ProbeClient(vantage, registry=self.obs)
-        for site in self.sites:
-            sample = probe.probe(site.hostname, 443)
-            if not sample.ok:
-                raise RuntimeError(f"vantage probe failed for {site.hostname}")
-            server.expect(site.hostname, sample.leaf.fingerprint(), site.host_type)
-        return server
-
-    def _client_host(self, network: Network, profile: ClientProfile, cache: dict):
-        key = (profile.country, profile.client_index)
-        host = cache.get(key)
-        if host is not None:
-            return host
-        hostname = f"client-{profile.country}-{profile.client_index}.example"
-        host = network.add_host(hostname, ip=profile.ip)
-        if getattr(self, "_fault_hop", None) is not None:
-            host.access_path.append(self._fault_hop)
-        if profile.product_key is not None:
-            spec = self._catalog[profile.product_key]
-            engine = TlsProxyEngine(
-                spec.profile,
-                self.forger,
-                upstream_host=host,
-                upstream_trust=self._upstream_trust,
-                client_bucket=profile.client_bucket,
-                rng=random.Random(
-                    stable_hash(self.config.seed, "engine", profile.country, profile.client_index)
-                ),
-                registry=self.obs,
-            )
-            host.add_interceptor(engine)
-        cache[key] = host
-        return host
 
     # -- fast mode -----------------------------------------------------------------
 
@@ -558,10 +406,10 @@ class StudyRunner:
         configured, the parent warms every key first so workers load
         material from disk instead of regenerating it (their
         ``keys_generated`` deltas come back in the outcomes, which the
-        warm-vault tests pin to zero).  Forge-counter deltas fold back
-        into this runner's forger so ``run()`` notes stay meaningful;
-        cache hits are per-process, hence lower than a single shared
-        cache would score.
+        warm-vault tests pin to zero, and add to this runner's count).
+        Forge-counter deltas fold back into this runner's forger so
+        ``run()`` notes stay meaningful; cache hits are per-process,
+        hence lower than a single shared cache would score.
         """
         config = self.config
         if self.keystore.vault is not None:
@@ -583,6 +431,10 @@ class StudyRunner:
             self.forger.certificates_forged += outcome.certificates_forged
             self.forger.cache_hits += outcome.cache_hits
         self._worker_keys_generated = sum(o.keys_generated for o in outcomes)
+        # The workers' keygen is this run's keygen: count it here too.
+        self.obs.process_counter("keystore.keys_generated").inc(
+            self._worker_keys_generated
+        )
         return outcomes
 
     def _run_fast_shard(
@@ -735,7 +587,7 @@ class StudyRunner:
             return cached
         forged = self.forger.forge(
             spec.profile,
-            self.pki.leaf_for(site.hostname),
+            self.site_leaves[site.hostname],
             site.hostname,
             site_ip=self.site_ips[site.hostname],
             client_bucket=bucket,
@@ -807,8 +659,8 @@ class FastShardOutcome:
 def _fast_worker(config: StudyConfig) -> tuple[StudyRunner, ClientPopulation]:
     """A pool worker's runner and population, built once per process.
 
-    PKI and CA key generation thus amortise over every shard the
-    worker pulls.
+    CA key generation thus amortises over every shard the worker
+    pulls.
     """
     runner = StudyRunner(config)
     population = ClientPopulation(

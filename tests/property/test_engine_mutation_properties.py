@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 from repro.crypto.keystore import KeyStore
 from repro.netsim import Network
 from repro.netsim.network import ConnectionRefused
-from repro.proxy import (
+from repro.proxy.engine import TlsProxyEngine, _MitmConnection
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import (
     ForgedUpstreamPolicy,
     ProxyCategory,
     ProxyProfile,
-    SubstituteCertForger,
-    TlsProxyEngine,
     UpstreamHelloPolicy,
 )
-from repro.proxy.engine import _MitmConnection
 from repro.tls import codec
 from repro.tls.codec import ClientHello, TlsError
 from repro.tls.fingerprint import BROWSER_PROFILES

@@ -23,7 +23,7 @@ from repro.audit import (
     scenario_by_key,
 )
 from repro.audit.scorecard import ScenarioObservation
-from repro.proxy import (
+from repro.proxy.profile import (
     ForgedUpstreamPolicy,
     ProxyCategory,
     ProxyProfile,

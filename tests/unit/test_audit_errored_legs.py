@@ -20,7 +20,7 @@ import pytest
 
 from repro.audit import SCENARIOS, AuditHarness, build_scorecard, mimicry_catalog
 from repro.obs.metrics import MetricsRegistry
-from repro.proxy import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
+from repro.proxy.profile import ForgedUpstreamPolicy, ProxyCategory, ProxyProfile
 from repro.proxy import engine as engine_module
 from repro.reporting import render_client_leg_table, render_server_leg_table
 from repro.tls import codec

@@ -6,7 +6,9 @@ from repro.crypto.keystore import KeyStore
 from repro.data.sites import ProbeSite
 from repro.mitigation.crossbear import CrossbearHunter
 from repro.netsim import Network, PathHop
-from repro.proxy import ProxyCategory, ProxyProfile, SubstituteCertForger, TlsProxyEngine
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import ProxyCategory, ProxyProfile
 from repro.study.webpki import build_web_pki
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer

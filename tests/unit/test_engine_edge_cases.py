@@ -10,15 +10,15 @@ from repro.crypto.keystore import KeyStore, shared_keystore
 from repro.data.keywords import STUDY1_KEYWORDS, STUDY2_KEYWORDS, keywords_for_study
 from repro.data.products import catalog
 from repro.netsim import Network
-from repro.proxy import (
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import (
+    DEFECT_PROTOCOL_DOWNGRADE,
     ForgedUpstreamPolicy,
     ProxyCategory,
     ProxyProfile,
-    SubstituteCertForger,
-    TlsProxyEngine,
     UpstreamHelloPolicy,
 )
-from repro.proxy.profile import DEFECT_PROTOCOL_DOWNGRADE
 from repro.tls import codec
 from repro.tls.codec import ClientHello
 from repro.tls.fingerprint import BROWSER_PROFILES

@@ -12,7 +12,9 @@ import pytest
 from repro.crypto.keystore import KeyStore
 from repro.netsim import Network
 from repro.netsim.network import Protocol
-from repro.proxy import ProxyCategory, ProxyProfile, SubstituteCertForger, TlsProxyEngine
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import ProxyCategory, ProxyProfile
 from repro.tls import codec
 from repro.tls.codec import ClientHello, Record, TlsError
 from repro.tls.probe import ProbeClient

@@ -11,7 +11,7 @@ from repro.asn1.oids import OID_EXT_BASIC_CONSTRAINTS, OID_EXT_SUBJECT_ALT_NAME
 from repro.crypto.hashes import hash_by_name
 from repro.data.countries import STUDY2_CAMPAIGNS
 from repro.data.sites import ProbeSite
-from repro.faults import database_ops, deliver
+from repro.faults.recovery import database_ops, deliver
 from repro.geoip.database import GeoIpDatabase
 from repro.httpmin.client import HttpClient
 from repro.httpmin.codec import HttpRequest, HttpResponse

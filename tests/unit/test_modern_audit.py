@@ -24,7 +24,7 @@ from repro.audit import (
     build_server_checks,
 )
 from repro.data.products import catalog_by_key
-from repro.proxy import AlpnPolicy, ProxyCategory, ProxyProfile
+from repro.proxy.profile import AlpnPolicy, ProxyCategory, ProxyProfile
 from repro.proxy.profile import ServerSessionPolicy
 from repro.tls import codec
 from repro.x509 import Name

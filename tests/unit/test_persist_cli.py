@@ -129,6 +129,22 @@ class TestPersistence:
         assert captured.err.startswith("error: ")
         assert "running study" not in captured.out
 
+    @pytest.mark.parametrize("occupant", ["segments", "file"])
+    def test_report_store_refuses_an_occupied_path(
+        self, capsys, tmp_path, export_dir, occupant
+    ):
+        path = shutil.copytree(export_dir, tmp_path / "segments")
+        if occupant == "file":
+            path = tmp_path / "reports.jsonl"
+            path.write_text("{}\n")
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["study2", "--scale", "0.002", "--seed", "7", "--report-store", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 def modules_after(script, *args):
     """The modules a fresh interpreter has loaded once ``script`` ran."""
@@ -168,6 +184,22 @@ class TestImportGraph:
         assert "repro.measure.store" in loaded
         assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
         assert [name for name in loaded if name.startswith("repro.study")] == []
+        assert tls_stack(loaded) == []
+
+    def test_parser_loads_no_tls_stack(self):
+        loaded = modules_after("from repro.cli import build_parser; build_parser()")
+        assert "repro.tls.fingerprint" in loaded
+        assert tls_stack(loaded) == []
+
+
+def tls_stack(loaded):
+    """The layers under the TLS probe that ``loaded`` holds."""
+    return [
+        name
+        for name in loaded
+        if name.split(".")[:2] in (["repro", "crypto"], ["repro", "x509"], ["repro", "netsim"])
+        or name == "repro.tls.probe"
+    ]
 
 
 class TestCli:

@@ -114,6 +114,27 @@ class TestScreenDecision:
             assert primes.is_probable_prime(n) == (n in SMALL_SET or oracle(n))
 
 
+@pytest.mark.parametrize(
+    "product, low, high",
+    [
+        ("_WORD_A", 2, 29),
+        ("_WORD_B", 29, 47),
+        ("_MID_PRODUCT", 47, 2048),
+        ("_STAGE2_PRODUCT", 2048, 1 << 16),
+    ],
+)
+def test_screen_products_equal_math_prod(product, low, high):
+    assert primes._SMALL_PRIMES == SMALL
+    expected = math.prod(p for p in SMALL if low <= p < high)
+    assert getattr(primes, product) == expected == primes._product(low, high)
+
+
+@pytest.mark.parametrize("low, high", [(2, 2), (2, 3), (2, 6), (3, 12), (100, 1000)])
+def test_product_of_any_range_equals_math_prod(low, high):
+    # Empty, one factor, and odd and even counts of factors.
+    assert primes._product(low, high) == math.prod(p for p in SMALL if low <= p < high)
+
+
 # The screen as it was before the cascade: one gcd with the product of
 # the primes below 2^11, then one with the rest up to 2^16.
 STAGE1 = math.prod(p for p in SMALL if p < 2048)

@@ -9,13 +9,13 @@ from repro.audit.scenarios import AUDIT_HOSTNAME, SCENARIOS, AuditPki
 from repro.crypto.keystore import KeyStore
 from repro.data.products import catalog
 from repro.netsim import Network
-from repro.proxy import (
+from repro.proxy.engine import TlsProxyEngine
+from repro.proxy.forger import SubstituteCertForger
+from repro.proxy.profile import (
     ForgedUpstreamPolicy,
     ProxyCategory,
     ProxyProfile,
     SubjectRewrite,
-    SubstituteCertForger,
-    TlsProxyEngine,
 )
 from repro.tls.probe import ProbeClient
 from repro.tls.server import TlsCertServer
