@@ -11,7 +11,9 @@ from conftest import emit
 
 from repro.data.sites import STUDY2_SITES
 from repro.netsim import Network
-from repro.policy import PolicyFile, PolicyScanner, PolicyServer
+from repro.policy.model import PolicyFile
+from repro.policy.scanner import PolicyScanner
+from repro.policy.server import PolicyServer
 from repro.data.sites import synthetic_alexa_universe
 
 UNIVERSE_SIZE = 2000

@@ -526,7 +526,9 @@ def _run_chaos(args) -> int:
 def _run_scan(args) -> int:
     from repro.data.sites import STUDY2_SITES, synthetic_alexa_universe
     from repro.netsim import Network
-    from repro.policy import PolicyFile, PolicyScanner, PolicyServer
+    from repro.policy.model import PolicyFile
+    from repro.policy.scanner import PolicyScanner
+    from repro.policy.server import PolicyServer
 
     network = Network()
     scanner_host = network.add_host("scanner.example")

@@ -20,15 +20,16 @@ keeps them on disk:
   :func:`scan_store` rebuilds that tally from the segments, and
   :func:`load_store` a full database.
 
-The throughput story: the store pays per distinct cell, not per
-report.  A matched append is one increment of a write-combining
+The throughput story: the store pays per distinct cell or line, not
+per report.  A matched append is one increment of a write-combining
 counter keyed by (country, host type, hostname); a flush folds each
 buffered cell once into the tally and its shard's counter rows, and
 one batched ``write()`` per shard writes the lot (``reports.batches``)
-every ``batch_rows`` appends.  On the way back, a bounded memo
-(``store.counter_rows``) decodes and checks each distinct counter line
-once, and the readers sum a shard's counter rows before adding each
-cell to their tally once.
+every ``batch_rows`` appends.  On the way back, :func:`_read_segment`
+streams each segment and only counts a counter line it has already
+seen there; a bounded memo (``store.counter_rows``) decodes and checks
+each distinct counter line once across segments, and the readers sum
+a shard's counter cells before adding each to their tally once.
 
 Row kinds, one JSON object per line:
 
@@ -206,36 +207,31 @@ COUNTER_ROW_CACHE_SIZE = 4096
 _COUNTER_HEAD = b'{"t":"c",'
 
 
-def _counter_cell(row: dict) -> tuple[str, str, int] | None:
-    """A decoded row's ``(host type, hostname, count)`` if it is a
-    counter row, checked by :func:`_row_kind`; ``None`` otherwise."""
-    if row.get("t") != "c":
-        return None
-    _row_kind(row)
-    return row["ht"], row["h"], row["n"]
-
-
 @content_memo("store.counter_rows", COUNTER_ROW_CACHE_SIZE)
 def _counter_row(raw: bytes) -> tuple[str, str, int] | None:
-    """:func:`_counter_cell` of a segment line that opens like a counter row.
+    """The ``(host type, hostname, count)`` of a segment line that opens
+    like a counter row, checked by :func:`_row_kind`.
 
     Raises what :func:`_decode_row` raises for a torn line and
     :func:`_row_kind` for a malformed counter row; neither is cached.
     ``None`` means the line decodes to another kind (a repeated ``"t"``
     key, where the last one wins).
     """
-    return _counter_cell(_decode_row(raw))
+    row = _decode_row(raw)
+    if row.get("t") != "c":
+        return None
+    _row_kind(row)
+    return row["ht"], row["h"], row["n"]
 
 
 def _segment_row(raw: bytes) -> tuple[str, str, int] | dict | None:
     """One segment line as the readers take it.
 
     A counter row is its checked ``(host type, hostname, count)`` cell,
-    through the memo for the lines this module writes, so each distinct
-    line is decoded and checked once.  Any other data row is its dict,
-    and a blank line or a ``seal`` header is ``None``.  Raises
-    :class:`ValueError` for a torn line and :class:`StoreError` for a
-    malformed counter row.
+    through the memo for the lines this module writes.  Any other data
+    row is its dict, checked by :func:`_row_kind`, and a blank line or
+    a ``seal`` header is ``None``.  Raises :class:`ValueError` for a
+    torn line and :class:`StoreError` for a malformed row.
     """
     if raw.startswith(_COUNTER_HEAD):
         cell = _counter_row(raw)
@@ -244,8 +240,67 @@ def _segment_row(raw: bytes) -> tuple[str, str, int] | dict | None:
     row = _decode_row(raw)
     if row is None or row.get("t") == "seal":
         return None
-    cell = _counter_cell(row)
-    return row if cell is None else cell
+    if _row_kind(row) == "c":
+        return row["ht"], row["h"], row["n"]
+    return row
+
+
+def _read_segment(
+    path: pathlib.Path,
+    cells: dict[tuple[str, str], int],
+    take: Callable[[dict], object],
+    on_torn: Callable[[pathlib.Path], None] | None = None,
+    heal: bool = False,
+    decode: Callable[[bytes], object] = _segment_row,
+) -> int:
+    """Stream one segment, decoding each distinct counter line once.
+
+    ``decode`` maps a line to a counter cell, another data row or
+    ``None`` (nothing), as :func:`_segment_row` does.  A line already
+    seen as a counter row is only counted; at the end each distinct
+    one adds its count times its repeats to ``cells``.  Every other
+    data row goes to ``take`` in file order.  Returns the number of
+    data rows.
+
+    The first line ``decode`` finds torn ends the read: nothing at or
+    after it counts, repeats of earlier lines included.  ``on_torn``
+    is called once for the segment, and with ``heal=True`` the file is
+    truncated at that line.  A :class:`StoreError` from ``decode`` or
+    ``take`` propagates at its row, before any of that.
+    """
+    repeats: dict[bytes, int] = {}  # counter line -> times seen
+    counted: list[tuple[str, str, int]] = []  # their cells, first seen first
+    rows = 0
+    torn_at = None
+    with open(path, "rb") as handle:
+        seen = repeats.get
+        for raw in handle:
+            times = seen(raw)
+            if times is not None:
+                repeats[raw] = times + 1
+                continue
+            try:
+                row = decode(raw)
+            except ValueError:
+                torn_at = handle.tell() - len(raw)
+                break
+            if type(row) is tuple:
+                repeats[raw] = 1
+                counted.append(row)
+            elif row is not None:
+                rows += 1
+                take(row)
+    total = cells.get
+    for (host_type, hostname, count), times in zip(counted, repeats.values()):
+        cell = host_type, hostname
+        cells[cell] = total(cell, 0) + count * times
+        rows += times
+    if torn_at is not None:
+        if on_torn is not None:
+            on_torn(path)
+        if heal:
+            os.truncate(path, torn_at)
+    return rows
 
 
 def _mismatch_record(row: dict) -> MeasurementRecord:
@@ -410,53 +465,10 @@ class SegmentedStore:
         except ValueError:
             return None
 
-    @staticmethod
-    def _iter_segment(
-        path: pathlib.Path,
-        on_torn: Callable[[pathlib.Path], None] | None = None,
-        heal: bool = False,
-        decode: Callable[[bytes], object] = _segment_row,
-    ) -> Iterator:
-        """Stream one segment's lines through ``decode``, stopping at
-        (and optionally healing) the first line it finds torn.  Lines it
-        maps to ``None`` are not yielded: with :func:`_segment_row`,
-        blank lines and ``seal`` headers."""
-        offset = 0
-        torn_at = None
-        with open(path, "rb") as handle:
-            for raw in handle:
-                try:
-                    row = decode(raw)
-                except ValueError:
-                    torn_at = offset
-                    break
-                if row is not None:
-                    yield row
-                offset += len(raw)
-        if torn_at is not None:
-            if on_torn is not None:
-                on_torn(path)
-            if heal:
-                os.truncate(path, torn_at)
-
-    def iter_shard_rows(
-        self,
-        name: str,
-        on_torn: Callable[[pathlib.Path], None] | None = None,
-        heal: bool = False,
-    ) -> Iterator[tuple[str, str, int] | dict]:
-        """Yield every row of one shard in (segment, line) order, as
-        :func:`_segment_row` returns it: a counter row as its checked
-        cell tuple, any other row as its dict.
-
-        Detects torn tails (trailing bytes with no newline, or a line
-        that does not decode to a JSON object): the torn tail and
-        everything after it in that segment is dropped, ``on_torn`` is
-        called once per torn segment, and with ``heal=True`` the file is
-        truncated back to its last complete row.  Segments replaced by
-        a compaction header are skipped entirely, so a crash between a
-        compaction's rename and its unlinks never double-counts.
-        """
+    def live_segments(self, name: str) -> list[pathlib.Path]:
+        """One shard's segments in order, less those a compaction's
+        ``seal`` header replaces, so a crash between a compaction's
+        rename and its unlinks never double-counts."""
         shard_path = self.path / name
         segments = self._segment_names(shard_path)
         replaced: set[str] = set()
@@ -469,10 +481,28 @@ class SegmentedStore:
                 ):
                     raise StoreError("malformed 'seal' row")
                 replaced.update(compacts)
-        for segment in segments:
-            if segment in replaced:
-                continue
-            yield from self._iter_segment(shard_path / segment, on_torn, heal)
+        return [shard_path / segment for segment in segments if segment not in replaced]
+
+    def read_shard(
+        self,
+        name: str,
+        take: Callable[[dict], object],
+        on_torn: Callable[[pathlib.Path], None] | None = None,
+        heal: bool = False,
+    ) -> tuple[dict[tuple[str, str], int], int]:
+        """Read one shard's live segments with :func:`_read_segment`.
+
+        Returns its summed counter cells, in the order each first
+        appears, and its number of data rows; every other data row,
+        checked, goes to ``take`` in (segment, line) order.  A torn
+        line (no trailing newline, or not a JSON object) ends its
+        segment's read; see :func:`_read_segment`.
+        """
+        cells: dict[tuple[str, str], int] = {}
+        rows = 0
+        for path in self.live_segments(name):
+            rows += _read_segment(path, cells, take, on_torn, heal)
+        return cells, rows
 
     def segment_paths(self) -> list[pathlib.Path]:
         return [
@@ -756,10 +786,14 @@ class ReportStore(ReportSink):
                 path = shard_path / segment
                 torn_paths: list[pathlib.Path] = []
                 # Only torn lines matter here; checking rows is the readers' job.
-                for _row in self.segments._iter_segment(
-                    path, on_torn=torn_paths.append, heal=True, decode=_decode_row
-                ):
-                    pass
+                _read_segment(
+                    path,
+                    {},
+                    lambda _row: None,
+                    on_torn=torn_paths.append,
+                    heal=True,
+                    decode=_decode_row,
+                )
                 if torn_paths:
                     torn += 1
                     self.metrics.inc("reports.rejected", reason="torn-segment")
@@ -798,20 +832,19 @@ class ReportStore(ReportSink):
                     with open(shard_path / segments[0], "rb") as handle:
                         if handle.read(12).startswith(b'{"t":"seal"'):
                             continue
-                counters: Counter[tuple[str, str]] = Counter()
                 failures: Counter[str] = Counter()
                 mismatch_lines: list[bytes] = []
-                for row in self.segments.iter_shard_rows(name):
-                    rows_before += 1
-                    if type(row) is tuple:
-                        host_type, hostname, count = row
-                        counters[host_type, hostname] += count
-                    elif _row_kind(row) == "f":
+
+                def take(row: dict) -> None:
+                    if row["t"] == "f":
                         failures[row["k"]] += row["n"]
                     else:
                         mismatch_lines.append(
                             json.dumps(row, separators=(",", ":")).encode("utf-8")
                         )
+
+                counters, rows = self.segments.read_shard(name, take)
+                rows_before += rows
                 shard = self.segments.shard(name)
                 index = shard.next_index
                 shard.next_index += 1
@@ -881,14 +914,9 @@ def scan_store(
     with metrics.span("ingest.scan"):
         for name in segments.shard_names():
             country = _shard_country(name)
-            cells: Counter[tuple[str, str]] = Counter()
-            for row in segments.iter_shard_rows(
-                name, on_torn=lambda _path: torn.inc(), heal=heal
-            ):
-                if type(row) is tuple:
-                    host_type, hostname, count = row
-                    cells[host_type, hostname] += count
-                elif _row_kind(row) == "m":
+
+            def take(row: dict) -> None:
+                if row["t"] == "m":
                     payload = row["r"]
                     tally.add_mismatch_key(
                         _mismatch_signature_key(country, payload),
@@ -896,18 +924,29 @@ def scan_store(
                     )
                 else:
                     tally.add_failure(row["k"], row["n"])
+
+            cells, _rows = segments.read_shard(
+                name, take, on_torn=lambda _path: torn.inc(), heal=heal
+            )
             for (host_type, hostname), count in cells.items():
                 tally.add_matched_bulk(country, host_type, hostname, count)
     return tally
 
 
 def iter_store_mismatches(path: str | pathlib.Path) -> Iterator[MeasurementRecord]:
-    """Stream full mismatch records out of the segments (shard order)."""
+    """Stream full mismatch records out of the segments (shard order),
+    one segment's worth at a time."""
     segments = SegmentedStore(path)
     for name in segments.shard_names():
-        for row in segments.iter_shard_rows(name):
-            if type(row) is not tuple and _row_kind(row) == "m":
-                yield _mismatch_record(row)
+        for segment in segments.live_segments(name):
+            records: list[MeasurementRecord] = []
+
+            def take(row: dict) -> None:
+                if row["t"] == "m":
+                    records.append(_mismatch_record(row))
+
+            _read_segment(segment, {}, take)
+            yield from records
 
 
 def load_store(
@@ -927,15 +966,16 @@ def load_store(
     torn = metrics.counter("reports.rejected", reason="torn-segment")
     for name in segments.shard_names():
         country = _shard_country(name)
-        cells: Counter[tuple[str, str]] = Counter()
-        for row in segments.iter_shard_rows(name, on_torn=lambda _path: torn.inc()):
-            if type(row) is tuple:
-                host_type, hostname, count = row
-                cells[host_type, hostname] += count
-            elif _row_kind(row) == "m":
+
+        def take(row: dict) -> None:
+            if row["t"] == "m":
                 database.add_mismatch(_mismatch_record(row))
             else:
                 database.add_failure(row["k"], row["n"])
+
+        cells, _rows = segments.read_shard(
+            name, take, on_torn=lambda _path: torn.inc()
+        )
         for (host_type, hostname), count in cells.items():
             database.add_matched_bulk(country, host_type, hostname, count)
     return database

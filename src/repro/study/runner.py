@@ -217,18 +217,21 @@ class StudyRunner:
     def warm_keys(self) -> None:
         """Touch every RSA key a study can need.
 
-        That is the web-PKI keys a wire study signs with, and every
-        product's signing-CA keys, including issuer variants and — for
-        issuer-copying profiles — the CAs minted per upstream
-        intermediate.  With a vault attached the material persists, so
-        worker processes and later runs load it instead of re-running
-        Miller–Rabin.
+        That is the web-PKI keys a wire study signs with, then every
+        forging key (:meth:`_warm_forge_keys`).  With a vault attached
+        the material persists, so worker processes and later runs load
+        it instead of re-running Miller–Rabin.
         """
+        self.pki
+        self._warm_forge_keys()
+
+    def _warm_forge_keys(self) -> None:
+        """Touch every product's signing-CA keys, including issuer
+        variants and — for issuer-copying profiles — the CAs minted per
+        upstream intermediate, read off the site leaves, so no web-PKI
+        key is generated."""
         upstream_issuers = {
-            self.pki.leaf_for(site.hostname).issuer.rfc4514(): self.pki.leaf_for(
-                site.hostname
-            ).issuer
-            for site in self.sites
+            leaf.issuer.rfc4514(): leaf.issuer for leaf in self.site_leaves.values()
         }
         for spec in self._specs:
             profile = spec.profile
@@ -403,8 +406,8 @@ class StudyRunner:
         Each worker rebuilds the runner from the (picklable) config —
         every certificate byte is derived from the seed, so the shard
         databases are identical to inline execution.  With a vault
-        configured, the parent warms every key first so workers load
-        material from disk instead of regenerating it (their
+        configured, the parent warms every forging key first so workers
+        load material from disk instead of regenerating it (their
         ``keys_generated`` deltas come back in the outcomes, which the
         warm-vault tests pin to zero, and add to this runner's count).
         Forge-counter deltas fold back into this runner's forger so
@@ -414,7 +417,7 @@ class StudyRunner:
         config = self.config
         if self.keystore.vault is not None:
             with self.obs.span("study.warm_keys"):
-                self.warm_keys()
+                self._warm_forge_keys()
         queue_order = sorted(
             range(len(subshards)),
             key=lambda i: (-subshards[i].sessions, i),

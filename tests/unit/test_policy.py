@@ -3,15 +3,14 @@
 import pytest
 
 from repro.netsim import Network
-from repro.policy import (
-    PolicyError,
-    PolicyFile,
-    PolicyRule,
-    PolicyScanner,
+from repro.policy.model import PolicyError, PolicyFile, PolicyRule
+from repro.policy.scanner import PolicyScanner
+from repro.policy.server import (
+    POLICY_CACHE_SIZE,
     PolicyServer,
+    _parse_policy,
     fetch_policy,
 )
-from repro.policy.server import POLICY_CACHE_SIZE, _parse_policy
 
 
 class TestPolicyRule:

@@ -4,11 +4,12 @@ A substitute certificate reads four fields off the origin's leaf
 (issuer, subject, DNS names, validity), so a fast-mode
 :class:`StudyRunner` forges from each site's :class:`SiteLeaf` and
 never generates the web-PKI keys or loads the wire leg.  These tests
-pin that split: what each mode's construction loads and generates, that
-every site leaf equals its signed leaf field for field, and that both
-forge the same bytes.
+pin that split: what each mode's construction loads and generates, what
+a cold-vault sharded fast run stores, that every site leaf equals its
+signed leaf field for field, and that both forge the same bytes.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -22,6 +23,7 @@ from repro.crypto.keystore import KeyStore
 from repro.data import products as product_data
 from repro.data import sites as site_data
 from repro.proxy.forger import SubstituteCertForger
+from repro.study import StudyConfig, StudyRunner
 from repro.study.webpki import build_web_pki, site_leaves
 from repro.x509.parse import parse_certificate
 
@@ -42,13 +44,14 @@ WIRE_LEG = (
     "repro.obs.events",
     "repro.policy",
     "repro.policy.model",
-    "repro.policy.scanner",
     "repro.policy.server",
     "repro.proxy.engine",
     "repro.study.wire",
     "repro.tls.probe",
     "repro.tls.server",
 )
+# Only ``repro scan`` runs the policy scanner; neither study mode loads it.
+SCAN_ONLY = "repro.policy.scanner"
 WEB_PKI_KEYS = 6  # three roots, three intermediates
 SEEDS = (7, 42, 1000045, 2000048)
 # The tree this process imported ``repro`` from, for the subprocess checks.
@@ -83,12 +86,31 @@ class TestConstruction:
         loaded, generated = construct("fast")
         assert "repro.proxy.forger" in loaded
         assert sorted(loaded.intersection(WIRE_LEG)) == []
+        assert SCAN_ONLY not in loaded
         assert generated == 0
 
     def test_wire_mode_loads_the_wire_leg_and_signs_the_web_pki(self):
         loaded, generated = construct("wire")
         assert sorted(set(WIRE_LEG) - loaded) == []
+        assert SCAN_ONLY not in loaded
         assert generated == WEB_PKI_KEYS
+
+
+def test_cold_vault_sharded_fast_run_signs_no_web_pki(tmp_path):
+    """The parent warms only the forging keys before its workers start;
+    issuer-copying CAs take their issuers from the site leaves."""
+    runner = StudyRunner(
+        StudyConfig(study=1, seed=7, scale=0.002, workers=2, vault=str(tmp_path))
+    )
+    result = runner.run()
+    labels = [
+        json.loads(entry.read_text(encoding="utf-8"))["label"]
+        for entry in tmp_path.glob("*/*.json")
+    ]
+    assert [label for label in labels if label.startswith("webpki:")] == []
+    assert len(labels) == result.notes["keys_generated"] == 78
+    assert result.notes["worker_keys_generated"] == 0
+    assert result.database.aggregate_signature().startswith("5a4ea52f82f322a5")
 
 
 @pytest.fixture(scope="module")
