@@ -512,6 +512,42 @@ class SegmentedStore:
         ]
 
 
+def _check_cell(cell: tuple[str, str, str]) -> None:
+    """Refuse a matched (country, host type, hostname) cell that would
+    not read back as itself.
+
+    The readers' rule: the country is a ``str`` that its shard's
+    directory name maps back to, and the host type and hostname are
+    ``str``s, which :func:`_row_kind` demands of a ``c`` row.  Raises
+    :class:`ValueError` otherwise.
+    """
+    country, host_type, hostname = cell
+    if type(country) is not str or _shard_country(_shard_name(country)) != country:
+        raise ValueError(f"country {country!r} has no shard it reads back from")
+    if type(host_type) is not str or type(hostname) is not str:
+        raise ValueError(f"host type and hostname must be str, not {cell[1:]!r}")
+
+
+class _MatchedCells(dict):
+    """One batch of matched appends, write-combined per cell.
+
+    A cell missing from the batch is checked by :func:`_check_cell`
+    unless ``accepted`` (the tally's matched counts, which hold every
+    cell an earlier batch folded) holds it, so each cell is checked
+    once, on the append that brings it into the store, and an append
+    that hits a cell in the batch pays nothing for it.
+    """
+
+    def __init__(self, accepted: Counter[tuple[str, str, str]]) -> None:
+        super().__init__()
+        self.accepted = accepted
+
+    def __missing__(self, cell: tuple[str, str, str]) -> int:
+        if cell not in self.accepted:
+            _check_cell(cell)
+        return 0
+
+
 class ReportStore(ReportSink):
     """Batched, metric-instrumented ingest into a :class:`SegmentedStore`.
 
@@ -530,9 +566,10 @@ class ReportStore(ReportSink):
 
     Every append is checked before anything is counted or buffered: a
     closed (or crashed) store raises :class:`StoreError`, and a
-    negative count or unknown failure ``ValueError``.  The store
-    flushes whenever ``batch_rows`` appends are pending, so its buffer
-    never holds more than one batch.
+    negative count, an unknown failure or a matched cell that would
+    not read back (:func:`_check_cell`, once per cell) ``ValueError``.
+    The store flushes whenever ``batch_rows`` appends are pending, so
+    its buffer never holds more than one batch.
 
     **Crash points.**  ``crash_hook(point)`` — when given — is invoked
     at four named points: ``"flush"`` (entry of a non-empty flush,
@@ -566,7 +603,7 @@ class ReportStore(ReportSink):
         self.segments = SegmentedStore(path)
         self._tally = ReportTally()
         # Matched appends not yet folded into the tally and the shards.
-        self._matched: Counter[tuple[str, str, str]] = Counter()
+        self._matched = _MatchedCells(self._tally.matched_counts)
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.batch_rows = batch_rows
         self.segment_bytes = segment_bytes
@@ -660,7 +697,7 @@ class ReportStore(ReportSink):
             pending = country_shard(country).pending_matched
             cell = host_type, hostname
             pending[cell] = pending.get(cell, 0) + count
-        self._matched = Counter()
+        self._matched = _MatchedCells(self._tally.matched_counts)
 
     # -- crash simulation ------------------------------------------------
 

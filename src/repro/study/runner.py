@@ -502,14 +502,18 @@ class StudyRunner:
     ) -> None:
         """Vectorised proxied-session sampling for one country shard.
 
-        Client slots are drawn as one numpy batch per product and
-        grouped by bucket; a single Bernoulli matrix per product then
-        decides every (session, site) completion at once, so each
-        (product, site, bucket) cell realises its binomial count while
-        per-session independence across sites — which the
-        distinct-IP/dispersion analyses read — is preserved.
-        Certificates and summaries are shared per cell, so the
-        per-measurement Python work collapses to one record
+        Client slots are drawn as one numpy batch per product, and a
+        single Bernoulli matrix per product then decides every
+        (session, site) completion at once, so each (product, site,
+        bucket) cell realises its binomial count while per-session
+        independence across sites — which the distinct-IP/dispersion
+        analyses read — is preserved.  :func:`realised_cells` finds
+        the cells that hold a completed session in one pass over the
+        matrix, so a product pays for the cells it realises, not for
+        every (site, bucket) slot.  Sites are visited in site order,
+        each realised cell in ascending bucket order with its sessions
+        in draw order.  Certificates and summaries are shared per cell,
+        so the per-measurement Python work collapses to one record
         construction.
         """
         shares = population.product_share_vector(plan.code)
@@ -529,43 +533,37 @@ class StudyRunner:
             count = int(count)
             if not count:
                 continue
-            profile = spec.profile
             client_indices = np_rng.integers(0, plan.pool_size, size=count)
-            buckets = client_indices % n_buckets
-            # Stable sort groups each bucket's sessions contiguously in
-            # (random) draw order.
-            order = np.argsort(buckets, kind="stable")
-            grouped = client_indices[order]
-            bounds = np.searchsorted(buckets[order], np.arange(n_buckets + 1))
             # Every (session, site) completion in one draw.
-            completions = (
-                np_rng.random((count, len(self.sites))) < self._site_probs
-            )[order]
-            for site_index, site in enumerate(self.sites):
-                column = completions[:, site_index]
-                if profile.is_whitelisted(site.hostname):
+            completions = np_rng.random((count, len(self.sites))) < self._site_probs
+            relayed = [
+                spec.profile.is_whitelisted(site.hostname) for site in self.sites
+            ]
+            totals, cells = realised_cells(
+                client_indices, completions, n_buckets, relayed
+            )
+            for site, site_relayed, total, site_cells in zip(
+                self.sites, relayed, totals, cells
+            ):
+                if site_relayed:
                     # The proxy relays untouched: the client sees the
                     # real chain — only the aggregate count matters.
                     database.add_matched_bulk(
-                        plan.code, site.host_type, site.hostname, int(column.sum())
+                        plan.code, site.host_type, site.hostname, total
                     )
-                    c_relayed.inc(int(column.sum()))
+                    c_relayed.inc(total)
                     continue
-                for bucket in range(n_buckets):
-                    segment = slice(int(bounds[bucket]), int(bounds[bucket + 1]))
-                    members = grouped[segment][column[segment]]
-                    if not members.size:
-                        continue
+                for bucket, members in site_cells:
                     leaf, chain = self._fast_summaries(spec, site, bucket)
                     c_cells.inc()
-                    c_mismatch.inc(int(members.size))
+                    c_mismatch.inc(len(members))
                     for client_index in members:
                         database.add_mismatch(
                             MeasurementRecord(
                                 study=self.config.study,
                                 campaign=campaign,
                                 client_ip=population.client_ip(
-                                    plan.code, int(client_index), spec.key
+                                    plan.code, client_index, spec.key
                                 ),
                                 country=plan.code,
                                 hostname=site.hostname,
@@ -601,6 +599,46 @@ class StudyRunner:
         )
         self._fast_summary_cache[cache_key] = summaries
         return summaries
+
+
+def realised_cells(
+    client_indices: np.ndarray,
+    completions: np.ndarray,
+    n_buckets: int,
+    relayed: list[bool],
+) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
+    """One product's realised (site, bucket) cells, found in one pass.
+
+    ``client_indices`` are the product's drawn client slots and
+    ``completions`` its (session, site) Bernoulli matrix, both in draw
+    order; a slot's bucket is the slot modulo ``n_buckets``, and
+    ``relayed`` flags the sites the product whitelists.  Returns
+    ``(totals, cells)``: ``totals[site]`` is the site's number of
+    completed sessions, and ``cells[site]`` lists, for a site that is
+    not relayed, every bucket holding a completed session in ascending
+    order, each with its client slots (Python ``int``s) in draw order.
+    A relayed site has no cells.
+    """
+    totals = completions.sum(axis=0).tolist()
+    cells: list[list[tuple[int, list[int]]]] = [[] for _ in relayed]
+    # A stable sort groups each bucket's sessions contiguously in
+    # (random) draw order; nonzero over the transpose then lists the
+    # completed (site, session) pairs site-major, which is cell order.
+    order = np.argsort(client_indices % n_buckets, kind="stable")
+    kept = completions[order] & ~np.array(relayed, dtype=bool)
+    sites, rows = np.nonzero(kept.T)
+    if not rows.size:
+        return totals, cells
+    members = client_indices[order[rows]]
+    keys = sites * n_buckets + members % n_buckets
+    # Cut wherever (site, bucket) changes.
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    members = members.tolist()
+    for start, stop, key in zip(starts, [*cuts, len(members)], keys[starts].tolist()):
+        site, bucket = divmod(key, n_buckets)
+        cells[site].append((bucket, members[start:stop]))
+    return totals, cells
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.faults.recovery import database_ops, deliver
+from repro.measure import store as store_module
 from repro.measure.database import ReportDatabase
 from repro.measure.records import CertSummary, MeasurementRecord
 from repro.measure.store import (
@@ -167,6 +168,60 @@ class TestRefusedAppends:
         assert not any(
             shard.pending_lines or shard.pending_matched
             for shard in store.segments._shards.values()
+        )
+
+
+# Matched cells that would not read back as themselves: an empty
+# country's shard ("%00") scans back as "\x00", a country that is not
+# a str has no shard name, and a counter row needs str host fields.
+UNWRITABLE = [
+    ("", "Popular", "h"),
+    (None, "Popular", "h"),
+    (7, "Popular", "h"),
+    ("US", None, "h"),
+    ("US", "Popular", None),
+]
+
+
+class TestUnwritableCells:
+    """A matched cell the store could not read back is refused on the
+    append that brings it in, before anything is counted, and the store
+    stays usable."""
+
+    @pytest.mark.parametrize("cell", UNWRITABLE, ids=repr)
+    def test_refused_before_counting(self, tmp_path, cell):
+        store = ReportStore(tmp_path / "s", batch_rows=7)
+        db = ReportDatabase()
+        fill(store, db, n=20)
+        counts = store.ops_appended, store.pending
+        with pytest.raises(ValueError):
+            store.add_matched_bulk(*cell, 3)
+        assert (store.ops_appended, store.pending) == counts
+        assert store.aggregator.aggregate_signature() == db.aggregate_signature()
+        store.add_matched_bulk("US", "Popular", "after", 2)
+        db.add_matched_bulk("US", "Popular", "after", 2)
+        store.close()
+        assert store.aggregator.aggregate_signature() == db.aggregate_signature()
+        assert scan_store(tmp_path / "s").aggregate_signature() == (
+            db.aggregate_signature()
+        )
+
+    def test_each_cell_is_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        check = store_module._check_cell
+        monkeypatch.setattr(
+            store_module, "_check_cell", lambda cell: checked.append(cell) or check(cell)
+        )
+        store = ReportStore(tmp_path / "s", batch_rows=3)
+        db = ReportDatabase()
+        for _ in range(10):
+            for sink in (store, db):
+                sink.add_matched_bulk("US", "Popular", "a", 1)
+                sink.add_matched_bulk("??", "Business", "b", 1)
+        store.close()
+        assert checked == [("US", "Popular", "a"), ("??", "Business", "b")]
+        assert scan_store(tmp_path / "s").aggregate_signature() == (
+            db.aggregate_signature()
         )
 
 
